@@ -10,14 +10,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descent import StationaryPoint, find_stationary
-from .game import SUPPORT_TOL, Game, Profile, mixed, regrets, supports
+from .descent import StationaryPoint, find_stationary, lambda_mu_star
+from .game import SUPPORT_TOL, Game, Profile, grid_f, mixed, regrets, supports
 
 METHOD_TS = "ts"
 METHOD_BOUNDARY = "boundary-min"
 METHOD_LINEAR = "linear-intersect"
 
-# fC(w*,z*) vs fR(w*,z*) ties within this band route to the fC >= fR branch.
+# fC(w*,z*) vs fR(w*,z*) ties within this band route to the fC >= fR branch,
+# the one that moves x.
 BRANCH_TIE_TOL = 1e-12
 
 
@@ -74,59 +75,55 @@ def lambda_star_mu_star(game: Game, sp: StationaryPoint) -> tuple[float, float]:
     Also expressible through regret differences across the square's corners;
     both identities are exercised by the test suite.
     """
-    x, y = sp.profile
-    w, z = sp.dual.w, sp.dual.z
-    return float((w - x) @ game.R @ z), float(w @ game.C @ (z - y))
-
-
-def _corner_regrets(game: Game, sp: StationaryPoint):
-    x, y = sp.profile
-    w, z = sp.dual.w, sp.dual.z
-    f_xz = regrets(game, Profile(x, z))
-    f_wy = regrets(game, Profile(w, y))
-    f_wz = regrets(game, Profile(w, z))
-    return f_xz, f_wy, f_wz
+    return lambda_mu_star(game, sp.profile, sp.dual)
 
 
 def adjust_ts(game: Game, sp: StationaryPoint, tol: float = SUPPORT_TOL) -> AdjustmentOutcome:
     """Method 1: the original convex-combination adjustment."""
     lam, mu = lambda_mu(game, sp, tol)
-    x, y = sp.profile
-    w, z = sp.dual.w, sp.dual.z
     if lam >= mu:
-        coeff = 1.0 / (1.0 + lam - mu)
-        prof = Profile(mixed(coeff * w + (lam - mu) * coeff * x), z)
+        prof = _ts_move_x(sp, lam - mu)
     else:
-        coeff = 1.0 / (1.0 + mu - lam)
-        prof = Profile(w, mixed(coeff * z + (mu - lam) * coeff * y))
+        prof = _ts_move_x(sp.swapped(), mu - lam).swapped()
     return AdjustmentOutcome(METHOD_TS, prof, regrets(game, prof).f)
 
 
-def _exact_segment_min(game: Game, fixed_other, moving_from, moving_to, move_x: bool):
-    """Minimize f along one boundary edge by breakpoint enumeration.
+def _ts_move_x(sp: StationaryPoint, gap: float) -> Profile:
+    """Mix x* into w* with weight gap/(1 + gap) on x*, and play z*."""
+    coeff = 1.0 / (1.0 + gap)
+    return Profile(mixed(coeff * sp.dual.w + gap * coeff * sp.profile.x), sp.dual.z)
 
-    Along the edge one regret is linear and the other is a maximum of linear
-    pieces, so the minimum of their max sits at an endpoint or where the
-    linear regret crosses one of the pieces.  Evaluates f at every candidate
-    and returns the smallest parameter among ties.
+
+def _far_edge(game: Game, sp: StationaryPoint, on_x_edge) -> tuple[Profile, float]:
+    """Run on_x_edge(game, sp) -> (profile, f), written for the edge from
+    (x*, z*) to (w*, z*), on the far edge that the corner (w*, z*) picks.
+
+    With fC >= fR there (ties within BRANCH_TIE_TOL included) that is the
+    x edge; otherwise it is the y edge, the x edge of the swapped game.
+    """
+    f_wz = regrets(game, Profile(sp.dual.w, sp.dual.z))
+    if f_wz.fC >= f_wz.fR - BRANCH_TIE_TOL:
+        return on_x_edge(game, sp)
+    prof, f = on_x_edge(game.swapped(), sp.swapped())
+    return prof.swapped(), f
+
+
+def _exact_segment_min(game: Game, sp: StationaryPoint) -> tuple[Profile, float]:
+    """Minimize f along the edge from (x*, z*) to (w*, z*) by breakpoint enumeration.
+
+    Along the edge fR is linear and fC is a maximum of linear pieces, so
+    the minimum of their max sits at an endpoint or where the linear regret
+    crosses one of the pieces.  Evaluates f at every candidate and returns
+    the one with the smallest parameter among ties.
     """
     R, C = game.R, game.C
-    d = moving_to - moving_from
-    if move_x:
-        # x_t = moving_from + t*d against fixed y = z*.
-        z = fixed_other
-        Rz = R @ z
-        lin0 = float(Rz.max() - moving_from @ Rz)
-        lin1 = float(-(d @ Rz))
-        piece0 = C.T @ moving_from - float(moving_from @ C @ z)
-        piece1 = C.T @ d - float(d @ C @ z)
-    else:
-        w = fixed_other
-        Cw = C.T @ w
-        lin0 = float(Cw.max() - moving_from @ Cw)
-        lin1 = float(-(d @ Cw))
-        piece0 = (R @ moving_from) - float(w @ R @ moving_from)
-        piece1 = (R @ d) - float(w @ R @ d)
+    x, z = sp.profile.x, sp.dual.z
+    d = sp.dual.w - x
+    Rz = R @ z
+    lin0 = float(Rz.max() - x @ Rz)
+    lin1 = float(-(d @ Rz))
+    piece0 = C.T @ x - float(x @ C @ z)
+    piece1 = C.T @ d - float(d @ C @ z)
 
     candidates = {0.0, 1.0}
     for p0, p1 in zip(np.atleast_1d(piece0), np.atleast_1d(piece1)):
@@ -136,44 +133,35 @@ def _exact_segment_min(game: Game, fixed_other, moving_from, moving_to, move_x: 
             if 0.0 < t < 1.0:
                 candidates.add(float(t))
 
-    best_t, best_f = None, np.inf
+    best_prof, best_f = None, np.inf
     for t in sorted(candidates):
-        v = mixed(np.clip(moving_from + t * d, 0.0, None))
-        prof = Profile(v, fixed_other) if move_x else Profile(fixed_other, v)
+        prof = Profile(mixed(np.clip(x + t * d, 0.0, None)), z)
         f = regrets(game, prof).f
         if f < best_f - 1e-15:
-            best_f, best_t = f, t
-    v = mixed(np.clip(moving_from + best_t * d, 0.0, None))
-    prof = Profile(v, fixed_other) if move_x else Profile(fixed_other, v)
-    return best_t, prof, best_f
+            best_prof, best_f = prof, f
+    return best_prof, best_f
+
+
+def _linear_intersection(game: Game, sp: StationaryPoint) -> tuple[Profile, float]:
+    """Where fR's chord from (x*, z*) to (w*, z*) meets fC's chord on that edge."""
+    x = sp.profile.x
+    w, z = sp.dual.w, sp.dual.z
+    f_xz = regrets(game, Profile(x, z))
+    f_wz = regrets(game, Profile(w, z))
+    den = f_xz.fR + f_wz.fC - f_wz.fR
+    p = 0.0 if abs(den) <= 1e-12 else f_xz.fR / den
+    prof = Profile(mixed(np.clip(p * w + (1.0 - p) * x, 0.0, None)), z)
+    return prof, regrets(game, prof).f
 
 
 def adjust_boundary_min(game: Game, sp: StationaryPoint) -> AdjustmentOutcome:
     """Method 2: the exact minimum of f on the far boundary of the square."""
-    x, y = sp.profile
-    w, z = sp.dual.w, sp.dual.z
-    _, _, f_wz = _corner_regrets(game, sp)
-    if f_wz.fC >= f_wz.fR - BRANCH_TIE_TOL:
-        _, prof, f = _exact_segment_min(game, z, np.asarray(x), np.asarray(w), move_x=True)
-    else:
-        _, prof, f = _exact_segment_min(game, w, np.asarray(y), np.asarray(z), move_x=False)
-    return AdjustmentOutcome(METHOD_BOUNDARY, prof, f)
+    return AdjustmentOutcome(METHOD_BOUNDARY, *_far_edge(game, sp, _exact_segment_min))
 
 
 def adjust_linear(game: Game, sp: StationaryPoint) -> AdjustmentOutcome:
     """Method 3: intersect the linear bounds of the two regrets on the far boundary."""
-    x, y = sp.profile
-    w, z = sp.dual.w, sp.dual.z
-    f_xz, f_wy, f_wz = _corner_regrets(game, sp)
-    if f_wz.fC >= f_wz.fR - BRANCH_TIE_TOL:
-        den = f_xz.fR + f_wz.fC - f_wz.fR
-        p = 0.0 if abs(den) <= 1e-12 else f_xz.fR / den
-        prof = Profile(mixed(np.clip(p * w + (1.0 - p) * x, 0.0, None)), z)
-    else:
-        den = f_wy.fC + f_wz.fR - f_wz.fC
-        q = 0.0 if abs(den) <= 1e-12 else f_wy.fC / den
-        prof = Profile(w, mixed(np.clip(q * z + (1.0 - q) * y, 0.0, None)))
-    return AdjustmentOutcome(METHOD_LINEAR, prof, regrets(game, prof).f)
+    return AdjustmentOutcome(METHOD_LINEAR, *_far_edge(game, sp, _linear_intersection))
 
 
 @dataclass(frozen=True)
@@ -195,8 +183,6 @@ def ts_solve(game: Game, p0: Profile, delta: float = 1e-3, **kwargs) -> TsResult
     Method-1 adjustment; the two analysis methods are evaluated and reported
     alongside.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     sp = find_stationary(game, p0, delta, **kwargs)
     m1 = adjust_ts(game, sp)
     m2 = adjust_boundary_min(game, sp)
@@ -231,18 +217,11 @@ def rectangle_scan(game: Game, sp: StationaryPoint, grid_size: int = 200) -> Sca
         raise ValueError("grid_size must be at least 2")
     x, y = sp.profile
     w, z = sp.dual.w, sp.dual.z
-    R, C = game.R, game.C
     alphas = np.linspace(0.0, 1.0, grid_size)
     betas = np.linspace(0.0, 1.0, grid_size)
     X = (1.0 - alphas)[:, None] * x[None, :] + alphas[:, None] * w[None, :]
     Y = (1.0 - betas)[:, None] * y[None, :] + betas[:, None] * z[None, :]
-    RY = R @ Y.T  # m x Gb
-    CX = C.T @ X.T  # n x Ga
-    cross_R = X @ RY  # Ga x Gb payoffs x'Ry
-    cross_C = (X @ C) @ Y.T
-    fR = RY.max(axis=0)[None, :] - cross_R
-    fC = CX.max(axis=0)[:, None] - cross_C
-    F = np.maximum(fR, fC)
+    F = grid_f(game, X, Y)
     ia, ib = np.unravel_index(np.argmin(F), F.shape)
     a, b = float(alphas[ia]), float(betas[ib])
     return ScanResult(

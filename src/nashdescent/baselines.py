@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import Game, Profile, mixed, regrets
+from .game import Game, Profile, batch_f, mixed, regrets
 from .lp import solve_zero_sum
 
 ZS_THRESHOLD = 0.382
@@ -143,11 +143,7 @@ def zero_sum_baseline(game: Game) -> ZeroSumResult:
             X += ts[:, None] * (mix_x if mix_x is not None else prof.x)[None, :]
             Y = (1 - ts)[:, None] * prof.y[None, :]
             Y += ts[:, None] * (mix_y if mix_y is not None else prof.y)[None, :]
-            RY = Y @ R.T
-            CX = X @ C
-            fR = RY.max(axis=1) - np.einsum("ij,ij->i", X, RY)
-            fC = CX.max(axis=1) - np.einsum("ij,ij->i", CX, Y)
-            F = np.maximum(fR, fC)
+            F = batch_f(game, X, Y)
             t = int(np.argmin(F))
             if F[t] < best_f:
                 best_f = float(F[t])

@@ -80,8 +80,7 @@ def _static_instance(name: str):
 def _load_game(path: str, normalize: bool = False) -> tuple[Game, dict]:
     with open(path) as fh:
         doc = json.load(fh)
-    game = Game.from_json(json.dumps(doc), normalize=normalize)
-    return game, doc
+    return Game.from_doc(doc, normalize=normalize), doc
 
 
 def _initial_profile(game: Game, spec: str, doc: dict) -> Profile:

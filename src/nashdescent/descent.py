@@ -10,7 +10,7 @@ stationary point feeds every adjustment method downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +36,10 @@ class DualSolution:
     w: np.ndarray
     z: np.ndarray
 
+    def swapped(self) -> "DualSolution":
+        """The witness for the swapped game: (1 - rho, z, w)."""
+        return DualSolution(1.0 - self.rho, self.z, self.w)
+
 
 @dataclass(frozen=True)
 class DirectionResult:
@@ -57,6 +61,11 @@ class StationaryPoint:
     mu_star: float
     iterations: int
     f_history: tuple = ()
+
+    def swapped(self) -> "StationaryPoint":
+        """The same point of the swapped game; lambda* and mu* trade places."""
+        return replace(self, profile=self.profile.swapped(), dual=self.dual.swapped(),
+                       lambda_star=self.mu_star, mu_star=self.lambda_star)
 
 
 @dataclass(frozen=True)
@@ -99,35 +108,29 @@ def balance(game: Game, p: Profile, tol: float = SUPPORT_TOL) -> Profile:
     """Equalize fR and fC by re-optimizing the lagging player's strategy.
 
     With fR > fC the row strategy is re-solved to minimize fR subject to
-    fR >= fC (one linear row per opponent column); the symmetric program runs
-    when fC > fR.  Profiles already within BALANCE_BAND are returned as is.
+    fR >= fC; with fC > fR the same program runs on the swapped game.
+    Profiles already within BALANCE_BAND are returned as is.
     """
     r = regrets(game, p)
     if abs(r.fR - r.fC) <= BALANCE_BAND:
         return p
-    R, C = game.R, game.C
-    x, y = p
     if r.fR > r.fC:
-        Ry = R @ y
-        Cy = C @ y
-        rows = []
-        for j in range(game.n):
-            rows.append((Ry + C[:, j] - Cy, LE, float(Ry.max())))
-        rows.append((np.ones(game.m), EQ, 1.0))
-        sol = solve_lp(LinearProgram(-Ry, MINIMIZE, rows))
-        if sol.status != OPTIMAL:
-            raise LpNumericalError(f"balance LP ended {sol.status}")
-        return Profile(_as_strategy(sol.x), y)
-    xR = x @ R
-    xC = x @ C
-    rows = []
-    for i in range(game.m):
-        rows.append((R[i, :] - xR + xC, LE, float(xC.max())))
-    rows.append((np.ones(game.n), EQ, 1.0))
-    sol = solve_lp(LinearProgram(-xC, MINIMIZE, rows))
+        return _rebalance_row(game, p)
+    return _rebalance_row(game.swapped(), p.swapped()).swapped()
+
+
+def _rebalance_row(game: Game, p: Profile) -> Profile:
+    """Minimize fR over x subject to fR >= fC, one linear row per opponent column."""
+    R, C = game.R, game.C
+    y = p.y
+    Ry = R @ y
+    Cy = C @ y
+    rows = [(Ry + C[:, j] - Cy, LE, float(Ry.max())) for j in range(game.n)]
+    rows.append((np.ones(game.m), EQ, 1.0))
+    sol = solve_lp(LinearProgram(-Ry, MINIMIZE, rows))
     if sol.status != OPTIMAL:
         raise LpNumericalError(f"balance LP ended {sol.status}")
-    return Profile(x, _as_strategy(sol.x))
+    return Profile(_as_strategy(sol.x), y)
 
 
 def _support_rows(game: Game, p: Profile, tol: float):
@@ -135,34 +138,28 @@ def _support_rows(game: Game, p: Profile, tol: float):
     return list(sup.row_best) + [game.m + int(j) for j in sup.col_best], sup
 
 
-def _dual_from_weights(game: Game, weights: np.ndarray, row_ids, sup) -> DualSolution:
-    m, n = game.m, game.n
+def _dual_from_weights(game: Game, weights: np.ndarray, sup) -> DualSolution:
     u = np.clip(weights, 0.0, None)
     total = u.sum()
     if total <= 0:
         u = np.ones_like(u)
         total = u.sum()
     u /= total
-    w_full = np.zeros(m)
-    z_full = np.zeros(n)
-    # row_ids lists row-player ids first (0..m-1), then n-shifted column ids.
+    # The weights list the row player's best responses first, then the
+    # column player's; each block becomes one witness strategy.
     nw = len(sup.row_best)
-    for uk, i in zip(u[:nw], sup.row_best):
-        w_full[int(i)] = uk
-    for uk, j in zip(u[nw:], sup.col_best):
-        z_full[int(j)] = uk
-    rho = float(w_full.sum())
-    if rho > SUPPORT_TOL:
-        w = w_full / w_full.sum()
-    else:  # degenerate certificate: any best-response row works
-        w = np.zeros(m)
-        w[sup.row_best] = 1.0 / len(sup.row_best)
-    if z_full.sum() > SUPPORT_TOL:
-        z = z_full / z_full.sum()
-    else:
-        z = np.zeros(n)
-        z[sup.col_best] = 1.0 / len(sup.col_best)
-    return DualSolution(rho=min(max(rho, 0.0), 1.0), w=mixed(w), z=mixed(z))
+    masses, witnesses = [], []
+    for uk, best, k in ((u[:nw], sup.row_best, game.m), (u[nw:], sup.col_best, game.n)):
+        full = np.zeros(k)
+        full[best] = uk
+        mass = float(full.sum())
+        if mass > SUPPORT_TOL:
+            full /= mass
+        else:  # degenerate certificate: any best response works
+            full[best] = 1.0 / len(best)
+        masses.append(mass)
+        witnesses.append(mixed(full))
+    return DualSolution(rho=min(max(masses[0], 0.0), 1.0), w=witnesses[0], z=witnesses[1])
 
 
 def direction(
@@ -218,7 +215,7 @@ def direction(
             refined = None
         if refined is not None:
             weights = refined
-    dual = _dual_from_weights(game, weights, row_ids, sup)
+    dual = _dual_from_weights(game, weights, sup)
     return DirectionResult(x_new=x_new, y_new=y_new, value=value, dual=dual)
 
 
@@ -265,21 +262,20 @@ def scaled_derivative(game: Game, p: Profile, q: Profile, tol: float = SUPPORT_T
     Returns (Df, DfR, DfC).  The branch follows whichever regret is active;
     when the regrets agree (within 1e-9) the derivative is the max of both.
     """
-    R, C = game.R, game.C
-    x, y = game.check_profile(p)
-    xp, yp = game.check_profile(q)
+    game.check_profile(p)
+    game.check_profile(q)
     r = regrets(game, p)
     sup = supports(game, p, tol)
-    Ry = R @ y
-    Ryp = R @ yp
-    dfR = float(
-        Ryp[sup.row_best].max() - xp @ Ry - x @ Ryp + x @ Ry - r.fR
-    )
-    Cx = C.T @ x
-    Cxp = C.T @ xp
-    dfC = float(
-        Cxp[sup.col_best].max() - xp @ C @ y - Cx @ yp + Cx @ y - r.fC
-    )
+    # dfR, then dfC as the dfR of the swapped game.
+    derivatives = []
+    for g, (x, y), (xp, yp), fR, row_best in (
+        (game, p, q, r.fR, sup.row_best),
+        (game.swapped(), p.swapped(), q.swapped(), r.fC, sup.col_best),
+    ):
+        Ry = g.R @ y
+        Ryp = g.R @ yp
+        derivatives.append(float(Ryp[row_best].max() - xp @ Ry - x @ Ryp + x @ Ry - fR))
+    dfR, dfC = derivatives
     if r.fR > r.fC + EQUAL_REGRET_TOL:
         df = dfR
     elif r.fC > r.fR + EQUAL_REGRET_TOL:
@@ -426,19 +422,20 @@ def verify_stationary(game: Game, sp: StationaryPoint, tol: float = 1e-6) -> Sta
     A = -rho*Ry + (1-rho)C(z-y), and supp(y) inside the minimizers of
     B = rho*R'(w-x) - (1-rho)C'x, all within ``tol``.
     """
-    R, C = game.R, game.C
-    x, y = sp.profile
-    d = sp.dual
-    A = -d.rho * (R @ y) + (1.0 - d.rho) * (C @ (d.z - y))
-    B = d.rho * (R.T @ (d.w - x)) - (1.0 - d.rho) * (C.T @ x)
     failures = []
     r = regrets(game, sp.profile)
     if abs(r.fR - r.fC) > tol:
         failures.append(f"|fR - fC| = {abs(r.fR - r.fC):.3g} > {tol:.3g}")
-    for i in np.nonzero(x > SUPPORT_TOL)[0]:
-        if A[i] > A.min() + tol:
-            failures.append(f"x support index {i}: A[{i}] exceeds min(A) by {A[i] - A.min():.3g}")
-    for j in np.nonzero(y > SUPPORT_TOL)[0]:
-        if B[j] > B.min() + tol:
-            failures.append(f"y support index {j}: B[{j}] exceeds min(B) by {B[j] - B.min():.3g}")
+    # A for the row player, then B as the A of the swapped game.
+    certificates = []
+    for g, (x, y), d, player, name in ((game, sp.profile, sp.dual, "x", "A"),
+                                       (game.swapped(), sp.profile.swapped(),
+                                        sp.dual.swapped(), "y", "B")):
+        cert = -d.rho * (g.R @ y) + (1.0 - d.rho) * (g.C @ (d.z - y))
+        for i in np.nonzero(x > SUPPORT_TOL)[0]:
+            if cert[i] > cert.min() + tol:
+                failures.append(f"{player} support index {i}: {name}[{i}] exceeds "
+                                f"min({name}) by {cert[i] - cert.min():.3g}")
+        certificates.append(cert)
+    A, B = certificates
     return StationarityReport(ok=not failures, failures=tuple(failures), A=A, B=B)

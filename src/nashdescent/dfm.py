@@ -8,12 +8,12 @@ along a segment leaving the square.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .descent import StationaryPoint, find_stationary
-from .game import Game, Profile, mixed, regrets
+from .game import Game, Profile, batch_f, mixed, regrets
 
 SEGMENT_SAMPLES = 10_000
 TERNARY_ITERS = 60
@@ -25,8 +25,9 @@ class DfmTrace:
 
     In case 3 (y_hat, w_hat, t_r, v_r, mu_hat) are the midpoint strategy,
     its best-response row, the two payoff gaps and the recomputed height
-    difference.  Case 4 stores the mirrored quantities (x_hat, z_hat, t_c,
-    v_c, lambda_hat) in the same slots.
+    difference.  Case 4 is case 3 on the swapped game, so it stores the
+    mirrored quantities (x_hat, z_hat, t_c, v_c, lambda_hat) in the same
+    slots; its alpha and beta still weight w* and z*.
     """
 
     case: int
@@ -54,24 +55,20 @@ def segment_min_f(game: Game, a: Profile, b: Profile, samples: int = SEGMENT_SAM
         raise ValueError("samples must be at least 2")
     game.check_profile(a)
     game.check_profile(b)
-    R, C = game.R, game.C
     dx = b.x - a.x
     dy = b.y - a.y
 
     ts = np.linspace(0.0, 1.0, samples)
     X = a.x[None, :] + ts[:, None] * dx[None, :]
     Y = a.y[None, :] + ts[:, None] * dy[None, :]
-    RY = Y @ R.T  # samples x m
-    CX = X @ C  # samples x n
-    fR = RY.max(axis=1) - np.einsum("ij,ij->i", X, RY)
-    fC = CX.max(axis=1) - np.einsum("ij,ij->i", CX, Y)
-    F = np.maximum(fR, fC)
+    F = batch_f(game, X, Y)
     i = int(np.argmin(F))
 
+    def at(t: float) -> Profile:
+        return Profile(mixed(np.clip(a.x + t * dx, 0, None)), mixed(np.clip(a.y + t * dy, 0, None)))
+
     def f_at(t: float) -> float:
-        x = a.x + t * dx
-        y = a.y + t * dy
-        return regrets(game, Profile(mixed(np.clip(x, 0, None)), mixed(np.clip(y, 0, None)))).f
+        return regrets(game, at(t)).f
 
     lo = ts[max(i - 1, 0)]
     hi = ts[min(i + 1, samples - 1)]
@@ -85,11 +82,7 @@ def segment_min_f(game: Game, a: Profile, b: Profile, samples: int = SEGMENT_SAM
     t = (lo + hi) / 2.0
     candidates = [(f_at(u), u) for u in (0.0, float(ts[i]), t, 1.0)]
     fbest, tbest = min(candidates)
-    prof = Profile(
-        mixed(np.clip(a.x + tbest * dx, 0, None)),
-        mixed(np.clip(a.y + tbest * dy, 0, None)),
-    )
-    return tbest, prof, fbest
+    return tbest, at(tbest), fbest
 
 
 def dfm_adjust(game: Game, sp: StationaryPoint, samples: int = SEGMENT_SAMPLES) -> DfmTrace:
@@ -99,66 +92,51 @@ def dfm_adjust(game: Game, sp: StationaryPoint, samples: int = SEGMENT_SAMPLES) 
     [0,1]^2, so exactly one case fires.
     """
     lam, mu = sp.lambda_star, sp.mu_star
-    x, y = sp.profile
-    w, z = sp.dual.w, sp.dual.z
-    R, C = game.R, game.C
-
     if min(lam, mu) <= 0.5 or max(lam, mu) <= 2.0 / 3.0:
         prof = sp.profile
         return DfmTrace(1, "none", None, None, None, None, None, None, None,
                         prof, regrets(game, prof).f)
     if min(lam, mu) >= 2.0 / 3.0:
-        prof = Profile(w, z)
+        prof = Profile(sp.dual.w, sp.dual.z)
         return DfmTrace(2, "none", None, None, None, None, None, None, None,
                         prof, regrets(game, prof).f)
-
     if 0.5 < lam <= 2.0 / 3.0 < mu:
-        y_hat = mixed((y + z) / 2.0)
-        w_hat = np.zeros(game.m)
-        w_hat[int(np.argmax(R @ y_hat))] = 1.0
-        w_hat = mixed(w_hat)
-        t_r = float(w_hat @ R @ y_hat - w @ R @ y_hat)
-        v_r = float(w @ R @ y - w_hat @ R @ y)
-        mu_hat = float(w_hat @ C @ z - w_hat @ C @ y)
-        if v_r + t_r >= (mu - lam) / 2.0 and mu_hat >= mu - v_r - t_r:
-            alpha = (2.0 * (v_r + t_r) - (mu - lam)) / (2.0 * (v_r + t_r))
-            endpoint = Profile(mixed(np.clip(alpha * w + (1 - alpha) * w_hat, 0, None)), z)
-            branch, beta = "A", None
-        else:
-            den = 1.0 + mu / 2.0 - lam - t_r
-            if den <= 0:  # cannot occur when t_r <= mu/2; bail out defensively
-                prof = sp.profile
-                return DfmTrace(3, "B", y_hat, w_hat, t_r, v_r, mu_hat, None, None,
-                                prof, regrets(game, prof).f, fallback=True)
-            beta = (1.0 - mu / 2.0 - t_r) / den
-            endpoint = Profile(w, mixed(np.clip((1 - beta) * y_hat + beta * z, 0, None)))
-            branch, alpha = "B", None
-        _, prof, f = segment_min_f(game, sp.profile, endpoint, samples)
-        return DfmTrace(3, branch, y_hat, w_hat, t_r, v_r, mu_hat, alpha, beta, prof, f)
+        return _case_three(game, sp, samples)
+    # Case 4, 0.5 < mu <= 2/3 < lam, is case 3 with the players swapped.
+    trace = _case_three(game.swapped(), sp.swapped(), samples)
+    return replace(trace, case=4, alpha=trace.beta, beta=trace.alpha,
+                   output=trace.output.swapped())
 
-    # Mirrored case: 0.5 < mu <= 2/3 < lam; swap players, rows and columns.
-    x_hat = mixed((x + w) / 2.0)
-    z_hat = np.zeros(game.n)
-    z_hat[int(np.argmax(C.T @ x_hat))] = 1.0
-    z_hat = mixed(z_hat)
-    t_c = float(x_hat @ C @ z_hat - x_hat @ C @ z)
-    v_c = float(x @ C @ z - x @ C @ z_hat)
-    lam_hat = float(w @ R @ z_hat - x @ R @ z_hat)
-    if v_c + t_c >= (lam - mu) / 2.0 and lam_hat >= lam - v_c - t_c:
-        beta = (2.0 * (v_c + t_c) - (lam - mu)) / (2.0 * (v_c + t_c))
-        endpoint = Profile(w, mixed(np.clip(beta * z + (1 - beta) * z_hat, 0, None)))
-        branch, alpha = "A", None
+
+def _case_three(game: Game, sp: StationaryPoint, samples: int) -> DfmTrace:
+    """Case 3 (0.5 < lambda* <= 2/3 < mu*): mix in a best response to the
+    midpoint of y* and z*, then minimize f along a segment from (x*, y*)."""
+    lam, mu = sp.lambda_star, sp.mu_star
+    y = sp.profile.y
+    w, z = sp.dual.w, sp.dual.z
+    R, C = game.R, game.C
+    y_hat = mixed((y + z) / 2.0)
+    w_hat = np.zeros(game.m)
+    w_hat[int(np.argmax(R @ y_hat))] = 1.0
+    w_hat = mixed(w_hat)
+    t_r = float(w_hat @ R @ y_hat - w @ R @ y_hat)
+    v_r = float(w @ R @ y - w_hat @ R @ y)
+    mu_hat = float(w_hat @ C @ z - w_hat @ C @ y)
+    if v_r + t_r >= (mu - lam) / 2.0 and mu_hat >= mu - v_r - t_r:
+        alpha = (2.0 * (v_r + t_r) - (mu - lam)) / (2.0 * (v_r + t_r))
+        endpoint = Profile(mixed(np.clip(alpha * w + (1 - alpha) * w_hat, 0, None)), z)
+        branch, beta = "A", None
     else:
-        den = 1.0 + lam / 2.0 - mu - t_c
-        if den <= 0:
+        den = 1.0 + mu / 2.0 - lam - t_r
+        if den <= 0:  # cannot occur when t_r <= mu/2; bail out defensively
             prof = sp.profile
-            return DfmTrace(4, "B", x_hat, z_hat, t_c, v_c, lam_hat, None, None,
+            return DfmTrace(3, "B", y_hat, w_hat, t_r, v_r, mu_hat, None, None,
                             prof, regrets(game, prof).f, fallback=True)
-        alpha = (1.0 - lam / 2.0 - t_c) / den
-        endpoint = Profile(mixed(np.clip((1 - alpha) * x_hat + alpha * w, 0, None)), z)
-        branch, beta = "B", None
+        beta = (1.0 - mu / 2.0 - t_r) / den
+        endpoint = Profile(w, mixed(np.clip((1 - beta) * y_hat + beta * z, 0, None)))
+        branch, alpha = "B", None
     _, prof, f = segment_min_f(game, sp.profile, endpoint, samples)
-    return DfmTrace(4, branch, x_hat, z_hat, t_c, v_c, lam_hat, alpha, beta, prof, f)
+    return DfmTrace(3, branch, y_hat, w_hat, t_r, v_r, mu_hat, alpha, beta, prof, f)
 
 
 @dataclass(frozen=True)
@@ -174,8 +152,6 @@ def dfm_solve(game: Game, p0: Profile, delta: float = 1e-3, **kwargs) -> DfmResu
 
     Returns the better of the stationary profile and the adjusted one.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     sp = find_stationary(game, p0, delta, **kwargs)
     trace = dfm_adjust(game, sp)
     if sp.f <= trace.f:

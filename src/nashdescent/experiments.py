@@ -192,19 +192,26 @@ def lattice_profile(m: int, n: int, resolution: int, rng: np.random.Generator) -
 # Per-instance tasks (top level so worker processes can unpickle them).
 
 
-def _stability_task(payload):
-    (key, R, C, x_star, y_star, radius, delta, samples, seed) = payload
+def _restarts(payload, start):
+    """The prescribed profile and a lazy stream of descents, restart t from
+    start(star, radius, rng(seed, t)); each task applies its own stop rule."""
+    _, R, C, x_star, y_star, radius, delta, samples, seed = payload[:9]
     game = Game(np.asarray(R), np.asarray(C))
     star = Profile(mixed(np.asarray(x_star)), mixed(np.asarray(y_star)))
+    descents = (find_stationary(game, start(star, radius, _rng(seed, t)), delta)
+                for t in range(samples))
+    return star, descents
+
+
+def _stability_task(payload):
+    (key, R, C, x_star, y_star, radius, delta, samples, seed) = payload
+    star, descents = _restarts(payload, perturb_profile)
     t0 = time.perf_counter()
     trials_run = 0
     stable = True
     last_f = float("nan")
     iters = 0
-    for t in range(samples):
-        rng = _rng(seed, t)
-        p0 = perturb_profile(star, radius, rng)
-        sp = find_stationary(game, p0, delta)
+    for sp in descents:
         trials_run += 1
         iters += sp.iterations
         last_f = sp.f
@@ -220,16 +227,12 @@ def _stability_task(payload):
 
 def _otb_task(payload):
     (key, R, C, x_star, y_star, radius, delta, samples, seed, f_threshold, eff) = payload
-    game = Game(np.asarray(R), np.asarray(C))
-    star = Profile(mixed(np.asarray(x_star)), mixed(np.asarray(y_star)))
+    star, descents = _restarts(payload, sample_outside_ball)
     t0 = time.perf_counter()
     effective_trials = 0
     iters = 0
     last_f = float("nan")
-    for t in range(samples):
-        rng = _rng(seed, t)
-        p0 = sample_outside_ball(star, radius, rng)
-        sp = find_stationary(game, p0, delta)
+    for sp in descents:
         iters += sp.iterations
         last_f = sp.f
         if profile_distance(sp.profile, star) >= radius and sp.f < f_threshold:
@@ -304,6 +307,26 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
     return d
 
 
+def _tight_games(cfg: ExperimentConfig):
+    """(size index, m, n, tight instances) for each configured size."""
+    for si, (m, n) in enumerate(cfg.sizes):
+        yield si, m, n, sample_tight_games(
+            m, n, cfg.count, _rng(cfg.seed, si), cfg.restriction,
+            pure_duals=cfg.pure_duals, lambda_intersect=cfg.lambda_intersect,
+        )
+
+
+def _restart_payloads(cfg: ExperimentConfig, si: int, m: int, n: int, games, delta,
+                      *seed_key) -> list:
+    """One restart-task payload per instance; seeds derive from (seed, si, gi, *seed_key)."""
+    return [
+        (f"{m}x{n}#{gi}", inst.game.R, inst.game.C, inst.input.x_star, inst.input.y_star,
+         cfg.radius, delta, cfg.ball_samples(m, n),
+         int(_rng(cfg.seed, si, gi, *seed_key).integers(2**31)))
+        for gi, inst in enumerate(games)
+    ]
+
+
 def aggregate_stability(records, cfg_dict) -> dict:
     agg = {}
     for m, n in (tuple(s) for s in cfg_dict["sizes"]):
@@ -330,19 +353,8 @@ def exp_stability(cfg: ExperimentConfig) -> ExperimentReport:
     max norm.
     """
     records = []
-    for si, (m, n) in enumerate(cfg.sizes):
-        games = sample_tight_games(
-            m, n, cfg.count, _rng(cfg.seed, si), cfg.restriction,
-            pure_duals=cfg.pure_duals, lambda_intersect=cfg.lambda_intersect,
-        )
-        payloads = []
-        for gi, inst in enumerate(games):
-            payloads.append((
-                f"{m}x{n}#{gi}", inst.game.R, inst.game.C,
-                inst.input.x_star, inst.input.y_star,
-                cfg.radius, cfg.delta, cfg.ball_samples(m, n),
-                int(_rng(cfg.seed, si, gi).integers(2**31)),
-            ))
+    for si, m, n, games in _tight_games(cfg):
+        payloads = _restart_payloads(cfg, si, m, n, games, cfg.delta)
         records.extend(_pmap(_stability_task, payloads, cfg.workers))
     cfg_dict = _config_dict(cfg)
     return ExperimentReport(cfg_dict, records, aggregate_stability(records, cfg_dict))
@@ -369,31 +381,12 @@ def exp_outside_ball(cfg: ExperimentConfig) -> ExperimentReport:
     configured share (default 95%) of its trials are.
     """
     records = []
-    for si, (m, n) in enumerate(cfg.sizes):
-        games = sample_tight_games(
-            m, n, cfg.count, _rng(cfg.seed, si), cfg.restriction,
-            pure_duals=cfg.pure_duals, lambda_intersect=cfg.lambda_intersect,
-        )
-        stab_payloads = []
-        for gi, inst in enumerate(games):
-            stab_payloads.append((
-                f"{m}x{n}#{gi}", inst.game.R, inst.game.C,
-                inst.input.x_star, inst.input.y_star,
-                cfg.radius, cfg.delta, cfg.ball_samples(m, n),
-                int(_rng(cfg.seed, si, gi).integers(2**31)),
-            ))
-        stab = _pmap(_stability_task, stab_payloads, cfg.workers)
-        payloads = []
-        for gi, (inst, srec) in enumerate(zip(games, stab)):
-            if not srec.detail["stable"]:
-                continue
-            payloads.append((
-                f"{m}x{n}#{gi}", inst.game.R, inst.game.C,
-                inst.input.x_star, inst.input.y_star,
-                cfg.radius, cfg.otb_delta, cfg.ball_samples(m, n),
-                int(_rng(cfg.seed, si, gi, 1).integers(2**31)),
-                F_THRESHOLD, cfg.effectiveness,
-            ))
+    for si, m, n, games in _tight_games(cfg):
+        stab = _pmap(_stability_task, _restart_payloads(cfg, si, m, n, games, cfg.delta),
+                     cfg.workers)
+        restarts = _restart_payloads(cfg, si, m, n, games, cfg.otb_delta, 1)
+        payloads = [p + (F_THRESHOLD, cfg.effectiveness)
+                    for p, srec in zip(restarts, stab) if srec.detail["stable"]]
         records.extend(_pmap(_otb_task, payloads, cfg.workers))
     cfg_dict = _config_dict(cfg)
     return ExperimentReport(cfg_dict, records, aggregate_otb(records, cfg_dict))
@@ -460,11 +453,7 @@ def exp_compare(cfg: ExperimentConfig) -> ExperimentReport:
     """Descent pipelines versus learning dynamics and the zero-sum baseline
     on generated worst-case instances."""
     records = []
-    for si, (m, n) in enumerate(cfg.sizes):
-        games = sample_tight_games(
-            m, n, cfg.count, _rng(cfg.seed, si), cfg.restriction,
-            pure_duals=cfg.pure_duals, lambda_intersect=cfg.lambda_intersect,
-        )
+    for si, m, n, games in _tight_games(cfg):
         payloads = []
         for gi, inst in enumerate(games):
             for ai, alg in enumerate(cfg.algorithms):

@@ -74,6 +74,10 @@ class Profile(NamedTuple):
     x: np.ndarray
     y: np.ndarray
 
+    def swapped(self) -> "Profile":
+        """The profile seen from the swapped game: (y, x)."""
+        return Profile(self.y, self.x)
+
 
 class Regrets(NamedTuple):
     """Row regret, column regret and their maximum at a profile."""
@@ -133,6 +137,17 @@ class Game:
     def n(self) -> int:
         return self.R.shape[1]
 
+    def swapped(self) -> "Game":
+        """The game with the players exchanged, (C', R').
+
+        Read-only transposed views of the validated matrices, not validated
+        again, so it is cheap enough to build on every descent step.
+        """
+        g = object.__new__(Game)
+        object.__setattr__(g, "R", self.C.T)
+        object.__setattr__(g, "C", self.R.T)
+        return g
+
     def check_profile(self, p: Profile) -> Profile:
         if p.x.shape != (self.m,) or p.y.shape != (self.n,):
             raise GameError(
@@ -155,7 +170,11 @@ class Game:
 
     @classmethod
     def from_json(cls, text: str, normalize: bool = False) -> "Game":
-        doc = json.loads(text)
+        return cls.from_doc(json.loads(text), normalize)
+
+    @classmethod
+    def from_doc(cls, doc: dict, normalize: bool = False) -> "Game":
+        """The game of a parsed JSON document (the format of ``to_json``)."""
         R = np.array(doc["R"], dtype=float)
         C = np.array(doc["C"], dtype=float)
         if "m" in doc and (doc["m"], doc["n"]) != R.shape:
@@ -197,6 +216,24 @@ def regrets(game: Game, p: Profile) -> Regrets:
     fR = float(Ry.max() - x @ Ry)
     fC = float(Cx.max() - Cx @ y)
     return Regrets(fR, fC, max(fR, fC))
+
+
+def batch_f(game: Game, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """f at each profile (X[k], Y[k]) of a batch of strategy rows."""
+    RY = Y @ game.R.T
+    CX = X @ game.C
+    fR = RY.max(axis=1) - np.einsum("ij,ij->i", X, RY)
+    fC = CX.max(axis=1) - np.einsum("ij,ij->i", CX, Y)
+    return np.maximum(fR, fC)
+
+
+def grid_f(game: Game, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """f at every pairing of a row of X with a row of Y: F[a, b] = f(X[a], Y[b])."""
+    RY = game.R @ Y.T
+    CX = game.C.T @ X.T
+    fR = RY.max(axis=0)[None, :] - X @ RY
+    fC = CX.max(axis=0)[:, None] - (X @ game.C) @ Y.T
+    return np.maximum(fR, fC)
 
 
 def supports(game: Game, p: Profile, tol: float = SUPPORT_TOL) -> Supports:

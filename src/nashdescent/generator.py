@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .descent import DualSolution, stationary_from, verify_stationary
-from .game import SUPPORT_TOL, Game, Profile, mixed, regrets
+from .game import SUPPORT_TOL, Game, Profile, batch_f, grid_f, mixed, regrets
 from .lp import EQ, GE, LE, MINIMIZE, MAXIMIZE, OPTIMAL, INFEASIBLE, LinearProgram, solve_lp
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -538,11 +538,7 @@ def verify_tight(
         else:
             X = np.tile(alpha_fixed * w + (1 - alpha_fixed) * x, (grid_size, 1))
             Y = (1 - ts)[:, None] * y + ts[:, None] * z
-        RY = Y @ game.R.T
-        CX = X @ game.C
-        fR = RY.max(axis=1) - np.einsum("ij,ij->i", X, RY)
-        fC = CX.max(axis=1) - np.einsum("ij,ij->i", CX, Y)
-        lows.append(float(np.maximum(fR, fC).min()))
+        lows.append(float(batch_f(game, X, Y).min()))
     cert.values["boundary_min"] = min(lows)
     cert.checks["boundary_above_b"] = min(lows) >= cons.b - 1e-6
 
@@ -550,11 +546,7 @@ def verify_tight(
         alphas = np.linspace(0.0, 1.0, grid_size)
         X = (1 - alphas)[:, None] * x + alphas[:, None] * w
         Y = (1 - alphas)[:, None] * y + alphas[:, None] * z
-        RY = game.R @ Y.T
-        CX = game.C.T @ X.T
-        fR = RY.max(axis=0)[None, :] - X @ RY
-        fC = CX.max(axis=0)[:, None] - (X @ game.C) @ Y.T
-        cert.values["grid_min"] = float(np.maximum(fR, fC).min())
+        cert.values["grid_min"] = float(grid_f(game, X, Y).min())
         cert.checks["grid_above_b"] = cert.values["grid_min"] >= cons.b - 1e-6
     return cert
 

@@ -1,0 +1,320 @@
+"""A small seeded corpus of solver outputs, used as a regression reference.
+
+``build_corpus()`` recomputes every entry from fixed seeds; the stored copy
+``golden_corpus.json`` was written by running this module against the code
+before the player-swap refactor, and ``test_golden.py`` checks that the
+current code still reproduces it.  Regenerate with
+
+    PYTHONPATH=src python tests/golden_corpus.py
+
+only when an output is meant to change, and say why in the change log.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import os
+
+import numpy as np
+
+from nashdescent.adjust import (
+    adjust_boundary_min,
+    adjust_linear,
+    adjust_ts,
+    rectangle_scan,
+    ts_solve,
+)
+from nashdescent.baselines import fictitious_play, regret_matching, zero_sum_baseline
+from nashdescent.descent import (
+    DescentBudgetError,
+    DualSolution,
+    StationaryPoint,
+    balance,
+    scaled_derivative,
+)
+from nashdescent.dfm import dfm_adjust, dfm_solve, segment_min_f
+from nashdescent.experiments import (
+    ExperimentConfig,
+    exp_compare,
+    exp_outside_ball,
+    exp_stability,
+    lattice_profile,
+    sample_tight_games,
+)
+from nashdescent.game import Game, Profile, mixed, regrets
+from nashdescent.generator import dfm_family, dfm_tight, tight_3x3, tight_m_n, verify_tight
+from nashdescent.lp import LpNumericalError
+
+PATH = os.path.join(os.path.dirname(__file__), "golden_corpus.json")
+DELTA = 1e-3
+MAX_ITER = 200
+SEGMENT_SAMPLES = 1000
+# Shapes of the uniform random games; the non-square ones catch a swap that
+# mixes up m and n.
+RANDOM_SHAPES = ((3, 3), (4, 3), (3, 5))
+
+
+def plain(obj):
+    """JSON-ready copy: arrays to lists, records to dicts, floats kept exact."""
+    if isinstance(obj, np.ndarray):
+        return [plain(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
+        return int(obj)
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        return {k: plain(v) for k, v in obj._asdict().items()}
+    if dataclasses.is_dataclass(obj):
+        return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    return obj
+
+
+def random_game(rng, m: int, n: int) -> Game:
+    return Game(rng.uniform(size=(m, n)), rng.uniform(size=(m, n)))
+
+
+def random_profile(rng, m: int, n: int) -> Profile:
+    return Profile(mixed(rng.dirichlet(np.ones(m))), mixed(rng.dirichlet(np.ones(n))))
+
+
+def sp_record(sp: StationaryPoint) -> dict:
+    return {
+        "profile": plain(sp.profile), "dual": plain(sp.dual), "f": sp.f,
+        "value": sp.value, "lambda_star": sp.lambda_star, "mu_star": sp.mu_star,
+        "iterations": sp.iterations,
+    }
+
+
+def _solver_games():
+    """Generated tight games, the inputs the descent pipelines are studied on.
+
+    Uniform random games are left out of the descent runs: on some of them
+    the equalized dual witness moves by up to 6.5e-8 when a balance LP row
+    changes in its last bit, far beyond what a 1e-12 comparison allows.
+    """
+    tight3 = [inst.game for inst in sample_tight_games(3, 3, 6, np.random.default_rng(11), groups=6)]
+    tight4 = [inst.game for inst in sample_tight_games(4, 4, 3, np.random.default_rng(12), groups=3)]
+    return tight3 + tight4
+
+
+def _random_games():
+    rng = np.random.default_rng(13)
+    return [random_game(rng, m, n) for m, n in RANDOM_SHAPES for _ in range(2)]
+
+
+def ts_entries(games) -> list:
+    out = []
+    for gi, game in enumerate(games):
+        rng = np.random.default_rng([21, gi])
+        for _ in range(3):
+            p0 = lattice_profile(game.m, game.n, 10, rng)
+            try:
+                res = ts_solve(game, p0, DELTA, max_iter=MAX_ITER)
+            except (DescentBudgetError, LpNumericalError) as err:
+                out.append({"game": gi, "p0": plain(p0), "error": type(err).__name__})
+                continue
+            sp = res.sp
+            out.append({
+                "game": gi, "p0": plain(p0),
+                "stationary_f": res.stationary_f, "ts_f": res.ts_f,
+                "boundary_f": res.boundary_f, "linear_f": res.linear_f,
+                "best": plain(res.best), "sp": sp_record(sp),
+                "adjust_ts": plain(adjust_ts(game, sp)),
+                "adjust_boundary_min": plain(adjust_boundary_min(game, sp)),
+                "adjust_linear": plain(adjust_linear(game, sp)),
+                # Only the value: the scan's minimum often lies on a plateau,
+                # where last-bit noise decides which lattice cell is reported.
+                "rectangle_scan_f": rectangle_scan(game, sp, grid_size=40).f_min,
+            })
+    return out
+
+
+def dfm_solve_entries(games) -> list:
+    out = []
+    tight = sample_tight_games(3, 3, 3, np.random.default_rng(31), groups=3)
+    starts = [(inst.game, Profile(inst.input.x_star, inst.input.y_star)) for inst in tight]
+    for gi, game in enumerate(games):
+        starts.append((game, lattice_profile(game.m, game.n, 10, np.random.default_rng([32, gi]))))
+    for game, p0 in starts:
+        try:
+            res = dfm_solve(game, p0, DELTA, max_iter=MAX_ITER)
+        except (DescentBudgetError, LpNumericalError) as err:
+            out.append({"error": type(err).__name__})
+            continue
+        out.append({"profile": plain(res.profile), "f": res.f, "sp": sp_record(res.sp),
+                    "trace": plain(res.trace)})
+    return out
+
+
+def fallback_pair(lam: float = 0.6, mu: float = 0.9) -> tuple[Game, StationaryPoint]:
+    """Case-3 data on which branch B's denominator is negative.
+
+    Row 0 pays 1 everywhere and the witness w = e_1 pays 0, so t_r = 1 and
+    v_r = -1; a constant C row 0 gives mu_hat = 0 < mu, which rules out
+    branch A, and then 1 + mu/2 - lam - t_r < 0.
+    """
+    rng = np.random.default_rng(42)
+    R = np.vstack([np.ones(3), np.zeros(3), rng.uniform(size=3)])
+    C = np.vstack([np.full(3, 0.5), rng.uniform(size=(2, 3))])
+    p = random_profile(rng, 3, 3)
+    sp = StationaryPoint(p, DualSolution(0.5, mixed([0.0, 1.0, 0.0]), mixed(rng.dirichlet(np.ones(3)))),
+                         0.0, 0.0, lam, mu, 0)
+    return Game(R, C), sp
+
+
+def mirrored_sp(game: Game, sp: StationaryPoint) -> tuple[Game, StationaryPoint]:
+    """The same data with the players exchanged, built by hand."""
+    d = sp.dual
+    return Game(game.C.T, game.R.T), StationaryPoint(
+        Profile(sp.profile.y, sp.profile.x), DualSolution(1.0 - d.rho, d.z, d.w),
+        sp.f, sp.value, sp.mu_star, sp.lambda_star, sp.iterations)
+
+
+def adjust_pairs() -> list:
+    """Every DFM case and branch: static instances, their mirrors, fabricated
+    stationary records with prescribed height differences on random games,
+    and the branch-B fallback."""
+    pairs = []
+    for inst in (tight_3x3(), dfm_tight(), dfm_family(0.1), tight_m_n(3, 4)):
+        pairs.append((inst.game, inst.stationary_point()))
+        pairs.append(mirrored_sp(inst.game, inst.stationary_point()))
+    rng = np.random.default_rng(41)
+    heights = ((0.6, 0.9), (0.9, 0.6), (0.55, 0.99), (0.99, 0.55), (0.3, 0.8), (0.8, 0.8))
+    for m, n in RANDOM_SHAPES:
+        for lam, mu in heights:
+            game = random_game(rng, m, n)
+            p = random_profile(rng, m, n)
+            q = random_profile(rng, m, n)
+            sp = StationaryPoint(p, DualSolution(float(rng.uniform()), q.x, q.y),
+                                 0.0, 0.0, lam, mu, 0)
+            pairs.append((game, sp))
+    pairs.append(fallback_pair())
+    pairs.append(mirrored_sp(*fallback_pair()))
+    return pairs
+
+
+def adjust_entries() -> list:
+    return [{
+        "dfm": plain(dfm_adjust(game, sp, samples=SEGMENT_SAMPLES)),
+        "ts": plain(adjust_ts(game, sp)),
+        "boundary": plain(adjust_boundary_min(game, sp)),
+        "linear": plain(adjust_linear(game, sp)),
+    } for game, sp in adjust_pairs()]
+
+
+def balance_entries() -> list:
+    out = []
+    rng = np.random.default_rng(51)
+    for m, n in RANDOM_SHAPES:
+        for _ in range(6):
+            game = random_game(rng, m, n)
+            p = random_profile(rng, m, n)
+            q = balance(game, p)
+            r = regrets(game, p)
+            out.append({"row_side": r.fR > r.fC, "skipped": q is p, "profile": plain(q)})
+    inst = tight_3x3()
+    p = inst.profile
+    out.append({"skipped": balance(inst.game, p) is p})
+    return out
+
+
+def derivative_entries() -> list:
+    out = []
+    rng = np.random.default_rng(61)
+    for m, n in RANDOM_SHAPES:
+        for _ in range(4):
+            game = random_game(rng, m, n)
+            out.append(plain(scaled_derivative(game, random_profile(rng, m, n),
+                                               random_profile(rng, m, n))))
+    # A symmetric game at a symmetric profile has fR == fC exactly.
+    A = rng.uniform(size=(3, 3))
+    game = Game(A, A.T)
+    x = mixed(rng.dirichlet(np.ones(3)))
+    out.append(plain(scaled_derivative(game, Profile(x, x), random_profile(rng, 3, 3))))
+    return out
+
+
+def segment_entries() -> list:
+    out = []
+    rng = np.random.default_rng(71)
+    for m, n in RANDOM_SHAPES:
+        game = random_game(rng, m, n)
+        a, b = random_profile(rng, m, n), random_profile(rng, m, n)
+        out.append(plain(segment_min_f(game, a, b, samples=SEGMENT_SAMPLES)))
+    return out
+
+
+def verify_entries() -> list:
+    out = []
+    for inst in sample_tight_games(3, 3, 2, np.random.default_rng(81), groups=2):
+        cert = verify_tight(inst.game, inst.input, grid_size=60, full_grid=True)
+        out.append({"checks": cert.checks, "values": plain(cert.values)})
+    return out
+
+
+def baseline_entries(games) -> list:
+    out = []
+    games = games + _random_games()
+    # On 0/1 games both zero-sum candidates miss the threshold often enough
+    # that the mixing scan runs (3 of these 30).
+    rng = np.random.default_rng(101)
+    binary = [Game(rng.integers(0, 2, size=(3, 3)), rng.integers(0, 2, size=(3, 3)))
+              for _ in range(30)]
+    zs_games = games + [tight_m_n(3, 4).game, tight_3x3().game] + binary
+    for game in zs_games:
+        out.append({"zs": plain(zero_sum_baseline(game))})
+    for gi, game in enumerate(games[:4] + games[-2:]):
+        out.append({
+            "fp": plain(fictitious_play(game, 300)),
+            "rm": plain(regret_matching(game, 300, np.random.default_rng([91, gi]))),
+        })
+    return out
+
+
+def report_entry(report) -> dict:
+    doc = json.loads(report.to_json())
+    for rec in doc["records"]:
+        del rec["wall_ms"]
+    return doc
+
+
+def experiment_entries() -> dict:
+    stab = ExperimentConfig(experiment="stability", sizes=((3, 3),), count=3,
+                            samples=4, seed=5)
+    otb = ExperimentConfig(experiment="outside-the-ball", sizes=((3, 3),), count=2,
+                           radius=1e-30, samples=3, seed=6)
+    cmp = ExperimentConfig(experiment="compare", sizes=((3, 3),), count=1, points=3,
+                           rounds=200, seed=7)
+    return {
+        "stability": report_entry(exp_stability(stab)),
+        "outside_ball": report_entry(exp_outside_ball(otb)),
+        "compare": report_entry(exp_compare(cmp)),
+    }
+
+
+def build_corpus() -> dict:
+    games = _solver_games()
+    return {
+        "games": [{"R": plain(g.R), "C": plain(g.C)} for g in games],
+        "ts_solve": ts_entries(games),
+        "dfm_solve": dfm_solve_entries(games),
+        "adjust": adjust_entries(),
+        "balance": balance_entries(),
+        "scaled_derivative": derivative_entries(),
+        "segment_min_f": segment_entries(),
+        "verify_tight": verify_entries(),
+        "baselines": baseline_entries(games),
+        "experiments": experiment_entries(),
+    }
+
+
+if __name__ == "__main__":
+    with open(PATH, "w") as fh:
+        json.dump(build_corpus(), fh, indent=0)
+        fh.write("\n")
+    print(f"wrote {PATH}")
