@@ -35,7 +35,7 @@ from .descent import (
     t_value,
     verify_stationary,
 )
-from .dfm import DfmResult, DfmTrace, dfm_adjust, dfm_solve, segment_min_f
+from .dfm import DfmResult, DfmTrace, dfm_adjust, dfm_solve
 from .game import (
     Game,
     GameError,
@@ -47,6 +47,7 @@ from .game import (
     normalize_game,
     pure,
     regrets,
+    segment_min_f,
     supports,
     uniform,
 )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descent import StationaryPoint, find_stationary, lambda_mu_star
-from .game import SUPPORT_TOL, Game, Profile, grid_f, mixed, regrets, supports
+from .game import SUPPORT_TOL, Game, Profile, grid_f, mixed, regrets, segment_min_f, supports
 
 METHOD_TS = "ts"
 METHOD_BOUNDARY = "boundary-min"
@@ -108,38 +108,11 @@ def _far_edge(game: Game, sp: StationaryPoint, on_x_edge) -> tuple[Profile, floa
     return prof.swapped(), f
 
 
-def _exact_segment_min(game: Game, sp: StationaryPoint) -> tuple[Profile, float]:
-    """Minimize f along the edge from (x*, z*) to (w*, z*) by breakpoint enumeration.
-
-    Along the edge fR is linear and fC is a maximum of linear pieces, so
-    the minimum of their max sits at an endpoint or where the linear regret
-    crosses one of the pieces.  Evaluates f at every candidate and returns
-    the one with the smallest parameter among ties.
-    """
-    R, C = game.R, game.C
-    x, z = sp.profile.x, sp.dual.z
-    d = sp.dual.w - x
-    Rz = R @ z
-    lin0 = float(Rz.max() - x @ Rz)
-    lin1 = float(-(d @ Rz))
-    piece0 = C.T @ x - float(x @ C @ z)
-    piece1 = C.T @ d - float(d @ C @ z)
-
-    candidates = {0.0, 1.0}
-    for p0, p1 in zip(np.atleast_1d(piece0), np.atleast_1d(piece1)):
-        denom = p1 - lin1
-        if abs(denom) > 1e-15:
-            t = (lin0 - p0) / denom
-            if 0.0 < t < 1.0:
-                candidates.add(float(t))
-
-    best_prof, best_f = None, np.inf
-    for t in sorted(candidates):
-        prof = Profile(mixed(np.clip(x + t * d, 0.0, None)), z)
-        f = regrets(game, prof).f
-        if f < best_f - 1e-15:
-            best_prof, best_f = prof, f
-    return best_prof, best_f
+def _x_edge_min(game: Game, sp: StationaryPoint) -> tuple[Profile, float]:
+    """The exact minimum of f on the edge from (x*, z*) to (w*, z*)."""
+    z = sp.dual.z
+    _, prof, f = segment_min_f(game, Profile(sp.profile.x, z), Profile(sp.dual.w, z))
+    return prof, f
 
 
 def _linear_intersection(game: Game, sp: StationaryPoint) -> tuple[Profile, float]:
@@ -156,7 +129,7 @@ def _linear_intersection(game: Game, sp: StationaryPoint) -> tuple[Profile, floa
 
 def adjust_boundary_min(game: Game, sp: StationaryPoint) -> AdjustmentOutcome:
     """Method 2: the exact minimum of f on the far boundary of the square."""
-    return AdjustmentOutcome(METHOD_BOUNDARY, *_far_edge(game, sp, _exact_segment_min))
+    return AdjustmentOutcome(METHOD_BOUNDARY, *_far_edge(game, sp, _x_edge_min))
 
 
 def adjust_linear(game: Game, sp: StationaryPoint) -> AdjustmentOutcome:

@@ -8,11 +8,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import Game, Profile, batch_f, mixed, regrets
+from .game import Game, Profile, mixed, pure, regrets, segment_min_f
 from .lp import solve_zero_sum
 
 ZS_THRESHOLD = 0.382
-ZS_SCAN_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -113,8 +112,8 @@ def zero_sum_baseline(game: Game) -> ZeroSumResult:
     The mutual-threat profile (x_C, y_R) bounds both regrets by the two game
     values and is returned as soon as it meets the 0.382 threshold; the
     mutual-guarantee profile (x_R, y_C) is the second candidate.  Failing
-    both, each candidate is mixed toward the players' best responses with a
-    common weight scanned on a 1000-point grid.
+    both, each candidate is mixed toward the players' best responses, with
+    the weight that minimizes f exactly.
     """
     R, C = game.R, game.C
     x_r, y_r, _ = solve_zero_sum(R)
@@ -131,22 +130,12 @@ def zero_sum_baseline(game: Game) -> ZeroSumResult:
         if f < best_f:
             best_f, best_name, best_prof = f, name, prof
 
-    ts = np.linspace(0.0, 1.0, ZS_SCAN_POINTS)
     for name, prof in candidates:
-        brx = np.zeros(game.m)
-        brx[int(np.argmax(R @ prof.y))] = 1.0
-        bry = np.zeros(game.n)
-        bry[int(np.argmax(C.T @ prof.x))] = 1.0
+        brx = pure(game.m, int(np.argmax(R @ prof.y)))
+        bry = pure(game.n, int(np.argmax(C.T @ prof.x)))
         # Mix both players, the row player alone, and the column player alone.
-        for mix_x, mix_y in ((brx, bry), (brx, None), (None, bry)):
-            X = (1 - ts)[:, None] * prof.x[None, :]
-            X += ts[:, None] * (mix_x if mix_x is not None else prof.x)[None, :]
-            Y = (1 - ts)[:, None] * prof.y[None, :]
-            Y += ts[:, None] * (mix_y if mix_y is not None else prof.y)[None, :]
-            F = batch_f(game, X, Y)
-            t = int(np.argmin(F))
-            if F[t] < best_f:
-                best_f = float(F[t])
-                best_prof = Profile(mixed(X[t]), mixed(Y[t]))
-                best_name = name
+        for mix in (Profile(brx, bry), Profile(brx, prof.y), Profile(prof.x, bry)):
+            _, p, f = segment_min_f(game, prof, mix)
+            if f < best_f:
+                best_f, best_name, best_prof = f, name, p
     return ZeroSumResult(best_prof, best_f, best_name, adjusted=True)

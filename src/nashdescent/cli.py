@@ -270,7 +270,8 @@ def main(argv=None) -> int:
                    choices=("none", "disjoint", "intersecting", "nested"))
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=".")
-    g.add_argument("--grid", type=int, default=100)
+    g.add_argument("--grid", type=int, default=100,
+                   help="lattice size of the whole-square check run with --lambda-intersect")
     g.add_argument("--max-attempts", type=int, default=10_000)
     g.add_argument("--lambda-intersect", action="store_true")
     g.add_argument("--mixed-duals", action="store_true")
@@ -290,7 +291,8 @@ def main(argv=None) -> int:
     v = sub.add_parser("verify", help="verify a worst-case certificate")
     v.add_argument("game")
     v.add_argument("--cert", default=None)
-    v.add_argument("--grid", type=int, default=200)
+    v.add_argument("--grid", type=int, default=200,
+                   help="lattice size of the --full-grid check; the boundary check is exact")
     v.add_argument("--full-grid", action="store_true")
 
     for name in ("exp-stability", "exp-otb", "exp-success", "exp-compare"):

@@ -13,10 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .descent import StationaryPoint, find_stationary
-from .game import Game, Profile, batch_f, mixed, regrets
-
-SEGMENT_SAMPLES = 10_000
-TERNARY_ITERS = 60
+from .game import Game, Profile, mixed, regrets, segment_min_f
 
 
 @dataclass(frozen=True)
@@ -44,48 +41,7 @@ class DfmTrace:
     fallback: bool = False
 
 
-def segment_min_f(game: Game, a: Profile, b: Profile, samples: int = SEGMENT_SAMPLES):
-    """Minimize f along the segment from profile a to profile b.
-
-    f restricted to the segment is a max of (linear - quadratic) terms and
-    need not be convex, so a dense scan brackets the minimizer before a
-    ternary-search refinement.  Returns (t, profile, f).
-    """
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
-    game.check_profile(a)
-    game.check_profile(b)
-    dx = b.x - a.x
-    dy = b.y - a.y
-
-    ts = np.linspace(0.0, 1.0, samples)
-    X = a.x[None, :] + ts[:, None] * dx[None, :]
-    Y = a.y[None, :] + ts[:, None] * dy[None, :]
-    F = batch_f(game, X, Y)
-    i = int(np.argmin(F))
-
-    def at(t: float) -> Profile:
-        return Profile(mixed(np.clip(a.x + t * dx, 0, None)), mixed(np.clip(a.y + t * dy, 0, None)))
-
-    def f_at(t: float) -> float:
-        return regrets(game, at(t)).f
-
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, samples - 1)]
-    for _ in range(TERNARY_ITERS):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if f_at(m1) <= f_at(m2):
-            hi = m2
-        else:
-            lo = m1
-    t = (lo + hi) / 2.0
-    candidates = [(f_at(u), u) for u in (0.0, float(ts[i]), t, 1.0)]
-    fbest, tbest = min(candidates)
-    return tbest, at(tbest), fbest
-
-
-def dfm_adjust(game: Game, sp: StationaryPoint, samples: int = SEGMENT_SAMPLES) -> DfmTrace:
+def dfm_adjust(game: Game, sp: StationaryPoint) -> DfmTrace:
     """Route the stationary point through the four-case adjustment.
 
     Guards compare lambda*, mu* exactly; the half-open thresholds partition
@@ -101,14 +57,14 @@ def dfm_adjust(game: Game, sp: StationaryPoint, samples: int = SEGMENT_SAMPLES) 
         return DfmTrace(2, "none", None, None, None, None, None, None, None,
                         prof, regrets(game, prof).f)
     if 0.5 < lam <= 2.0 / 3.0 < mu:
-        return _case_three(game, sp, samples)
+        return _case_three(game, sp)
     # Case 4, 0.5 < mu <= 2/3 < lam, is case 3 with the players swapped.
-    trace = _case_three(game.swapped(), sp.swapped(), samples)
+    trace = _case_three(game.swapped(), sp.swapped())
     return replace(trace, case=4, alpha=trace.beta, beta=trace.alpha,
                    output=trace.output.swapped())
 
 
-def _case_three(game: Game, sp: StationaryPoint, samples: int) -> DfmTrace:
+def _case_three(game: Game, sp: StationaryPoint) -> DfmTrace:
     """Case 3 (0.5 < lambda* <= 2/3 < mu*): mix in a best response to the
     midpoint of y* and z*, then minimize f along a segment from (x*, y*)."""
     lam, mu = sp.lambda_star, sp.mu_star
@@ -135,7 +91,7 @@ def _case_three(game: Game, sp: StationaryPoint, samples: int) -> DfmTrace:
         beta = (1.0 - mu / 2.0 - t_r) / den
         endpoint = Profile(w, mixed(np.clip((1 - beta) * y_hat + beta * z, 0, None)))
         branch, alpha = "B", None
-    _, prof, f = segment_min_f(game, sp.profile, endpoint, samples)
+    _, prof, f = segment_min_f(game, sp.profile, endpoint)
     return DfmTrace(3, branch, y_hat, w_hat, t_r, v_r, mu_hat, alpha, beta, prof, f)
 
 

@@ -24,6 +24,9 @@ NEG_TOL = 1e-12
 SUM_TOL = 1e-9
 # Default absolute tolerance for best-response support sets.
 SUPPORT_TOL = 1e-9
+# Segment-search candidates whose envelope value is within this of the least
+# one tie; the one nearest the segment's start wins.
+SEGMENT_TIE_TOL = 1e-15
 
 
 class GameError(ValueError):
@@ -218,13 +221,41 @@ def regrets(game: Game, p: Profile) -> Regrets:
     return Regrets(fR, fC, max(fR, fC))
 
 
-def batch_f(game: Game, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """f at each profile (X[k], Y[k]) of a batch of strategy rows."""
-    RY = Y @ game.R.T
-    CX = X @ game.C
-    fR = RY.max(axis=1) - np.einsum("ij,ij->i", X, RY)
-    fC = CX.max(axis=1) - np.einsum("ij,ij->i", CX, Y)
-    return np.maximum(fR, fC)
+def segment_min_f(game: Game, a: Profile, b: Profile) -> tuple[float, Profile, float]:
+    """Minimize f exactly along the segment from profile a to profile b.
+
+    On p(t) = (x + t dx, y + t dy) each row piece (Ry(t))_i - x(t)'Ry(t) and
+    each column piece (C'x(t))_j - x(t)'Cy(t) is a quadratic in t, and f is
+    the upper envelope of these m + n quadratics.  Its minimum on [0, 1] lies
+    at an endpoint, a crossing of two pieces or the vertex of a convex piece.
+    The envelope is evaluated at all of them at once; the smallest t whose
+    value is within SEGMENT_TIE_TOL of the least wins, and f is recomputed at
+    the profile returned.  Returns (t, profile, f).
+    """
+    game.check_profile(a)
+    game.check_profile(b)
+    x, y = a
+    dx, dy = b.x - x, b.y - y
+    Ry, Rdy = game.R @ y, game.R @ dy
+    Cx, Cdx = game.C.T @ x, game.C.T @ dx
+    # Coefficients of p0 + p1 t + p2 t^2: the m row pieces, then the n column
+    # pieces; each family shares its p2.
+    p0 = np.concatenate([Ry - x @ Ry, Cx - Cx @ y])
+    p1 = np.concatenate([Rdy - (dx @ Ry + x @ Rdy), Cdx - (Cdx @ y + Cx @ dy)])
+    p2 = np.repeat([-(dx @ Rdy), -(Cdx @ dy)], [game.m, game.n])
+    # Differences of every ordered pair of pieces (each pair twice, harmless).
+    qa, qb, qc = (v[:, None] - v[None, :] for v in (p2, p1, p0))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # Both roots of qa t^2 + qb t + qc without cancellation; when qa = 0
+        # (two pieces of one family) the second one is the linear root.
+        q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)), qb))
+        # A concave piece's vertex is a maximum, a harmless extra candidate.
+        roots = np.concatenate([(q / qa).ravel(), (qc / q).ravel(), -p1 / (2.0 * p2)])
+    ts = np.concatenate([[0.0, 1.0], roots[(roots > 0.0) & (roots < 1.0)]])
+    F = (p0[:, None] + ts * (p1[:, None] + ts * p2[:, None])).max(axis=0)
+    t = float(ts[F <= F.min() + SEGMENT_TIE_TOL].min())
+    prof = Profile(mixed(np.clip(x + t * dx, 0.0, None)), mixed(np.clip(y + t * dy, 0.0, None)))
+    return t, prof, regrets(game, prof).f
 
 
 def grid_f(game: Game, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .descent import DualSolution, stationary_from, verify_stationary
-from .game import SUPPORT_TOL, Game, Profile, batch_f, grid_f, mixed, regrets
+from .game import SUPPORT_TOL, Game, Profile, grid_f, mixed, regrets, segment_min_f
 from .lp import EQ, GE, LE, MINIMIZE, MAXIMIZE, OPTIMAL, INFEASIBLE, LinearProgram, solve_lp
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -503,13 +503,16 @@ def verify_tight(
     Conditions: stationarity of (x*,y*) with the dual (rho*, w*, z*); the
     regret value equals b; the height differences equal (lambda0, mu0); the
     two far-corner regrets saturate at 1; the far corner leans toward the
-    column regret; and f stays above b - tol on a sampled square boundary
-    (on the whole square when full_grid is set).
+    column regret; and f stays above b - 1e-6 on the square's boundary,
+    checked exactly by minimizing f along each of its four edges.  With
+    full_grid set, f is also checked on a grid_size x grid_size lattice over
+    the whole square; grid_size sizes nothing else.
     """
     cons = solve_b()
     cert = TightCertificate(mixed_duals=not inp.pure_duals)
     x, y, w, z = inp.x_star, inp.y_star, inp.w_star, inp.z_star
-    sp = stationary_from(game, Profile(x, y), DualSolution(cons.rho_star, w, z))
+    xy, xz, wy, wz = Profile(x, y), Profile(x, z), Profile(w, y), Profile(w, z)
+    sp = stationary_from(game, xy, DualSolution(cons.rho_star, w, z))
     rep = verify_stationary(game, sp, tol)
     cert.checks["stationary"] = rep.ok
     cert.values["f"] = sp.f
@@ -519,9 +522,7 @@ def verify_tight(
     cert.values["mu_star"] = mu
     cert.checks["lambda_is_lambda0"] = abs(lam - cons.lambda0) <= tol
     cert.checks["mu_is_mu0"] = abs(mu - cons.mu0) <= tol
-    f_xz = regrets(game, Profile(x, z))
-    f_wy = regrets(game, Profile(w, y))
-    f_wz = regrets(game, Profile(w, z))
+    f_xz, f_wy, f_wz = regrets(game, xz), regrets(game, wy), regrets(game, wz)
     cert.checks["corner_regrets_saturate"] = (
         abs(f_xz.fR - 1.0) <= tol and abs(f_wy.fC - 1.0) <= tol
     )
@@ -529,16 +530,7 @@ def verify_tight(
     cert.values["f_wz_C"] = f_wz.fC
     cert.values["f_wz_R"] = f_wz.fR
 
-    ts = np.linspace(0.0, 1.0, grid_size)
-    lows = []
-    for alpha_fixed, beta_fixed in ((None, 0.0), (None, 1.0), (0.0, None), (1.0, None)):
-        if alpha_fixed is None:
-            X = (1 - ts)[:, None] * x + ts[:, None] * w
-            Y = np.tile(beta_fixed * z + (1 - beta_fixed) * y, (grid_size, 1))
-        else:
-            X = np.tile(alpha_fixed * w + (1 - alpha_fixed) * x, (grid_size, 1))
-            Y = (1 - ts)[:, None] * y + ts[:, None] * z
-        lows.append(float(batch_f(game, X, Y).min()))
+    lows = [segment_min_f(game, a, b)[2] for a, b in ((xy, wy), (xz, wz), (xy, xz), (wy, wz))]
     cert.values["boundary_min"] = min(lows)
     cert.checks["boundary_above_b"] = min(lows) >= cons.b - 1e-6
 

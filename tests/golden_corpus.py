@@ -3,7 +3,13 @@
 ``build_corpus()`` recomputes every entry from fixed seeds; the stored copy
 ``golden_corpus.json`` was written by running this module against the code
 before the player-swap refactor, and ``test_golden.py`` checks that the
-current code still reproduces it.  Regenerate with
+current code still reproduces it.  The entries that minimize f along a
+segment (``segment_min_f``, the adjust entries' ``dfm`` and ``boundary``,
+``dfm_solve``, the zero-sum entries that mix toward best responses, and
+``verify_tight``'s ``boundary_min``) were rewritten when the sampled segment
+searches gave way to the exact minimizer; no f value rose by more than
+2.3e-16, and four ``boundary`` values fell, where the old edge enumerator
+had missed a kink of the column regret.  Regenerate with
 
     PYTHONPATH=src python tests/golden_corpus.py
 
@@ -33,7 +39,7 @@ from nashdescent.descent import (
     balance,
     scaled_derivative,
 )
-from nashdescent.dfm import dfm_adjust, dfm_solve, segment_min_f
+from nashdescent.dfm import dfm_adjust, dfm_solve
 from nashdescent.experiments import (
     ExperimentConfig,
     exp_compare,
@@ -42,14 +48,13 @@ from nashdescent.experiments import (
     lattice_profile,
     sample_tight_games,
 )
-from nashdescent.game import Game, Profile, mixed, regrets
+from nashdescent.game import Game, Profile, mixed, regrets, segment_min_f
 from nashdescent.generator import dfm_family, dfm_tight, tight_3x3, tight_m_n, verify_tight
 from nashdescent.lp import LpNumericalError
 
 PATH = os.path.join(os.path.dirname(__file__), "golden_corpus.json")
 DELTA = 1e-3
 MAX_ITER = 200
-SEGMENT_SAMPLES = 1000
 # Shapes of the uniform random games; the non-square ones catch a swap that
 # mixes up m and n.
 RANDOM_SHAPES = ((3, 3), (4, 3), (3, 5))
@@ -200,7 +205,7 @@ def adjust_pairs() -> list:
 
 def adjust_entries() -> list:
     return [{
-        "dfm": plain(dfm_adjust(game, sp, samples=SEGMENT_SAMPLES)),
+        "dfm": plain(dfm_adjust(game, sp)),
         "ts": plain(adjust_ts(game, sp)),
         "boundary": plain(adjust_boundary_min(game, sp)),
         "linear": plain(adjust_linear(game, sp)),
@@ -245,7 +250,7 @@ def segment_entries() -> list:
     for m, n in RANDOM_SHAPES:
         game = random_game(rng, m, n)
         a, b = random_profile(rng, m, n), random_profile(rng, m, n)
-        out.append(plain(segment_min_f(game, a, b, samples=SEGMENT_SAMPLES)))
+        out.append(plain(segment_min_f(game, a, b)))
     return out
 
 

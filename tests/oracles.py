@@ -83,6 +83,21 @@ def simplex_grid(k, resolution):
     return np.array(pts, float) / resolution
 
 
+def segment_f_min_grid(R, C, a, b, points):
+    """Least f = max(fR, fC) over `points` evenly spaced profiles on the
+    segment from profile a = (x, y) to profile b, endpoints included."""
+    R = np.asarray(R, float)
+    C = np.asarray(C, float)
+    ts = np.linspace(0.0, 1.0, points)[:, None]
+    X = (1.0 - ts) * np.asarray(a[0], float) + ts * np.asarray(b[0], float)
+    Y = (1.0 - ts) * np.asarray(a[1], float) + ts * np.asarray(b[1], float)
+    payoff_x = Y @ R.T  # row k: R y_k
+    payoff_y = X @ C  # row k: C' x_k
+    fR = payoff_x.max(axis=1) - (X * payoff_x).sum(axis=1)
+    fC = payoff_y.max(axis=1) - (payoff_y * Y).sum(axis=1)
+    return float(np.maximum(fR, fC).min())
+
+
 def grid_direction_value(R, C, x, y, row_best, col_best, resolution):
     """Brute min over a profile grid of the best-response smoothed derivative.
 

@@ -92,7 +92,7 @@ def test_criterion_4_dfm_tightness(eq3, eq4_family):
         trace = dfm_adjust(inst.game, inst.stationary_point())
         closed = max((1 - 9 * eps / (2 + 3 * eps)) * (1 / 3 + eps / 2), 1 / 3 - eps)
         values.append(trace.f)
-        ok = ok and abs(trace.f - closed) <= 1e-6
+        ok = ok and abs(trace.f - closed) <= 1e-12
     ok = ok and all(b > a for a, b in zip(values, values[1:])) and values[-1] < 1 / 3
     assert report(
         "4 (one-third adjustment tightness)", ok,

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nashdescent.descent import DualSolution, StationaryPoint, stationary_from
-from nashdescent.dfm import dfm_adjust, dfm_solve, segment_min_f
-from nashdescent.game import Game, Profile, mixed, normalize_game, pure, regrets, uniform
+from nashdescent.dfm import dfm_adjust, dfm_solve
+from nashdescent.game import Game, Profile, mixed, normalize_game, pure, regrets, segment_min_f, uniform
 
 
 def fabricated_sp(inst, lam, mu):
@@ -44,7 +44,7 @@ class TestRouting:
     def test_routing_partitions_the_unit_square(self, eq1):
         for lam in np.linspace(0, 1, 21):
             for mu in np.linspace(0, 1, 21):
-                trace = dfm_adjust(eq1.game, fabricated_sp(eq1, lam, mu), samples=200)
+                trace = dfm_adjust(eq1.game, fabricated_sp(eq1, lam, mu))
                 assert trace.case == expected_case(lam, mu)
 
 
@@ -61,7 +61,7 @@ class TestHardCaseFamily:
         assert trace.mu_hat == pytest.approx(2 / 3 + eps, abs=1e-12)
         assert trace.alpha == pytest.approx(1 - 9 * eps / (2 + 3 * eps), abs=1e-12)
         closed = max((1 - 9 * eps / (2 + 3 * eps)) * (1 / 3 + eps / 2), 1 / 3 - eps)
-        assert trace.f == pytest.approx(closed, abs=1e-9)
+        assert trace.f == pytest.approx(closed, abs=1e-12)
 
     def test_family_is_monotone_toward_one_third(self, eq4_family):
         values = []
@@ -75,14 +75,14 @@ class TestHardCaseFamily:
 class TestSegmentMin:
     def test_degenerate_segment(self, eq1):
         p = eq1.profile
-        t, prof, f = segment_min_f(eq1.game, p, p, samples=100)
+        t, prof, f = segment_min_f(eq1.game, p, p)
         assert t == 0.0
         assert f == pytest.approx(regrets(eq1.game, p).f, abs=1e-12)
 
     def test_equilibrium_endpoint_wins(self, eq1):
         ne = eq1.game.pure_profile(1, 1)
         far = Profile(uniform(3), uniform(3))
-        t, prof, f = segment_min_f(eq1.game, ne, far, samples=500)
+        t, prof, f = segment_min_f(eq1.game, ne, far)
         assert t == 0.0
         assert f == pytest.approx(0.0, abs=1e-12)
 
@@ -96,10 +96,6 @@ class TestSegmentMin:
         )
         assert trace.f <= regrets(inst.game, endpoint).f + 1e-12
         assert trace.f <= sp.f + 1e-12
-
-    def test_rejects_tiny_sample_count(self, eq1):
-        with pytest.raises(ValueError):
-            segment_min_f(eq1.game, eq1.profile, eq1.profile, samples=1)
 
 
 class TestPipeline:

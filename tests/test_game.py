@@ -14,11 +14,12 @@ from nashdescent.game import (
     normalize_game,
     pure,
     regrets,
+    segment_min_f,
     supports,
     uniform,
 )
 
-from .oracles import support_enum_ne
+from .oracles import segment_f_min_grid, support_enum_ne
 
 
 def test_normalize_affine_map():
@@ -179,3 +180,41 @@ def test_json_rejects_out_of_range_unless_normalized():
         Game.from_json(doc)
     g = Game.from_json(doc, normalize=True)
     assert g.R.max() == 1.0
+
+
+@st.composite
+def segments(draw):
+    """A game of size 2-6 and a segment in its profile space.
+
+    Payoffs are uniform or drawn from {0, 1/2, 1}, which makes tied and
+    parallel pieces common.  Segments move both players, one player, or
+    neither (zero length); strategies may sit on faces of the simplex.
+    """
+    m, n = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    entry = draw(st.sampled_from([st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])]))
+
+    def matrix():
+        return np.array(draw(st.lists(entry, min_size=m * n, max_size=m * n))).reshape(m, n)
+
+    def strategy(k):
+        v = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                                   min_size=k, max_size=k)))
+        return mixed(v / v.sum()) if v.sum() > 0 else uniform(k)
+
+    a = Profile(strategy(m), strategy(n))
+    moves = draw(st.sampled_from(["both", "row", "column", "none"]))
+    b = Profile(strategy(m) if moves in ("both", "row") else a.x,
+                strategy(n) if moves in ("both", "column") else a.y)
+    return Game(matrix(), matrix()), a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(segments())
+def test_segment_min_f_is_exact(data):
+    game, a, b = data
+    t, prof, f = segment_min_f(game, a, b)
+    assert 0.0 <= t <= 1.0
+    np.testing.assert_allclose(prof.x, a.x + t * (b.x - a.x), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(prof.y, a.y + t * (b.y - a.y), rtol=0, atol=1e-12)
+    assert f == regrets(game, prof).f
+    assert f <= segment_f_min_grid(game.R, game.C, a, b, 2001) + 1e-12

@@ -20,7 +20,6 @@ from nashdescent.generator import dfm_family
 from tests.golden_corpus import fallback_pair
 
 TOL = 1e-12
-SAMPLES = 200
 TWO_THIRDS = 2.0 / 3.0
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
@@ -112,7 +111,7 @@ def test_adjustments_commute_with_the_swap(data):
         assert_profiles_close(mirror.profile.swapped(), out.profile)
         assert mirror.f == pytest.approx(out.f, abs=TOL)
 
-    assert_dfm_mirrored(dfm_adjust(g2, sp2, SAMPLES), dfm_adjust(game, sp, SAMPLES))
+    assert_dfm_mirrored(dfm_adjust(g2, sp2), dfm_adjust(game, sp))
 
     p, q = sp.profile, Profile(sp.dual.w, sp.dual.z)
     p2 = p.swapped()
@@ -145,8 +144,8 @@ def family_point():
 ])
 def test_every_hard_case_branch_commutes_with_the_swap(make, branch, fallback):
     game, sp = make()
-    trace = dfm_adjust(game, sp, SAMPLES)
+    trace = dfm_adjust(game, sp)
     assert (trace.case, trace.branch, trace.fallback) == (3, branch, fallback)
-    mirror = dfm_adjust(game.swapped(), sp.swapped(), SAMPLES)
+    mirror = dfm_adjust(game.swapped(), sp.swapped())
     assert (mirror.case, mirror.branch, mirror.fallback) == (4, branch, fallback)
     assert_dfm_mirrored(mirror, trace)
