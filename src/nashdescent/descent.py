@@ -203,20 +203,29 @@ def direction(
     sol = solve_lp(LinearProgram(c, MINIMIZE, rows, lower=lower))
     if sol.status != OPTIMAL:
         raise LpNumericalError(f"direction LP ended {sol.status}")
-    value = float(sol.objective)
-    y_new = _as_strategy(sol.x[:n])
-    x_new = _as_strategy(sol.x[n : n + m])
-    weights = sol.duals[:k]
-
+    res = DirectionResult(
+        x_new=_as_strategy(sol.x[n : n + m]),
+        y_new=_as_strategy(sol.x[:n]),
+        value=float(sol.objective),
+        dual=_dual_from_weights(game, sol.duals[:k], sup),
+    )
     if canonicalize:
-        try:
-            refined = _equalized_dual_weights(G, row_ids, n, m, value)
-        except LpNumericalError:
-            refined = None
-        if refined is not None:
-            weights = refined
-    dual = _dual_from_weights(game, weights, sup)
-    return DirectionResult(x_new=x_new, y_new=y_new, value=value, dual=dual)
+        res = replace(res, dual=_equalized_dual(game, p, res, tol))
+    return res
+
+
+def _equalized_dual(game: Game, p: Profile, d: DirectionResult, tol: float) -> DualSolution:
+    """The equalized dual witness at p, given the direction result d at p.
+
+    Falls back to d's own witness when the equalizing LP fails.
+    """
+    G = bilinear_matrix(game, p.x, p.y)
+    row_ids, sup = _support_rows(game, p, tol)
+    try:
+        weights = _equalized_dual_weights(G, row_ids, game.n, game.m, d.value)
+    except LpNumericalError:
+        weights = None
+    return d.dual if weights is None else _dual_from_weights(game, weights, sup)
 
 
 def _equalized_dual_weights(G, row_ids, n, m, value):
@@ -374,7 +383,7 @@ def find_stationary(
             history.append(r.f)
         d = direction(game, p, tol)
         if d.value - r.f >= -delta:
-            dual = direction(game, p, tol, canonicalize=True).dual
+            dual = _equalized_dual(game, p, d, tol)
             lam, mu = lambda_mu_star(game, p, dual)
             return StationaryPoint(
                 profile=p,

@@ -173,8 +173,9 @@ class _TightLpBuilder:
         self.mu0 = cons.mu0
         self.rho = cons.rho_star
         self.lower = [0.0] * self.nv
-        self.upper = [1.0] * self.nv
         self._build()
+        self.lp = LinearProgram(np.zeros(self.nv), MINIMIZE, self.rows, lower=self.lower,
+                                upper=(1.0,) * self.nv)
 
     def _r(self, i: int, j: int) -> int:
         return i * self.n + j
@@ -303,9 +304,13 @@ class _TightLpBuilder:
             )
 
     def solve(self, objective: np.ndarray | None, sense: str = MINIMIZE):
+        """Optimize over the program; None asks for feasibility only.
+
+        Every objective shares ``self.lp``'s standard form, so the program's
+        phase 1 runs once however many objectives are solved.
+        """
         c = np.zeros(self.nv) if objective is None else objective
-        lp = LinearProgram(c, sense, list(self.rows), lower=list(self.lower), upper=list(self.upper))
-        return solve_lp(lp)
+        return solve_lp(self.lp.with_objective(c, sense))
 
 
 def _pair_candidates(inp: GeneratorInput):
@@ -503,7 +508,7 @@ def verify_tight(
     Conditions: stationarity of (x*,y*) with the dual (rho*, w*, z*); the
     regret value equals b; the height differences equal (lambda0, mu0); the
     two far-corner regrets saturate at 1; the far corner leans toward the
-    column regret; and f stays above b - 1e-6 on the square's boundary,
+    column regret; and f stays above b - tol on the square's boundary,
     checked exactly by minimizing f along each of its four edges.  With
     full_grid set, f is also checked on a grid_size x grid_size lattice over
     the whole square; grid_size sizes nothing else.
@@ -532,14 +537,14 @@ def verify_tight(
 
     lows = [segment_min_f(game, a, b)[2] for a, b in ((xy, wy), (xz, wz), (xy, xz), (wy, wz))]
     cert.values["boundary_min"] = min(lows)
-    cert.checks["boundary_above_b"] = min(lows) >= cons.b - 1e-6
+    cert.checks["boundary_above_b"] = min(lows) >= cons.b - tol
 
     if full_grid:
         alphas = np.linspace(0.0, 1.0, grid_size)
         X = (1 - alphas)[:, None] * x + alphas[:, None] * w
         Y = (1 - alphas)[:, None] * y + alphas[:, None] * z
         cert.values["grid_min"] = float(grid_f(game, X, Y).min())
-        cert.checks["grid_above_b"] = cert.values["grid_min"] >= cons.b - 1e-6
+        cert.checks["grid_above_b"] = cert.values["grid_min"] >= cons.b - tol
     return cert
 
 

@@ -9,7 +9,10 @@ segment (``segment_min_f``, the adjust entries' ``dfm`` and ``boundary``,
 ``verify_tight``'s ``boundary_min``) were rewritten when the sampled segment
 searches gave way to the exact minimizer; no f value rose by more than
 2.3e-16, and four ``boundary`` values fell, where the old edge enumerator
-had missed a kink of the column regret.  Regenerate with
+had missed a kink of the column regret.  The ``generate_tight`` entries
+(with ``tight_feasible`` on the same inputs) were added from the code before
+the generator's LPs began to share one phase 1 per constraint set, and are
+compared exactly.  Regenerate with
 
     PYTHONPATH=src python tests/golden_corpus.py
 
@@ -49,7 +52,16 @@ from nashdescent.experiments import (
     sample_tight_games,
 )
 from nashdescent.game import Game, Profile, mixed, regrets, segment_min_f
-from nashdescent.generator import dfm_family, dfm_tight, tight_3x3, tight_m_n, verify_tight
+from nashdescent.generator import (
+    dfm_family,
+    dfm_tight,
+    generate_tight,
+    sample_inputs,
+    tight_3x3,
+    tight_feasible,
+    tight_m_n,
+    verify_tight,
+)
 from nashdescent.lp import LpNumericalError
 
 PATH = os.path.join(os.path.dirname(__file__), "golden_corpus.json")
@@ -262,6 +274,41 @@ def verify_entries() -> list:
     return out
 
 
+# (m, n, support restriction, pure duals, lambda_intersect, all_pairs); the
+# nested inputs are never feasible, so their phase 1 ends infeasible.
+GENERATOR_SPECS = (
+    (3, 3, "disjoint", True, False, False),
+    (3, 3, "disjoint", False, False, True),
+    (4, 4, "disjoint", True, True, False),
+    (4, 4, "none", False, False, True),
+    (5, 5, "disjoint", True, False, True),
+    (5, 5, "disjoint", False, True, False),
+    (3, 3, "nested", False, False, False),
+)
+
+
+def generator_entries() -> list:
+    """generate_tight and tight_feasible on seeded inputs; compared exactly."""
+    out = []
+    for si, (m, n, restriction, pure, intersect, all_pairs) in enumerate(GENERATOR_SPECS):
+        rng = np.random.default_rng([111, si])
+        feasible = 0
+        for _ in range(6):
+            if feasible == 2:
+                break
+            inp = sample_inputs(m, n, restriction, rng, pure_duals=pure)
+            insts = generate_tight(inp, count=2, rng=rng, all_pairs=all_pairs,
+                                   lambda_intersect=intersect)
+            feasible += bool(insts)
+            out.append({
+                "input": plain(inp),
+                "feasible": tight_feasible(inp, lambda_intersect=intersect),
+                "instances": [{"k": inst.k, "l": inst.l, "R": plain(inst.game.R),
+                               "C": plain(inst.game.C)} for inst in insts],
+            })
+    return out
+
+
 def baseline_entries(games) -> list:
     out = []
     games = games + _random_games()
@@ -313,6 +360,7 @@ def build_corpus() -> dict:
         "scaled_derivative": derivative_entries(),
         "segment_min_f": segment_entries(),
         "verify_tight": verify_entries(),
+        "generate_tight": generator_entries(),
         "baselines": baseline_entries(games),
         "experiments": experiment_entries(),
     }

@@ -186,6 +186,19 @@ class TestVerifyTight:
         r = regrets(Game(R, eq1.game.C), eq1.profile)
         assert abs(r.fR - r.fC) > 1e-3
 
+    def test_boundary_check_uses_tol(self, eq1, cons):
+        # lowering C[0, 1] dips f below b on the square's boundary by about
+        # 1.2e-5 and leaves every other check intact
+        C = eq1.game.C.copy()
+        C[0, 1] -= 1e-4
+        game = Game(eq1.game.R, C)
+        gap = cons.b - verify_tight(game, eq1.generator_input).values["boundary_min"]
+        assert 1e-6 < gap < 1e-4
+        below = verify_tight(game, eq1.generator_input, tol=gap / 2)
+        above = verify_tight(game, eq1.generator_input, tol=2 * gap)
+        assert below.failures == ["boundary_above_b"]
+        assert above.passed
+
     def test_generated_instances_pass(self, generated_3x3, generated_4x4):
         for inst in list(generated_3x3) + list(generated_4x4):
             assert verify_tight(inst.game, inst.input, grid_size=80).passed

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashdescent.game import Profile, regrets
 from nashdescent.lp import (
@@ -11,6 +13,7 @@ from nashdescent.lp import (
     UNBOUNDED,
     LinearProgram,
     LpError,
+    LpNumericalError,
     solve_lp,
     solve_zero_sum,
 )
@@ -38,6 +41,10 @@ def test_infeasible_and_unbounded_verdicts():
     assert sol.status == INFEASIBLE
     sol = solve_lp(LinearProgram(np.array([-1.0]), "min", []))
     assert sol.status == UNBOUNDED
+    # No rows at all: the optimum sits on the lower bounds.
+    sol = solve_lp(LinearProgram(np.array([1.0, 0.0]), "min", [], lower=[0.5, 0.0]))
+    assert sol.status == OPTIMAL and sol.x.tolist() == [0.5, 0.0]
+    assert sol.objective == 0.5 and sol.duals.size == 0
 
 
 def test_malformed_programs_rejected():
@@ -133,3 +140,136 @@ def test_iteration_budget_error_is_distinct():
     from nashdescent.lp import LpNumericalError
 
     assert issubclass(LpNumericalError, RuntimeError)
+
+
+# ---------------------------------------------------------------------------
+# Objectives sharing one constraint set.
+
+
+def outcome(lp):
+    """solve_lp's answer, or the error it raised, in a comparable form."""
+    try:
+        return solve_lp(lp)
+    except LpNumericalError as err:
+        return str(err)
+
+
+def same_outcome(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        return got == want
+    pairs = ((got.x, want.x), (got.duals, want.duals))
+    return (got.status == want.status
+            and all(g is w or np.array_equal(g, w) for g, w in pairs)
+            and got.objective == want.objective
+            and got.dual_objective == want.dual_objective)
+
+
+def fresh(c, sense, rows, lower, upper):
+    return outcome(LinearProgram(c, sense, list(rows), lower=lower, upper=upper))
+
+
+small = st.integers(-3, 3).map(float)
+
+
+@st.composite
+def programs(draw):
+    """Small programs with EQ/GE/LE rows, free and shifted variables, and
+    upper bounds on some of the rest; many are infeasible or unbounded."""
+    nv = draw(st.integers(1, 5))
+    lower, upper = [], []
+    for _ in range(nv):
+        lo = draw(st.sampled_from([0.0, None, -1.5, 0.5]))
+        lower.append(lo)
+        width = draw(st.sampled_from([None, None, 1.0, 2.5])) if lo is not None else None
+        upper.append(None if width is None else lo + width)
+    rows = [(np.array(draw(st.lists(small, min_size=nv, max_size=nv))),
+             draw(st.sampled_from([LE, EQ, GE])), draw(small))
+            for _ in range(draw(st.integers(0, 5)))]
+    objectives = [(np.array(draw(st.lists(small, min_size=nv, max_size=nv))),
+                   draw(st.sampled_from(["min", "max"])))
+                  for _ in range(draw(st.integers(2, 4)))]
+    extra = (np.array(draw(st.lists(small, min_size=nv, max_size=nv))),
+             draw(st.sampled_from([LE, EQ, GE])), draw(small))
+    return rows, lower, upper, objectives, extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(programs())
+def test_shared_phase_one_matches_fresh_solves(prog):
+    rows, lower, upper, objectives, extra = prog
+    (c0, s0), rest = objectives[0], objectives[1:]
+    base = LinearProgram(c0, s0, list(rows), lower=lower, upper=upper)
+    assert same_outcome(outcome(base), fresh(c0, s0, rows, lower, upper))
+    for c, sense in rest:
+        assert same_outcome(outcome(base.with_objective(c, sense)),
+                            fresh(c, sense, rows, lower, upper))
+    # A row added to a derived program reaches neither the base nor the
+    # phase 1 that the base already holds.
+    c, sense = rest[0]
+    derived = base.with_objective(c, sense)
+    derived.add(*extra)
+    assert len(base.constraints) == len(rows)
+    assert same_outcome(outcome(derived), fresh(c, sense, rows + [extra], lower, upper))
+    assert same_outcome(outcome(base.with_objective(c, sense)),
+                        fresh(c, sense, rows, lower, upper))
+
+
+def test_shared_phase_one_statuses():
+    # 0 <= x0 <= 2, x1 free, x0 + x1 >= 1: bounded below in x0, not in x1
+    rows = [(np.array([1.0, 1.0]), GE, 1.0)]
+    lower, upper = [0.0, None], [2.0, None]
+    base = LinearProgram(np.array([1.0, 1.0]), "min", rows, lower=lower, upper=upper)
+    sol = solve_lp(base)
+    assert sol.status == OPTIMAL and sol.objective == pytest.approx(1.0)
+    assert solve_lp(base.with_objective(np.array([0.0, 1.0]), "max")).status == UNBOUNDED
+    sol = solve_lp(base.with_objective(np.array([-1.0, 0.0]), "min"))
+    assert sol.status == OPTIMAL and sol.x[0] == pytest.approx(2.0)
+    # Cutting the region empty in one program leaves the other feasible.
+    cut = base.with_objective(np.array([1.0, 0.0]), "min")
+    cut.add(np.array([1.0, 1.0]), LE, 0.0)
+    assert solve_lp(cut).status == INFEASIBLE
+    assert solve_lp(base).status == OPTIMAL
+    base.add(np.array([1.0, 1.0]), LE, 0.0)
+    assert solve_lp(base).status == INFEASIBLE
+    # An infeasible base stays infeasible under every objective.
+    for c in (np.array([1.0, 0.0]), np.array([0.0, -1.0])):
+        assert solve_lp(base.with_objective(c, "max")).status == INFEASIBLE
+
+
+def test_with_objective_validates_and_shares():
+    base = LinearProgram(np.array([1.0, 1.0]), "min", [(np.array([1.0, 1.0]), GE, 1.0)])
+    other = base.with_objective(np.array([2.0, 1.0]), "max")
+    assert other.constraints is base.constraints
+    assert other.lower is base.lower and other.upper is base.upper
+    assert base.objective.tolist() == [1.0, 1.0] and base.sense == "min"
+    with pytest.raises(LpError):
+        base.with_objective(np.array([1.0]), "min")
+    with pytest.raises(LpError):
+        base.with_objective(np.array([1.0, 1.0]), "mid")
+    with pytest.raises(LpError):
+        base.add(np.array([1.0, 1.0]), "<>", 0.0)
+
+
+def test_phase_one_runs_once_per_policy(monkeypatch):
+    import nashdescent.lp as lpmod
+
+    calls = []
+    real = lpmod._phase_one
+
+    def first_policy_fails(form, window, entering):
+        calls.append((window, entering))
+        if (window, entering) == lpmod._ATTEMPTS[0]:
+            raise LpNumericalError("phase 1 budget")
+        return real(form, window, entering)
+
+    monkeypatch.setattr(lpmod, "_phase_one", first_policy_fails)
+    base = LinearProgram(np.array([1.0, 1.0]), "min", [(np.array([1.0, 1.0]), GE, 1.0)])
+    for c in (np.array([1.0, 1.0]), np.array([1.0, 2.0]), np.array([2.0, 1.0])):
+        assert solve_lp(base.with_objective(c, "min")).status == OPTIMAL
+    # The failed policy and the next one each ran phase 1 once.
+    assert calls == list(lpmod._ATTEMPTS[:2])
+    calls.clear()
+    base.add(np.array([1.0, 1.0]), LE, 0.5)
+    for c in (np.array([1.0, 1.0]), np.array([-1.0, 0.0])):
+        assert solve_lp(base.with_objective(c, "max")).status == INFEASIBLE
+    assert calls == list(lpmod._ATTEMPTS[:2])
