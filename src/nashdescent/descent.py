@@ -10,7 +10,7 @@ stationary point feeds every adjustment method downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,6 +49,9 @@ class DirectionResult:
     y_new: np.ndarray
     value: float
     dual: DualSolution
+    # The program's data (G, its best-response row ids, the supports), kept
+    # for the equalized-dual LP at the same profile.
+    _program: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -99,9 +102,12 @@ def bilinear_matrix(game: Game, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     xC = x @ C
     Ry = R @ y
     xCy = float(xC @ y)
-    top = np.hstack([R - np.tile(xR, (m, 1)), np.tile(xRy - Ry, (m, 1))])
-    bot = np.hstack([np.tile(xCy - xC, (n, 1)), C.T - np.tile(Cy, (n, 1))])
-    return np.vstack([top, bot])
+    G = np.empty((m + n, n + m))
+    G[:m, :n] = R - xR
+    G[:m, n:] = xRy - Ry
+    G[m:, :n] = xCy - xC
+    G[m:, n:] = C.T - Cy
+    return G
 
 
 def balance(game: Game, p: Profile, tol: float = SUPPORT_TOL) -> Profile:
@@ -208,19 +214,20 @@ def direction(
         y_new=_as_strategy(sol.x[:n]),
         value=float(sol.objective),
         dual=_dual_from_weights(game, sol.duals[:k], sup),
+        _program=(G, row_ids, sup),
     )
     if canonicalize:
-        res = replace(res, dual=_equalized_dual(game, p, res, tol))
+        res = replace(res, dual=_equalized_dual(game, res))
     return res
 
 
-def _equalized_dual(game: Game, p: Profile, d: DirectionResult, tol: float) -> DualSolution:
-    """The equalized dual witness at p, given the direction result d at p.
+def _equalized_dual(game: Game, d: DirectionResult) -> DualSolution:
+    """The equalized dual witness at the profile where ``direction``
+    returned d, from the program data d carries.
 
     Falls back to d's own witness when the equalizing LP fails.
     """
-    G = bilinear_matrix(game, p.x, p.y)
-    row_ids, sup = _support_rows(game, p, tol)
+    G, row_ids, sup = d._program
     try:
         weights = _equalized_dual_weights(G, row_ids, game.n, game.m, d.value)
     except LpNumericalError:
@@ -383,7 +390,7 @@ def find_stationary(
             history.append(r.f)
         d = direction(game, p, tol)
         if d.value - r.f >= -delta:
-            dual = _equalized_dual(game, p, d, tol)
+            dual = _equalized_dual(game, d)
             lam, mu = lambda_mu_star(game, p, dual)
             return StationaryPoint(
                 profile=p,

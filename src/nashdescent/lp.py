@@ -8,6 +8,11 @@ bit-reproducible; a degenerate solve that drifts into an infeasible basis
 is detected and retried under progressively coarser, equally deterministic
 pivot policies before any result is returned.
 
+The tableaux the descent solves are tiny (4 to 14 rows), so the kernel's
+cost is the number of numpy calls, not flops.  The objective row is the
+tableau's last row, so a pivot is one rank-1 update of the whole tableau,
+and the standard form is filled by whole-block assignments.
+
 Phase 1 depends on the constraints and the pivot policy only, so it runs
 once per constraint set: the objective-free standard form is built on a
 program's first solve and memoizes each policy's phase-1 outcome (the
@@ -20,6 +25,7 @@ cached tableau; the answer is bit-identical to a fresh program's.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,9 +109,10 @@ class LinearProgram:
             raise LpError("constraint row width does not match objective")
         if rel not in (LE, EQ, GE):
             raise LpError(f"unknown relation {rel!r}")
-        if not np.isfinite(b):
+        b = float(b)
+        if not math.isfinite(b):
             raise LpError("constraint rhs must be finite")
-        return a, rel, float(b)
+        return a, rel, b
 
     def add(self, a, rel, b):
         """Append one constraint; programs sharing the old ones keep them."""
@@ -141,50 +148,62 @@ class LpSolution:
     dual_objective: float | None = None
 
 
-def _pivot(T: np.ndarray, z: np.ndarray, row: int, col: int, basis: np.ndarray):
-    piv = T[row, col]
-    T[row] /= piv
+def _pivot(T: np.ndarray, row: int, col: int, basis: np.ndarray):
+    """Pivot on T[row, col]: one rank-1 update of every row, objective row
+    (T's last) included; the pivot row's multiplier is zeroed."""
+    T[row] /= T[row, col]
     colvals = T[:, col].copy()
     colvals[row] = 0.0
-    T -= np.outer(colvals, T[row])
-    z -= z[col] * T[row]
+    T -= colvals[:, None] * T[row]
     basis[row] = col
 
 
-def _run_simplex(T, z, basis, allowed, budget, window, entering, bounded_objective=False):
+def _run_simplex(T, basis, budget, window, entering, bounded_objective=False):
     """Drive a tableau to optimality; returns 'optimal' or 'unbounded'.
 
-    ``allowed`` masks columns permitted to enter (used to freeze artificials
-    in phase 2).  ``entering`` picks the entering column (Bland: lowest
+    T's last row is the objective row: reduced costs, then minus the
+    objective value.  ``entering`` picks the entering column (Bland: lowest
     eligible index; Dantzig: most negative reduced cost, lowest index on
     ties); the leaving row takes the best-scaled pivot among rows whose
     ratio is within ``window`` of the minimum, lowest basis index on ties.
     With ``bounded_objective`` (phase 1, which cannot descend below zero)
-    an apparently unbounded column is numerically degenerate and is skipped.
+    an apparently unbounded column is numerically degenerate: it is frozen
+    out of the entering candidates for the rest of the run.
     """
-    nrows = T.shape[0]
+    nrows = T.shape[0] - 1
+    reduced, rhs = T[-1, :-1], T[:-1, -1]
+    allowed = None
     for _ in range(budget):
-        reduced = z[:-1]
-        eligible = np.nonzero(allowed & (reduced < -TOL))[0]
-        if eligible.size == 0:
-            return OPTIMAL
+        eligible = reduced < -TOL
+        if allowed is not None:
+            eligible &= allowed
         if entering == "bland":
-            col = int(eligible[0])
+            col = int(eligible.argmax())
         else:
-            col = int(eligible[np.argmin(reduced[eligible])])
-        colv = T[:, col]
-        pos = np.nonzero(colv > TOL)[0]
+            col = int(np.where(eligible, reduced, np.inf).argmin())
+        if not eligible[col]:
+            return OPTIMAL
+        colv = T[:-1, col]
+        pos = (colv > TOL).nonzero()[0]
         if pos.size == 0:
-            if bounded_objective:
-                allowed[col] = False
-                continue
-            return UNBOUNDED
-        ratios = T[pos, -1] / colv[pos]
-        best = ratios.min()
-        ties = pos[ratios <= best + window * (1.0 + abs(best))]
-        strong = ties[colv[ties] >= 0.1 * colv[ties].max()]
-        row = int(strong[np.argmin(basis[strong])])
-        _pivot(T, z, row, col, basis)
+            if not bounded_objective:
+                return UNBOUNDED
+            if allowed is None:
+                allowed = np.ones(reduced.size, dtype=bool)
+            allowed[col] = False
+            continue
+        row = pos[0]
+        if pos.size > 1:
+            cpos = colv[pos]
+            ratios = rhs[pos] / cpos
+            best = ratios.min()
+            tie = ratios <= best + window * (1.0 + abs(best))
+            ties, cties = pos[tie], cpos[tie]
+            row = ties[0]
+            if ties.size > 1:
+                strong = ties[cties >= 0.1 * cties.max()]
+                row = strong[basis[strong].argmin()]
+        _pivot(T, int(row), col, basis)
     raise LpNumericalError(
         f"no optimal basis within {budget} pivots ({nrows} rows)"
     )
@@ -195,76 +214,48 @@ class _ConstraintForm:
     back-maps, and the memoized phase-1 outcome of each pivot policy."""
 
     def __init__(self, lp: LinearProgram):
-        nv = lp.objective.size
-        self.n_user = len(lp.constraints)
-
-        self.shift = np.zeros(nv)
-        self.free_extra = []
-        for j, lo in enumerate(lp.lower):
-            if lo is None:
-                self.free_extra.append(j)
-            else:
-                self.shift[j] = float(lo)
-        self.nv = nv
-        ncols_struct = nv + len(self.free_extra)
-        self.ncols_struct = ncols_struct
-
-        def expand(row_a):
-            full = np.zeros(ncols_struct)
-            full[:nv] = row_a
-            for t, j in enumerate(self.free_extra):
-                full[nv + t] = -row_a[j]
-            return full
-
-        rows_a, rows_rel, rows_b = [], [], []
-        for a, rel, b in lp.constraints:
-            rows_a.append(expand(a))
-            rows_rel.append(rel)
-            rows_b.append(b - a @ self.shift)
-        for j, up in enumerate(lp.upper):
-            if up is None:
-                continue
-            if lp.lower[j] is None:
-                raise LpError("upper bound on a free variable is not supported")
-            a = np.zeros(nv)
-            a[j] = 1.0
-            rows_a.append(expand(a))
-            rows_rel.append(LE)
-            rows_b.append(float(up) - self.shift[j])
-
-        nrows = len(rows_a)
-        self.nrows = nrows
-        A = np.zeros((nrows, ncols_struct + nrows))
-        b = np.zeros(nrows)
-        flip = np.ones(nrows)
-        needs_artificial = []
-        for i in range(nrows):
-            a, rel, bi = rows_a[i], rows_rel[i], rows_b[i]
-            if bi < 0:
-                a, bi = -a, -bi
-                flip[i] = -1.0
-                rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            A[i, :ncols_struct] = a
-            b[i] = bi
-            if rel == LE:
-                A[i, ncols_struct + i] = 1.0
-            elif rel == GE:
-                A[i, ncols_struct + i] = -1.0
-                needs_artificial.append(i)
-            else:
-                needs_artificial.append(i)
-        self.A = A
-        self.b = b
-        self.flip = flip
-        self.needs_artificial = needs_artificial
+        nv = self.nv = lp.objective.size
+        n_user = self.n_user = len(lp.constraints)
+        self.free_extra = [j for j, lo in enumerate(lp.lower) if lo is None]
+        self.shift = np.array([0.0 if lo is None else float(lo) for lo in lp.lower])
+        ub = [j for j, up in enumerate(lp.upper) if up is not None]
+        if any(lp.lower[j] is None for j in ub):
+            raise LpError("upper bound on a free variable is not supported")
+        ncols_struct = self.ncols_struct = nv + len(self.free_extra)
+        nrows = self.nrows = n_user + len(ub)
         self.ncols = ncols_struct + nrows
+
+        # User rows, then one row x_j <= u_j per upper bound.  A row with a
+        # negative rhs is negated, which swaps <= and >=; the slack of a <=
+        # row enters with +1, of a >= row with -1.
+        rhs = ([bi - a @ self.shift for a, _, bi in lp.constraints]
+               + [float(lp.upper[j]) - self.shift[j] for j in ub])
+        rels = [rel for _, rel, _ in lp.constraints] + [LE] * len(ub)
+        flip = [-1.0 if v < 0 else 1.0 for v in rhs]
+        slack = [0.0 if rel == EQ else f if rel == LE else -f for rel, f in zip(rels, flip)]
+        A = np.zeros((nrows, self.ncols))
+        S = A[:, :ncols_struct]
+        if n_user:
+            S[:n_user, :nv] = [a for a, _, _ in lp.constraints]
+        if ub:
+            S[range(n_user, nrows), ub] = 1.0
+        if self.free_extra:
+            # A free variable's second column carries the negated coefficients.
+            S[:, nv:] = -S[:, self.free_extra]
+        self.flip = np.array(flip)
+        if -1.0 in flip:
+            S *= self.flip[:, None]
+        np.fill_diagonal(A[:, ncols_struct:], slack)
+        self.A, self.b = A, np.array(rhs) * self.flip
+        self.needs_artificial = np.array([i for i, v in enumerate(slack) if v <= 0.0], dtype=int)
+        self.resid_tol = CHECK_TOL * (1.0 + np.abs(self.b).max(initial=0.0))
         self.budget = 50 * (self.ncols + nrows)
         self._phase_one = {}
 
     def phase_one(self, window: float, entering: str):
         """``_phase_one`` under one pivot policy, computed once.
 
-        Returns (T, basis, row_kept), None when the constraints are
+        Returns (T, basis, kept), None when the constraints are
         infeasible, or the LpNumericalError that phase 1 raised.  Callers
         must not modify the returned arrays.
         """
@@ -283,63 +274,56 @@ class _Objective:
     def __init__(self, lp: LinearProgram, form: _ConstraintForm):
         self.sign = 1.0 if lp.sense == MINIMIZE else -1.0
         self.c_user = self.sign * lp.objective
-        self.c_std = np.concatenate([self.c_user, -self.c_user[form.free_extra]])
-        self.c_full = np.concatenate([self.c_std, np.zeros(form.nrows)])
+        self.c_full = np.zeros(form.ncols)
+        self.c_full[: form.nv] = self.c_user
+        self.c_full[form.nv : form.ncols_struct] = -self.c_user[form.free_extra]
+        self.c_std = self.c_full[: form.ncols_struct]
 
 
 def _phase_one(form: _ConstraintForm, window: float, entering: str):
     """A feasible starting tableau for phase 2 under a fixed pivot policy.
 
-    Returns (T, basis, row_kept) with the artificial columns removed, or
-    None when the constraints are infeasible; raises LpNumericalError when
-    the budget runs out.  Depends on the constraints and the policy only,
-    never on the objective.
+    Returns (T, basis, kept) with the artificial columns removed and a last
+    row for phase 2's objective, where ``kept`` lists the rows left after
+    redundant ones were dropped, or is None when none was; or returns None
+    when the constraints are infeasible; raises LpNumericalError when the
+    budget runs out.  Depends on the constraints and the policy only, never
+    on the objective.
     """
-    A, b, nrows, ncols = form.A, form.b, form.nrows, form.ncols
-    row_kept = np.ones(nrows, dtype=bool)
-    n_art = len(form.needs_artificial)
+    nrows, ncols, art = form.nrows, form.ncols, form.needs_artificial
+    basis = form.ncols_struct + np.arange(nrows)
+    n_art = art.size
+    T = np.zeros((nrows + 1, ncols + n_art + 1))
+    T[:nrows, :ncols] = form.A
+    T[:nrows, -1] = form.b
     if not n_art:
-        return np.hstack([A, b[:, None]]), form.ncols_struct + np.arange(nrows), row_kept
-    A1 = np.hstack([A, np.zeros((nrows, n_art))])
-    basis = np.empty(nrows, dtype=int)
-    for t, i in enumerate(form.needs_artificial):
-        A1[i, ncols + t] = 1.0
-        basis[i] = ncols + t
-    for i in range(nrows):
-        if i not in form.needs_artificial:
-            basis[i] = form.ncols_struct + i
-    T = np.hstack([A1, b[:, None]])
-    c1 = np.zeros(ncols + n_art)
-    c1[ncols:] = 1.0
-    z = np.concatenate([c1, [0.0]])
-    for i in form.needs_artificial:
-        z -= T[i]
-    allowed = np.ones(ncols + n_art, dtype=bool)
-    _run_simplex(T, z, basis, allowed, form.budget, window, entering,
-                 bounded_objective=True)
-    if -z[-1] > CHECK_TOL:
+        return T, basis, None
+    basis[art] = ncols + np.arange(n_art)
+    T[art, basis[art]] = 1.0
+    # Phase-1 costs: 1 on each artificial, minus every artificial row,
+    # subtracted one row at a time in row order.
+    T[-1, ncols:-1] = 1.0
+    T[-1] = np.subtract.reduce(T[np.append(nrows, art)])
+    _run_simplex(T, basis, form.budget, window, entering, bounded_objective=True)
+    if -T[-1, -1] > CHECK_TOL:
         return None
     # Drive leftover artificials out of the basis; an artificial stuck in
     # an all-zero row marks a redundant constraint, which is dropped.
-    for i in range(nrows):
-        if basis[i] >= ncols:
-            cand = np.nonzero(np.abs(T[i, :ncols]) > 1e-7)[0]
-            if cand.size == 0:
-                cand = np.nonzero(np.abs(T[i, :ncols]) > TOL)[0]
-            if cand.size:
-                piv = T[i, cand[0]]
-                T[i] /= piv
-                colvals = T[:, cand[0]].copy()
-                colvals[i] = 0.0
-                T -= np.outer(colvals, T[i])
-                z -= z[cand[0]] * T[i]
-                basis[i] = int(cand[0])
-            else:
-                row_kept[i] = False
-    if not np.all(row_kept):
-        T = T[row_kept]
-        basis = basis[row_kept]
-    return np.hstack([T[:, :ncols], T[:, -1:]]), basis, row_kept
+    dropped = []
+    for i in (basis >= ncols).nonzero()[0]:
+        row = np.abs(T[i, :ncols])
+        cand = (row > 1e-7).nonzero()[0]
+        if cand.size == 0:
+            cand = (row > TOL).nonzero()[0]
+        if cand.size:
+            _pivot(T, i, int(cand[0]), basis)
+        else:
+            dropped.append(i)
+    T = np.concatenate([T[:, :ncols], T[:, -1:]], axis=1)
+    if not dropped:
+        return T, basis, None
+    kept = np.setdiff1d(np.arange(nrows), dropped)
+    return T[np.append(kept, nrows)], basis[kept], kept
 
 
 def _phase_two(form: _ConstraintForm, obj: _Objective, start, window: float, entering: str):
@@ -349,14 +333,14 @@ def _phase_two(form: _ConstraintForm, obj: _Objective, start, window: float, ent
     raises LpNumericalError when the budget runs out.
     """
     T, basis = start[0].copy(), start[1].copy()
-    z = np.concatenate([obj.c_full, [0.0]])
-    z -= obj.c_full[basis] @ T
-    status = _run_simplex(T, z, basis, np.ones(form.ncols, dtype=bool), form.budget,
-                          window, entering)
+    z = T[-1]
+    z[:-1], z[-1] = obj.c_full, 0.0
+    z -= obj.c_full[basis] @ T[:-1]
+    status = _run_simplex(T, basis, form.budget, window, entering)
     return None if status == UNBOUNDED else basis
 
 
-def _extract(form: _ConstraintForm, obj: _Objective, basis, row_kept):
+def _extract(form: _ConstraintForm, obj: _Objective, basis, kept):
     """Primal/dual recovery from a terminal basis, with feasibility checks.
 
     Both solves run against the unpivoted data, so tableau drift cannot leak
@@ -364,35 +348,39 @@ def _extract(form: _ConstraintForm, obj: _Objective, basis, row_kept):
     feasible (the caller then retries under a coarser pivot policy).
     """
     A, b = form.A, form.b
-    kept = np.nonzero(row_kept)[0]
-    Bmat = A[np.ix_(kept, basis)]
-    cB = obj.c_full[basis]
+    if kept is None:
+        Bmat, bk = A[:, basis], b
+    else:
+        Bmat, bk = A[np.ix_(kept, basis)], b[kept]
     try:
-        xb = np.linalg.solve(Bmat, b[kept])
-        yk = np.linalg.solve(Bmat.T, cB)
+        xb = np.linalg.solve(Bmat, bk)
+        yk = np.linalg.solve(Bmat.T, obj.c_full[basis])
     except np.linalg.LinAlgError:
         return None
-    if not (np.all(np.isfinite(xb)) and np.all(np.isfinite(yk))):
+    if not (np.isfinite(xb).all() and np.isfinite(yk).all()):
         return None
     if xb.min(initial=0.0) < -CHECK_TOL:
         return None
     x_std = np.zeros(form.ncols)
-    x_std[basis] = np.clip(xb, 0.0, None)
-    resid = np.abs(A @ x_std - b).max() if len(b) else 0.0
-    if resid > CHECK_TOL * (1.0 + np.abs(b).max(initial=0.0)):
+    x_std[basis] = np.maximum(xb, 0.0)
+    resid = np.abs(A @ x_std - b).max(initial=0.0)
+    if resid > form.resid_tol:
         return None
-    y_std = np.zeros(form.nrows)
-    y_std[kept] = yk
+    y_std = yk
+    if kept is not None:
+        y_std = np.zeros(form.nrows)
+        y_std[kept] = yk
 
     x = x_std[: form.nv].copy()
-    for t, j in enumerate(form.free_extra):
-        x[j] -= x_std[form.nv + t]
+    if form.free_extra:
+        x[form.free_extra] -= x_std[form.nv : form.ncols_struct]
     x += form.shift
     primal_obj_std = float(obj.c_std @ x_std[: form.ncols_struct])
     dual_obj_std = float(y_std @ b)
     duals = obj.sign * form.flip[: form.n_user] * y_std[: form.n_user]
-    objective = obj.sign * (primal_obj_std + obj.c_user @ form.shift)
-    dual_objective = obj.sign * (dual_obj_std + obj.c_user @ form.shift)
+    c_shift = obj.c_user @ form.shift
+    objective = obj.sign * (primal_obj_std + c_shift)
+    dual_objective = obj.sign * (dual_obj_std + c_shift)
     return LpSolution(
         status=OPTIMAL,
         x=x,

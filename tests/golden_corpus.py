@@ -12,7 +12,10 @@ searches gave way to the exact minimizer; no f value rose by more than
 had missed a kink of the column regret.  The ``generate_tight`` entries
 (with ``tight_feasible`` on the same inputs) were added from the code before
 the generator's LPs began to share one phase 1 per constraint set, and are
-compared exactly.  Regenerate with
+compared exactly.  The ``solve_lp`` entries (60 seeded programs and the real
+LPs of one ts_solve run and one generate_tight draw) were added from the
+code before the simplex kernel's pivots and set-up were rewritten, and are
+compared exactly too.  Regenerate with
 
     PYTHONPATH=src python tests/golden_corpus.py
 
@@ -21,12 +24,15 @@ only when an output is meant to change, and say why in the change log.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
+import sys
 
 import numpy as np
 
+from nashdescent import descent, generator
 from nashdescent.adjust import (
     adjust_boundary_min,
     adjust_linear,
@@ -62,7 +68,7 @@ from nashdescent.generator import (
     tight_m_n,
     verify_tight,
 )
-from nashdescent.lp import LpNumericalError
+from nashdescent.lp import EQ, GE, LE, LinearProgram, LpNumericalError, solve_lp
 
 PATH = os.path.join(os.path.dirname(__file__), "golden_corpus.json")
 DELTA = 1e-3
@@ -309,6 +315,90 @@ def generator_entries() -> list:
     return out
 
 
+def random_program(rng) -> LinearProgram:
+    """A small seeded program with EQ/GE/LE rows and free, shifted and
+    upper-bounded variables; small integer data makes many of them
+    degenerate, infeasible or unbounded."""
+    nv = int(rng.integers(1, 7))
+    lower, upper = [], []
+    for _ in range(nv):
+        lo = [0.0, None, -1.5, 0.5][int(rng.integers(4))]
+        width = [None, None, 1.0, 2.5][int(rng.integers(4))] if lo is not None else None
+        lower.append(lo)
+        upper.append(None if width is None else lo + width)
+    integers = rng.uniform() < 0.5
+
+    def draw(size):
+        return rng.integers(-3, 4, size=size).astype(float) if integers else rng.normal(size=size)
+
+    rows = [(draw(nv), [LE, EQ, GE][int(rng.integers(3))], float(draw(1)[0]))
+            for _ in range(int(rng.integers(0, 7)))]
+    sense = ["min", "max"][int(rng.integers(2))]
+    return LinearProgram(draw(nv), sense, rows, lower=lower, upper=upper)
+
+
+# The functions that call solve_lp, by the LP they state.
+LP_SITES = {"_rebalance_row": "balance", "direction": "direction",
+            "_equalized_dual_weights": "equalized", "solve": "tight"}
+
+
+@contextlib.contextmanager
+def captured_lps(out: list):
+    """Append (site, program, outcome) for every solve_lp call that the
+    descent and the generator make inside the block."""
+    def recording(lp):
+        site = LP_SITES[sys._getframe(1).f_code.co_name]
+        try:
+            sol = solve_lp(lp)
+        except LpNumericalError as err:
+            out.append((site, lp, err))
+            raise
+        out.append((site, lp, sol))
+        return sol
+
+    modules = (descent, generator)
+    saved = [mod.solve_lp for mod in modules]
+    for mod in modules:
+        mod.solve_lp = recording
+    try:
+        yield out
+    finally:
+        for mod, fn in zip(modules, saved):
+            mod.solve_lp = fn
+
+
+def real_lps() -> list:
+    """The balance, direction, equalized-dual and tight LPs of one seeded
+    ts_solve run on a generated 3x3 tight game and one seeded 5x5
+    generate_tight draw, as (site, program, outcome)."""
+    game = sample_tight_games(3, 3, 1, np.random.default_rng(121), groups=1)[0].game
+    p0 = lattice_profile(3, 3, 10, np.random.default_rng(122))
+    rng = np.random.default_rng(123)
+    inp = sample_inputs(5, 5, "disjoint", rng, pure_duals=False)
+    out = []
+    with captured_lps(out):
+        ts_solve(game, p0, DELTA, max_iter=MAX_ITER)
+        generate_tight(inp, count=2, rng=rng)
+    return out
+
+
+def lp_entries() -> list:
+    """solve_lp on 60 seeded programs and on the captured real LPs; compared
+    exactly."""
+    rng = np.random.default_rng(131)
+    cases = []
+    for _ in range(60):
+        lp = random_program(rng)
+        try:
+            cases.append(("random", lp, solve_lp(lp)))
+        except LpNumericalError as err:
+            cases.append(("random", lp, err))
+    cases += real_lps()
+    return [{"site": site, "rows": len(lp.constraints),
+             **({"error": str(out)} if isinstance(out, LpNumericalError) else plain(out))}
+            for site, lp, out in cases]
+
+
 def baseline_entries(games) -> list:
     out = []
     games = games + _random_games()
@@ -361,6 +451,7 @@ def build_corpus() -> dict:
         "segment_min_f": segment_entries(),
         "verify_tight": verify_entries(),
         "generate_tight": generator_entries(),
+        "solve_lp": lp_entries(),
         "baselines": baseline_entries(games),
         "experiments": experiment_entries(),
     }

@@ -2,9 +2,9 @@
 
 Floats must agree to 1e-12; everything discrete (cases, branches, methods,
 iteration counts, fallbacks, record fields, skip flags) must agree exactly.
-The generator entries are compared exactly, floats included: the generated
-payoffs are vertices of a feasibility LP, and a bit-identical LP kernel must
-return them bit for bit.
+The generator and solve_lp entries are compared exactly, floats included:
+the generated payoffs are vertices of a feasibility LP, and a bit-identical
+LP kernel must return them, and every LP answer, bit for bit.
 
 One discrete field is decided by a float comparison: ts_solve reports the
 stationary profile as best when sp.f <= ts_f.  Where the two values lie
@@ -57,7 +57,8 @@ def test_corpus_is_reproduced():
         want = json.load(fh)
     got = json.loads(json.dumps(build_corpus()))
     set_aside_tied_picks(got, want)
-    bad = mismatches(got.pop("generate_tight"), want.pop("generate_tight"),
-                     ".generate_tight", tol=0.0)
+    bad = []
+    for key in ("generate_tight", "solve_lp"):
+        mismatches(got.pop(key), want.pop(key), f".{key}", bad, tol=0.0)
     bad = mismatches(got, want, out=bad)
     assert not bad, f"{len(bad)} mismatches, first: " + "; ".join(bad[:10])

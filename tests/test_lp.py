@@ -273,3 +273,86 @@ def test_phase_one_runs_once_per_policy(monkeypatch):
     for c in (np.array([1.0, 1.0]), np.array([-1.0, 0.0])):
         assert solve_lp(base.with_objective(c, "max")).status == INFEASIBLE
     assert calls == list(lpmod._ATTEMPTS[:2])
+
+
+# ---------------------------------------------------------------------------
+# Phase 1's frozen columns.
+
+
+def test_phase_one_freezes_an_unbounded_looking_column():
+    import nashdescent.lp as lpmod
+
+    # Columns x0, x1, s0, s1 | rhs; the last row holds the reduced costs.
+    # x0 prices out negative but has no positive entry: phase 1 cannot be
+    # unbounded, so x0 is frozen and x1 enters at row 0 (ratio 1 < 2).
+    # That pivot gives x0 a positive entry in row 1, yet x0 stays frozen.
+    def tableau():
+        return np.array([[-1.0, 1.0, 1.0, 0.0, 1.0],
+                         [0.0, 1.0, 0.0, 1.0, 2.0],
+                         [-1.0, -1.0, 0.0, 0.0, -1.0]])
+
+    T, basis = tableau(), np.array([2, 3])
+    status = lpmod._run_simplex(T, basis, 10, lpmod.TOL, "bland", bounded_objective=True)
+    assert status == OPTIMAL
+    assert basis.tolist() == [1, 3]
+    assert T.tolist() == [[-1.0, 1.0, 1.0, 0.0, 1.0],
+                          [1.0, 0.0, -1.0, 1.0, 1.0],
+                          [-2.0, 0.0, 1.0, 0.0, 0.0]]
+    # A frozen column is frozen for one run only: the next run enters it.
+    assert lpmod._run_simplex(T, basis, 10, lpmod.TOL, "bland",
+                              bounded_objective=True) == OPTIMAL
+    assert basis.tolist() == [1, 0]
+    # Phase 2 has no floor under its objective: the same column is unbounded.
+    T, basis = tableau(), np.array([2, 3])
+    assert lpmod._run_simplex(T, basis, 10, lpmod.TOL, "bland") == UNBOUNDED
+    assert basis.tolist() == [2, 3]
+
+
+# ---------------------------------------------------------------------------
+# Differential test against HiGHS.
+
+
+def highs_outcome(lp, presolve=True):
+    """(status, objective) of the same program under scipy's HiGHS."""
+    from scipy.optimize import linprog
+
+    sign = 1.0 if lp.sense == "min" else -1.0
+    ub = [(a, b) if rel == LE else (-a, -b) for a, rel, b in lp.constraints if rel != EQ]
+    eq = [(a, b) for a, rel, b in lp.constraints if rel == EQ]
+    res = linprog(
+        sign * lp.objective,
+        A_ub=np.array([a for a, _ in ub]) if ub else None,
+        b_ub=np.array([b for _, b in ub]) if ub else None,
+        A_eq=np.array([a for a, _ in eq]) if eq else None,
+        b_eq=np.array([b for _, b in eq]) if eq else None,
+        bounds=list(zip(lp.lower, lp.upper)),
+        method="highs",
+        options={"presolve": presolve},
+    )
+    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(res.status, res.message)
+    return status, (sign * res.fun if res.status == 0 else None)
+
+
+def agrees_with_highs(lp, sol, presolve=True):
+    status, objective = highs_outcome(lp, presolve)
+    if status != sol.status:
+        return False
+    return status != OPTIMAL or abs(sol.objective - objective) <= 1e-7 * (1.0 + abs(objective))
+
+
+def test_differential_against_highs():
+    pytest.importorskip("scipy")
+    from .golden_corpus import random_program, real_lps
+
+    rng = np.random.default_rng(2024)
+    programs = [random_program(rng) for _ in range(1200)]
+    programs += [lp for _, lp, _ in real_lps()]
+    statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for lp in programs:
+        sol = solve_lp(lp)
+        statuses[sol.status] += 1
+        # With presolve on, HiGHS reports some unbounded programs as
+        # infeasible; a disagreement stands only if it survives presolve off.
+        assert agrees_with_highs(lp, sol) or agrees_with_highs(lp, sol, presolve=False), (
+            lp, sol, highs_outcome(lp, presolve=False))
+    assert min(statuses.values()) >= 100, statuses
