@@ -15,7 +15,6 @@ from .adjust import (
     adjust_linear,
     adjust_ts,
     lambda_mu,
-    lambda_star_mu_star,
     rectangle_scan,
     ts_solve,
 )

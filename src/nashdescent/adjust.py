@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descent import StationaryPoint, find_stationary, lambda_mu_star
+from .descent import StationaryPoint, find_stationary
 from .game import SUPPORT_TOL, Game, Profile, grid_f, mixed, regrets, segment_min_f, supports
 
 METHOD_TS = "ts"
@@ -67,15 +67,6 @@ def lambda_mu(game: Game, sp: StationaryPoint, tol: float = SUPPORT_TOL) -> tupl
     lam = float(((w - x) @ game.R)[sup.col_best].min())
     mu = float((game.C @ (z - y))[sup.row_best].min())
     return lam, mu
-
-
-def lambda_star_mu_star(game: Game, sp: StationaryPoint) -> tuple[float, float]:
-    """Height differences lambda* = (w*-x*)'Rz*, mu* = w*'C(z*-y*).
-
-    Also expressible through regret differences across the square's corners;
-    both identities are exercised by the test suite.
-    """
-    return lambda_mu_star(game, sp.profile, sp.dual)
 
 
 def adjust_ts(game: Game, sp: StationaryPoint, tol: float = SUPPORT_TOL) -> AdjustmentOutcome:

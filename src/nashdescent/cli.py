@@ -61,7 +61,10 @@ def _static_instance(name: str):
     if name == "tight-3x3":
         return tight_3x3()
     if name.startswith("tight-"):
-        m, n = _parse_size(name[len("tight-"):])
+        try:
+            m, n = _parse_size(name[len("tight-"):])
+        except argparse.ArgumentTypeError as err:
+            raise GameError(f"static instance {name!r}: {err}") from err
         return tight_m_n(m, n)
     if name == "no-dominated":
         return tight_no_dominated()

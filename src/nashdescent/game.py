@@ -59,6 +59,8 @@ def mixed(vec, k: int | None = None) -> np.ndarray:
 
 def pure(k: int, i: int) -> np.ndarray:
     """The pure strategy e_i in a k-action strategy space."""
+    if not 0 <= i < k:
+        raise GameError(f"pure strategy index {i} is outside [0, {k})")
     v = np.zeros(k)
     v[i] = 1.0
     v.flags.writeable = False

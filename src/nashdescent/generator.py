@@ -37,10 +37,9 @@ def _bound_curve(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """min of the two estimates st/(s+t) and (1-s)/(1+t-s), guarded at 0/0."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        first = np.where(s + t > 0, s * t / np.maximum(s + t, 1e-300), 0.0)
-        den = 1.0 + t - s
-        second = np.where(den > 0, (1.0 - s) / np.maximum(den, 1e-300), np.inf)
+    first = np.where(s + t > 0, s * t / np.maximum(s + t, 1e-300), 0.0)
+    den = 1.0 + t - s
+    second = np.where(den > 0, (1.0 - s) / np.maximum(den, 1e-300), np.inf)
     return np.minimum(first, second)
 
 
@@ -61,20 +60,30 @@ def _golden_max(f, lo: float, hi: float, iters: int):
     return mid, f(mid)
 
 
+# Rows of s per block of the coarse scan in solve_b.
+_ROW_BLOCK = 8
+
+
 @lru_cache(maxsize=1)
 def solve_b() -> Constants:
     """Maximize min{st/(s+t), (1-s)/(1+t-s)} over the unit square.
 
-    A 1000x1000 grid locates the optimum; 40 golden-section rounds on t,
-    each with an exact inner golden-section maximization over s, refine it.
+    A scan of the 1001x1001 lattice of step 1/1000, _ROW_BLOCK rows of s at
+    a time, locates the optimum; 40 golden-section rounds on t, each with
+    an exact inner golden-section maximization over s, refine it.  The scan
+    keeps the first maximal cell in row-major order, the cell np.argmax
+    picks on the whole lattice (notes/decisions.md section 8).
     The inner problem is unimodal (the min of an increasing and a decreasing
     function of s), so the nesting converges; flat coordinate-wise search
     would stall on the crossing ridge.
     """
     grid = np.linspace(0.0, 1.0, 1001)
-    S, T = np.meshgrid(grid, grid, indexing="ij")
-    vals = _bound_curve(S, T)
-    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    best, j = -np.inf, 0
+    for lo in range(0, grid.size, _ROW_BLOCK):
+        vals = _bound_curve(grid[lo:lo + _ROW_BLOCK, None], grid)
+        k = int(np.argmax(vals))
+        if vals.flat[k] > best:
+            best, j = vals.flat[k], k % grid.size
 
     def best_over_s(t: float) -> float:
         return _golden_max(lambda s: float(_bound_curve(s, t)), 0.0, 1.0, 90)[1]

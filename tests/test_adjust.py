@@ -10,11 +10,10 @@ from nashdescent.adjust import (
     adjust_linear,
     adjust_ts,
     lambda_mu,
-    lambda_star_mu_star,
     rectangle_scan,
     ts_solve,
 )
-from nashdescent.descent import DualSolution, StationaryPoint, stationary_from
+from nashdescent.descent import DualSolution, StationaryPoint, lambda_mu_star, stationary_from
 from nashdescent.game import Game, Profile, mixed, pure, regrets, uniform
 
 
@@ -51,19 +50,22 @@ class TestLambdaMu:
 
 class TestLambdaStarMuStar:
     def test_tight_instance(self, eq1, cons):
-        lam, mu = lambda_star_mu_star(eq1.game, eq1.stationary_point())
+        sp = eq1.stationary_point()
+        lam, mu = lambda_mu_star(eq1.game, sp.profile, sp.dual)
         assert lam == pytest.approx(cons.lambda0, abs=1e-12)
         assert mu == pytest.approx(cons.mu0, abs=1e-12)
 
     def test_dfm_tight_entrywise(self, eq3):
-        lam, mu = lambda_star_mu_star(eq3.game, eq3.stationary_point())
+        sp = eq3.stationary_point()
+        lam, mu = lambda_mu_star(eq3.game, sp.profile, sp.dual)
         assert lam == pytest.approx(eq3.game.R[2, 2] - eq3.game.R[0, 2], abs=1e-12)
         assert mu == pytest.approx(eq3.game.C[2, 2] - eq3.game.C[2, 0], abs=1e-12)
         assert (lam, mu) == (pytest.approx(0.5), pytest.approx(1.0))
 
     def test_dfm_family(self, eq4_family):
         inst = eq4_family(0.1)
-        lam, mu = lambda_star_mu_star(inst.game, inst.stationary_point())
+        sp = inst.stationary_point()
+        lam, mu = lambda_mu_star(inst.game, sp.profile, sp.dual)
         assert lam == pytest.approx(2 / 3 - 0.05, abs=1e-12)
         assert mu == pytest.approx(2 / 3 + 0.1, abs=1e-12)
 
@@ -77,7 +79,7 @@ class TestLambdaStarMuStar:
                     g, Profile(inst.input.x_star, inst.input.y_star),
                     DualSolution(inst.rho_star, inst.input.w_star, inst.input.z_star),
                 )
-            lam, mu = lambda_star_mu_star(g, sp)
+            lam, mu = lambda_mu_star(g, sp.profile, sp.dual)
             x, y = sp.profile
             w, z = sp.dual.w, sp.dual.z
             f_xz = regrets(g, Profile(x, z))

@@ -97,6 +97,20 @@ def test_bad_init_spec_is_io_error(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("init", ["pure:-1,0", "pure:5,0", "pure:0,2"])
+def test_pure_init_out_of_range_is_io_error(tmp_path, capsys, init):
+    run(capsys, "generate", "--static", "half-sp", "--out", str(tmp_path))
+    code = main(["solve", str(tmp_path / "half-sp.json"), "--init", init])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: pure strategy index")
+
+
+def test_malformed_static_size_is_io_error(tmp_path, capsys):
+    code = main(["generate", "--static", "tight-3", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: static instance 'tight-3'")
+
+
 def test_exp_success_subcommand(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, text = run(capsys, "exp-success", "--size", "3x3", "--trials", "10",

@@ -52,6 +52,19 @@ def test_game_rejects_out_of_range_entries():
         Game(np.array([[1.5]]), np.array([[0.0]]))
 
 
+def test_pure_rejects_index_out_of_range():
+    assert pure(3, 2).tolist() == [0.0, 0.0, 1.0]
+    for i in (-1, 3):
+        with pytest.raises(GameError, match="outside"):
+            pure(3, i)
+    g = Game(np.zeros((2, 3)), np.zeros((2, 3)))
+    assert g.pure_profile(1, 2).y.tolist() == [0.0, 0.0, 1.0]
+    with pytest.raises(GameError):
+        g.pure_profile(2, 0)
+    with pytest.raises(GameError):
+        g.pure_profile(0, -1)
+
+
 def test_regrets_at_tight_stationary_profile(eq1, cons):
     r = regrets(eq1.game, eq1.profile)
     assert r.fR == pytest.approx(cons.b, abs=1e-9)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,31 @@ class TestConstants:
 
     def test_rho_star(self, cons):
         assert cons.rho_star == pytest.approx(cons.mu0 / (cons.lambda0 + cons.mu0))
+
+    def test_bit_identical_to_full_grid_derivation(self):
+        # The values a whole 1001x1001 meshgrid scan gave; the row-block scan
+        # must pick the same grid cell and so reproduce them to the last bit.
+        cons = solve_b()
+        assert cons.b == 0.339332122592393
+        assert cons.lambda0 == 0.8128147733676225
+        assert cons.mu0 == 0.5825222146359572
+
+    def test_cold_derivation_allocates_little(self):
+        # numpy reports its buffers to tracemalloc; a whole-grid evaluation
+        # peaks near 47 MB.
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        solve_b.cache_clear()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            solve_b()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < 4e6
 
 
 def assert_satisfies_feasibility_program(game, inp, k, l, cons, tol=1e-7):
