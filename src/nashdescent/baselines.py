@@ -58,12 +58,26 @@ def fictitious_play(game: Game, rounds: int) -> RunTrace:
     return RunTrace("fp", rounds, profile, regrets(game, profile).f, tuple(history))
 
 
+# Rounds whose uniforms regret_matching draws from the generator at once.
+_RM_CHUNK = 4096
+
+
+def _pick(p: np.ndarray, u: float) -> int:
+    """The action Generator.choice(p.size, p=p) returns when its uniform is u."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right"))
+
+
 def regret_matching(game: Game, rounds: int, rng: np.random.Generator | None = None,
                     seed: int | None = None) -> RunTrace:
     """Regret matching with external regrets.
 
     Players randomize proportionally to positive cumulative regrets (uniform
     when none is positive); the trace reports the empirical average profile.
+    Each round consumes two uniforms from rng, the row player's first, as
+    two Generator.choice calls would; they are drawn _RM_CHUNK rounds at a
+    time, 2*rounds in all, so rng ends in the same state.
     """
     if rounds < 1:
         raise ValueError("rounds must be positive")
@@ -78,12 +92,15 @@ def regret_matching(game: Game, rounds: int, rng: np.random.Generator | None = N
     stride = _history_stride(rounds)
     history = []
     for t in range(1, rounds + 1):
+        k = 2 * ((t - 1) % _RM_CHUNK)
+        if k == 0:
+            u = rng.random(2 * min(_RM_CHUNK, rounds - t + 1)).tolist()
         px = np.clip(regret_x, 0.0, None)
         px = px / px.sum() if px.sum() > 0 else np.full(m, 1.0 / m)
         py = np.clip(regret_y, 0.0, None)
         py = py / py.sum() if py.sum() > 0 else np.full(n, 1.0 / n)
-        i = int(rng.choice(m, p=px))
-        j = int(rng.choice(n, p=py))
+        i = _pick(px, u[k])
+        j = _pick(py, u[k + 1])
         counts_x[i] += 1
         counts_y[j] += 1
         regret_x += R[:, j] - R[i, j]

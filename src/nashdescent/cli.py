@@ -86,21 +86,31 @@ def _load_game(path: str, normalize: bool = False) -> tuple[Game, dict]:
     return Game.from_doc(doc, normalize=normalize), doc
 
 
+def _profile_from(block, where: str) -> Profile:
+    if not isinstance(block, dict) or "x" not in block or "y" not in block:
+        raise GameError(f"{where} must be an object with keys 'x' and 'y'")
+    return Profile(mixed(block["x"]), mixed(block["y"]))
+
+
 def _initial_profile(game: Game, spec: str, doc: dict) -> Profile:
     if spec == "uniform":
         return game.uniform_profile()
     if spec.startswith("pure:"):
-        i, j = (int(t) for t in spec[len("pure:"):].split(","))
+        try:
+            i, j = (int(t) for t in spec[len("pure:"):].split(","))
+        except ValueError as err:
+            raise GameError(f"init {spec!r}: expected pure:I,J with two integers") from err
         return game.pure_profile(i, j)
     if spec == "file:canonical":
         canon = doc.get("canonical")
         if not canon:
             raise GameError("game file carries no canonical block")
-        return Profile(mixed(canon["x"]), mixed(canon["y"]))
+        return _profile_from(canon, "the game file's canonical block")
     if spec.startswith("file:"):
-        with open(spec[len("file:"):]) as fh:
+        path = spec[len("file:"):]
+        with open(path) as fh:
             d = json.load(fh)
-        return Profile(mixed(d["x"]), mixed(d["y"]))
+        return _profile_from(d, f"init file {path!r}")
     raise GameError(f"unknown init {spec!r}")
 
 

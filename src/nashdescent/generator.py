@@ -43,6 +43,17 @@ def _bound_curve(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.minimum(first, second)
 
 
+def _bound_point(s: float, t: float) -> float:
+    """_bound_curve at one point, in Python floats: the same correctly
+    rounded operations in the same order, so the same double
+    (notes/decisions.md section 9)."""
+    st = s + t
+    first = s * t / max(st, 1e-300) if st > 0 else 0.0
+    den = 1.0 + t - s
+    second = (1.0 - s) / max(den, 1e-300) if den > 0 else math.inf
+    return min(first, second)
+
+
 def _golden_max(f, lo: float, hi: float, iters: int):
     c = hi - GOLDEN * (hi - lo)
     d = lo + GOLDEN * (hi - lo)
@@ -72,7 +83,9 @@ def solve_b() -> Constants:
     a time, locates the optimum; 40 golden-section rounds on t, each with
     an exact inner golden-section maximization over s, refine it.  The scan
     keeps the first maximal cell in row-major order, the cell np.argmax
-    picks on the whole lattice (notes/decisions.md section 8).
+    picks on the whole lattice (notes/decisions.md section 8).  The
+    refinement evaluates _bound_point, the scalar twin of _bound_curve
+    (section 9).
     The inner problem is unimodal (the min of an increasing and a decreasing
     function of s), so the nesting converges; flat coordinate-wise search
     would stall on the crossing ridge.
@@ -86,13 +99,13 @@ def solve_b() -> Constants:
             best, j = vals.flat[k], k % grid.size
 
     def best_over_s(t: float) -> float:
-        return _golden_max(lambda s: float(_bound_curve(s, t)), 0.0, 1.0, 90)[1]
+        return _golden_max(lambda s: _bound_point(s, t), 0.0, 1.0, 90)[1]
 
-    t_lo = max(0.0, grid[j] - 0.05)
-    t_hi = min(1.0, grid[j] + 0.05)
+    t0 = float(grid[j])
+    t_lo, t_hi = max(0.0, t0 - 0.05), min(1.0, t0 + 0.05)
     lam0, _ = _golden_max(best_over_s, t_lo, t_hi, 40)
-    mu0, b = _golden_max(lambda s: float(_bound_curve(s, lam0)), 0.0, 1.0, 90)
-    return Constants(b=float(b), lambda0=float(lam0), mu0=float(mu0))
+    mu0, b = _golden_max(lambda s: _bound_point(s, lam0), 0.0, 1.0, 90)
+    return Constants(b=b, lambda0=lam0, mu0=mu0)
 
 
 @dataclass(frozen=True)
@@ -403,12 +416,9 @@ RESTRICTIONS = ("none", "disjoint", "intersecting", "nested")
 
 def _random_subset(rng, k: int, forbid_full: bool = False):
     while True:
-        mask = rng.uniform(size=k) < 0.5
-        if not mask.any():
-            continue
-        if forbid_full and mask.all():
-            continue
-        return np.nonzero(mask)[0]
+        support = np.flatnonzero(rng.uniform(size=k) < 0.5)
+        if support.size and not (forbid_full and support.size == k):
+            return support
 
 
 def _fill(rng, k: int, support) -> np.ndarray:
@@ -450,12 +460,13 @@ def sample_inputs(
                 dual = np.array([rng.integers(k)])
             else:
                 dual = _random_subset(rng, k)
-            inter = np.intersect1d(base, dual).size
-            if restriction == "disjoint" and inter:
+            members = set(base.tolist())
+            meets = not members.isdisjoint(dual.tolist())
+            if restriction == "disjoint" and meets:
                 continue
-            if restriction == "intersecting" and not inter:
+            if restriction == "intersecting" and not meets:
                 continue
-            if restriction == "nested" and not np.all(np.isin(dual, base)):
+            if restriction == "nested" and not members.issuperset(dual.tolist()):
                 continue
             return base, dual
 

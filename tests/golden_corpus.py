@@ -15,7 +15,9 @@ the generator's LPs began to share one phase 1 per constraint set, and are
 compared exactly.  The ``solve_lp`` entries (60 seeded programs and the real
 LPs of one ts_solve run and one generate_tight draw) were added from the
 code before the simplex kernel's pivots and set-up were rewritten, and are
-compared exactly too.  Regenerate with
+compared exactly too.  The ``generate_tight`` entries of the intersecting
+spec were appended from the code before sample_inputs tested supports with
+Python sets.  Regenerate with
 
     PYTHONPATH=src python tests/golden_corpus.py
 
@@ -281,7 +283,9 @@ def verify_entries() -> list:
 
 
 # (m, n, support restriction, pure duals, lambda_intersect, all_pairs); the
-# nested inputs are never feasible, so their phase 1 ends infeasible.
+# nested and intersecting inputs are never feasible, so their phase 1 ends
+# infeasible.  Together the specs reach every restriction sample_inputs
+# branches on, and the recorded inputs pin its draws.
 GENERATOR_SPECS = (
     (3, 3, "disjoint", True, False, False),
     (3, 3, "disjoint", False, False, True),
@@ -290,6 +294,7 @@ GENERATOR_SPECS = (
     (5, 5, "disjoint", True, False, True),
     (5, 5, "disjoint", False, True, False),
     (3, 3, "nested", False, False, False),
+    (3, 3, "intersecting", True, False, False),
 )
 
 

@@ -8,6 +8,9 @@ from itertools import chain, combinations
 
 import numpy as np
 
+from nashdescent.baselines import RunTrace, _history_stride
+from nashdescent.game import Game, Profile, mixed, regrets
+
 
 def nonempty_subsets(k):
     return chain.from_iterable(combinations(range(k), r) for r in range(1, k + 1))
@@ -142,3 +145,37 @@ def has_pure_ne(R, C, tol=1e-12):
         for i in range(m)
         for j in range(n)
     )
+
+
+def regret_matching_choice(game: Game, rounds: int, rng: np.random.Generator | None = None,
+                           seed: int | None = None) -> RunTrace:
+    """baselines.regret_matching as it was with one Generator.choice call
+    per player and round; the library draws the same uniforms in chunks."""
+    if rounds < 1:
+        raise ValueError("rounds must be positive")
+    if rng is None:
+        rng = np.random.default_rng(seed)
+    R, C = game.R, game.C
+    m, n = game.m, game.n
+    regret_x = np.zeros(m)
+    regret_y = np.zeros(n)
+    counts_x = np.zeros(m)
+    counts_y = np.zeros(n)
+    stride = _history_stride(rounds)
+    history = []
+    for t in range(1, rounds + 1):
+        px = np.clip(regret_x, 0.0, None)
+        px = px / px.sum() if px.sum() > 0 else np.full(m, 1.0 / m)
+        py = np.clip(regret_y, 0.0, None)
+        py = py / py.sum() if py.sum() > 0 else np.full(n, 1.0 / n)
+        i = int(rng.choice(m, p=px))
+        j = int(rng.choice(n, p=py))
+        counts_x[i] += 1
+        counts_y[j] += 1
+        regret_x += R[:, j] - R[i, j]
+        regret_y += C[i, :] - C[i, j]
+        if t % stride == 0 or t == rounds:
+            avg = Profile(mixed(counts_x / t), mixed(counts_y / t))
+            history.append((t, regrets(game, avg).f))
+    profile = Profile(mixed(counts_x / rounds), mixed(counts_y / rounds))
+    return RunTrace("rm", rounds, profile, regrets(game, profile).f, tuple(history), seed)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nashdescent.baselines import fictitious_play, regret_matching, zero_sum_baseline
+from nashdescent.baselines import _RM_CHUNK, fictitious_play, regret_matching, zero_sum_baseline
 from nashdescent.game import Game, Profile, normalize_game, regrets
 from nashdescent.generator import solve_b, tight_3x3, tight_m_n
 
-from .oracles import has_pure_ne
+from .oracles import has_pure_ne, regret_matching_choice
 
 
 class TestFictitiousPlay:
@@ -60,6 +62,35 @@ class TestRegretMatching:
                 continue
             trace = regret_matching(inst.game, 100_000, np.random.default_rng(5))
             assert trace.f <= 1e-3
+
+
+def _assert_same_run(game, rounds, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = regret_matching(game, rounds, rng, seed=seed)
+    want = regret_matching_choice(game, rounds, ref_rng, seed=seed)
+    assert (got.f, got.f_history, got.seed) == (want.f, want.f_history, want.seed)
+    assert np.array_equal(got.profile.x, want.profile.x)
+    assert np.array_equal(got.profile.y, want.profile.y)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 5), st.integers(1, 300),
+       st.integers(0, 10_000), st.booleans())
+def test_regret_matching_matches_choice_oracle(m, n, rounds, seed, ties):
+    # Small integer payoffs make tied and all-nonpositive regrets common, so
+    # the uniform fallback and zero-probability actions are exercised.
+    g = np.random.default_rng([seed, m, n])
+    if ties:
+        game = Game(g.integers(0, 3, (m, n)) / 2.0, g.integers(0, 3, (m, n)) / 2.0)
+    else:
+        game = Game(g.random((m, n)), g.random((m, n)))
+    _assert_same_run(game, rounds, seed)
+
+
+def test_regret_matching_matches_choice_oracle_across_chunks(eq1):
+    # Two whole chunks of uniforms and three rounds of a third.
+    _assert_same_run(eq1.game, 2 * _RM_CHUNK + 3, 17)
 
 
 class TestZeroSumBaseline:

@@ -105,6 +105,38 @@ def test_pure_init_out_of_range_is_io_error(tmp_path, capsys, init):
     assert capsys.readouterr().err.startswith("error: pure strategy index")
 
 
+@pytest.mark.parametrize("init", ["pure:1", "pure:a,b", "pure:0,1,2"])
+def test_malformed_pure_init_names_the_form(tmp_path, capsys, init):
+    run(capsys, "generate", "--static", "half-sp", "--out", str(tmp_path))
+    code = main(["solve", str(tmp_path / "half-sp.json"), "--init", init])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: init {init!r}: expected pure:I,J with two integers\n"
+
+
+@pytest.mark.parametrize("doc", [{"y": [1, 0, 0]}, {"x": [1, 0, 0]}, [1, 0, 0]])
+def test_init_file_without_x_and_y_is_io_error(tmp_path, capsys, doc):
+    run(capsys, "generate", "--static", "tight-3x3", "--out", str(tmp_path))
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps(doc))
+    code = main(["solve", str(tmp_path / "tight-3x3.json"), "--init", f"file:{init}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: init file {str(init)!r} must be an object with keys 'x' and 'y'\n"
+
+
+def test_canonical_block_without_y_is_io_error(tmp_path, capsys):
+    run(capsys, "generate", "--static", "tight-3x3", "--out", str(tmp_path))
+    path = tmp_path / "tight-3x3.json"
+    doc = json.loads(path.read_text())
+    del doc["canonical"]["y"]
+    path.write_text(json.dumps(doc))
+    code = main(["solve", str(path), "--init", "file:canonical"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: the game file's canonical block must be an object with keys 'x' and 'y'\n"
+
+
 def test_malformed_static_size_is_io_error(tmp_path, capsys):
     code = main(["generate", "--static", "tight-3", "--out", str(tmp_path)])
     assert code == 1

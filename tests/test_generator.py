@@ -7,6 +7,8 @@ import pytest
 from nashdescent.game import Game, Profile, pure, regrets
 from nashdescent.generator import (
     GeneratorInput,
+    _bound_curve,
+    _bound_point,
     certificate_json,
     dfm_family,
     dfm_tight,
@@ -49,6 +51,15 @@ class TestConstants:
         assert cons.b == 0.339332122592393
         assert cons.lambda0 == 0.8128147733676225
         assert cons.mu0 == 0.5825222146359572
+
+    def test_scalar_twin_equals_array_curve(self):
+        # The golden-section refinement evaluates _bound_point; it must give
+        # the very double the array form gives at the same point.
+        corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+        tiny = [(5e-324, 5e-324), (1e-310, 2e-310), (0.0, 5e-324), (1.0, 5e-324)]
+        seeded = np.random.default_rng(9).random((2000, 2)).tolist()
+        for s, t in corners + tiny + seeded:
+            assert _bound_point(s, t) == float(_bound_curve(s, t)), (s, t)
 
     def test_cold_derivation_allocates_little(self):
         # numpy reports its buffers to tracemalloc; a whole-grid evaluation
