@@ -92,6 +92,17 @@ def _profile_from(block, where: str) -> Profile:
     return Profile(mixed(block["x"]), mixed(block["y"]))
 
 
+def _witness_input(block, keys, where: str) -> GeneratorInput:
+    """The generator input stored under ``keys``, the names of x*, y*, w*
+    and z* in that order."""
+    if not isinstance(block, dict):
+        raise GameError(f"{where} must be an object")
+    for key in keys:
+        if key not in block:
+            raise GameError(f"{where} has no {key!r}")
+    return GeneratorInput(*(block[key] for key in keys))
+
+
 def _initial_profile(game: Game, spec: str, doc: dict) -> Profile:
     if spec == "uniform":
         return game.uniform_profile()
@@ -222,12 +233,13 @@ def cmd_verify(args) -> int:
     if args.cert:
         with open(args.cert) as fh:
             cd = json.load(fh)
-        inp = GeneratorInput(cd["xStar"], cd["yStar"], cd["wStar"], cd["zStar"])
+        inp = _witness_input(cd, ("xStar", "yStar", "wStar", "zStar"),
+                             f"certificate {args.cert!r}")
     else:
         canon = doc.get("canonical")
         if not canon:
             raise GameError("no certificate file and no canonical block in the game file")
-        inp = GeneratorInput(canon["x"], canon["y"], canon["w"], canon["z"])
+        inp = _witness_input(canon, ("x", "y", "w", "z"), "the game file's canonical block")
     cert = verify_tight(game, inp, grid_size=args.grid, full_grid=args.full_grid)
     print(json.dumps({"passed": cert.passed, "checks": cert.checks,
                       "values": cert.values, "mixedDuals": cert.mixed_duals}))

@@ -180,9 +180,14 @@ class Game:
     @classmethod
     def from_doc(cls, doc: dict, normalize: bool = False) -> "Game":
         """The game of a parsed JSON document (the format of ``to_json``)."""
+        if not isinstance(doc, dict):
+            raise GameError("a game document must be an object with keys 'R' and 'C'")
+        for key in ("R", "C"):
+            if key not in doc:
+                raise GameError(f"game document has no {key!r} matrix")
         R = np.array(doc["R"], dtype=float)
         C = np.array(doc["C"], dtype=float)
-        if "m" in doc and (doc["m"], doc["n"]) != R.shape:
+        if "m" in doc and (doc["m"], doc.get("n")) != R.shape:
             raise GameError("declared dimensions do not match matrix shape")
         if normalize:
             return normalize_game(R, C)

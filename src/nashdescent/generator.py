@@ -15,7 +15,9 @@ import numpy as np
 
 from .descent import DualSolution, stationary_from, verify_stationary
 from .game import SUPPORT_TOL, Game, Profile, grid_f, mixed, regrets, segment_min_f
-from .lp import EQ, GE, LE, MINIMIZE, MAXIMIZE, OPTIMAL, INFEASIBLE, LinearProgram, solve_lp
+from .lp import (
+    CHECK_TOL, EQ, GE, LE, MINIMIZE, MAXIMIZE, OPTIMAL, INFEASIBLE, LinearProgram, solve_lp,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -224,8 +226,9 @@ class _TightLpBuilder:
         anchor = int(members[0])
         for i in members[1:]:
             self.rows.append((values(int(i)) - values(anchor), EQ, 0.0))
+        in_members = set(int(t) for t in members)
         for i in universe:
-            if i not in set(int(t) for t in members):
+            if i not in in_members:
                 self.rows.append((values(anchor) - values(int(i)), GE, 0.0))
 
     def _build(self):
@@ -262,14 +265,16 @@ class _TightLpBuilder:
         anchor = int(sx[0])
         for i in sx[1:]:
             self.rows.append((A_coeffs(int(i)) - A_coeffs(anchor), EQ, 0.0))
+        in_sx = set(int(t) for t in sx)
         for i in range(m):
-            if i not in set(int(t) for t in sx):
+            if i not in in_sx:
                 self.rows.append((A_coeffs(int(i)) - A_coeffs(anchor), GE, 0.0))
         anchor = int(sy[0])
         for j in sy[1:]:
             self.rows.append((B_coeffs(int(j)) - B_coeffs(anchor), EQ, 0.0))
+        in_sy = set(int(t) for t in sy)
         for j in range(n):
-            if j not in set(int(t) for t in sy):
+            if j not in in_sy:
                 self.rows.append((B_coeffs(int(j)) - B_coeffs(anchor), GE, 0.0))
 
         # Regrets at the stationary profile equal the bound.
@@ -336,9 +341,29 @@ class _TightLpBuilder:
 
 
 def _pair_candidates(inp: GeneratorInput):
-    sx, sy, _, _ = inp.supports()
-    ks = [k for k in range(inp.m) if k not in set(int(t) for t in sx)]
-    ls = [l for l in range(inp.n) if l not in set(int(t) for t in sy)]
+    """The best-response pairs (k, l) whose tight LP may be feasible, in the
+    order the generator tries them: k outside supp x*, l outside supp y*.
+
+    A pair whose LP phase 1 is sure to reject is left out before any row is
+    built (notes/decisions.md section 10).
+    """
+    sx, sy, sw, sz = inp.supports()
+    cons = solve_b()
+    w, z = inp.w_star, inp.z_star
+    # _TightLpBuilder._build bounds R[k, j] below by 1 for j in supp z* and
+    # C[i, l] for i in supp w*, keeps every entry in [0, 1], and asks for
+    # w*'Rz* = lambda0 and w*'Cz* = mu0.  So w*'Rz* >= w*_k sum_{supp z*} z*
+    # and w*'Cz* >= z*_l sum_{supp w*} w*; a pair where either floor beats
+    # its height by more than CHECK_TOL, phase 1's infeasibility threshold,
+    # has an LP that answers INFEASIBLE.
+    z_mass = z[sz].sum()
+    w_mass = w[sw].sum()
+    in_sx = set(int(t) for t in sx)
+    in_sy = set(int(t) for t in sy)
+    ks = [k for k in range(inp.m)
+          if k not in in_sx and w[k] * z_mass - cons.lambda0 <= CHECK_TOL]
+    ls = [l for l in range(inp.n)
+          if l not in in_sy and z[l] * w_mass - cons.mu0 <= CHECK_TOL]
     return [(k, l) for k in ks for l in ls]
 
 
@@ -353,10 +378,13 @@ def generate_tight(
     """Sample games for which the prescribed stationary data is worst-case tight.
 
     Enumerates candidate best-response strategies (k, l) outside the supports
-    of x* and y*; for each feasible pair, solves ``objectives`` random linear
+    of x* and y*, less the pairs ``_pair_candidates`` shows infeasible without
+    an LP; for each feasible pair, solves ``objectives`` random linear
     objectives over the feasible polytope (coin-flipping min against max) and
-    emits ``count`` random convex combinations of the vertices found.  The
-    empty list means no game exists for this input.
+    emits ``count`` random convex combinations of the vertices found.  ``rng``
+    is drawn from only after a feasible probe, so skipping an infeasible pair
+    changes no game and no generator state.  The empty list means no game
+    exists for this input.
     """
     rng = np.random.default_rng() if rng is None else rng
     sx, sy, _, _ = inp.supports()

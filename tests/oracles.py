@@ -179,3 +179,13 @@ def regret_matching_choice(game: Game, rounds: int, rng: np.random.Generator | N
             history.append((t, regrets(game, avg).f))
     profile = Profile(mixed(counts_x / rounds), mixed(counts_y / rounds))
     return RunTrace("rm", rounds, profile, regrets(game, profile).f, tuple(history), seed)
+
+
+def pair_candidates_unscreened(inp):
+    """generator._pair_candidates as it was before it screened out pairs
+    whose tight LP is infeasible on its face: every k outside supp x* with
+    every l outside supp y*."""
+    sx, sy, _, _ = inp.supports()
+    ks = [k for k in range(inp.m) if k not in set(int(t) for t in sx)]
+    ls = [l for l in range(inp.n) if l not in set(int(t) for t in sy)]
+    return [(k, l) for k in ks for l in ls]

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nashdescent
 from nashdescent.cli import main
 from nashdescent.generator import solve_b
 
@@ -137,6 +143,35 @@ def test_canonical_block_without_y_is_io_error(tmp_path, capsys):
     assert err == "error: the game file's canonical block must be an object with keys 'x' and 'y'\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_game_file_without_c_is_io_error(tmp_path, capsys, command):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"R": [[0.0, 1.0], [1.0, 0.0]]}))
+    code = main([command, str(path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: game document has no 'C' matrix\n"
+
+
+def test_certificate_without_ystar_is_io_error(tmp_path, capsys):
+    run(capsys, "generate", "--static", "tight-3x3", "--out", str(tmp_path))
+    cert = tmp_path / "tight-3x3.cert.json"
+    cert.write_text(json.dumps({"xStar": [1, 0, 0], "wStar": [0, 0, 1], "zStar": [0, 0, 1]}))
+    code = main(["verify", str(tmp_path / "tight-3x3.json"), "--cert", str(cert)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: certificate {str(cert)!r} has no 'yStar'\n"
+
+
+def test_canonical_block_without_w_fails_verify_as_io_error(tmp_path, capsys):
+    run(capsys, "generate", "--static", "tight-3x3", "--out", str(tmp_path))
+    path = tmp_path / "tight-3x3.json"
+    doc = json.loads(path.read_text())
+    del doc["canonical"]["w"]
+    path.write_text(json.dumps(doc))
+    code = main(["verify", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: the game file's canonical block has no 'w'\n"
+
+
 def test_malformed_static_size_is_io_error(tmp_path, capsys):
     code = main(["generate", "--static", "tight-3", "--out", str(tmp_path)])
     assert code == 1
@@ -161,3 +196,34 @@ def test_exp_stability_csv_output(tmp_path, capsys):
     assert code == 0
     header = out.read_text().splitlines()[0]
     assert header.startswith("experiment,instance,algorithm")
+
+
+def test_runtime_imports_nothing_beyond_numpy(tmp_path):
+    """numpy is the only runtime dependency: constants, generate and solve,
+    run in a fresh interpreter, import only the standard library, numpy and
+    nashdescent (the test process itself has scipy, hypothesis and pytest)."""
+    script = textwrap.dedent("""
+        import sys
+        before = set(sys.modules)
+        from nashdescent.cli import main
+        out = sys.argv[1]
+        assert main(["constants"]) == 0
+        assert main(["generate", "--size", "3x3", "--seed", "7", "--out", out]) == 0
+        assert main(["solve", out + "/game_0000.json", "--algorithm", "ts"]) == 0
+        print(" ".join(sorted(set(sys.modules) - before)))
+    """)
+    src = str(Path(nashdescent.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    imported = proc.stdout.splitlines()[-1].split()
+    assert "nashdescent.cli" in imported and "numpy" in imported
+    # __mp_main__ is multiprocessing's alias of __main__; cython_runtime and
+    # _cython_X_Y_Z are registered in memory by numpy's compiled extensions.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "nashdescent", "__mp_main__",
+                                              "cython_runtime"}
+    stray = sorted(top for top in {name.partition(".")[0] for name in imported} - allowed
+                   if not top.startswith("_cython_"))
+    assert stray == []

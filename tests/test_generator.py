@@ -4,9 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nashdescent import generator
 from nashdescent.game import Game, Profile, pure, regrets
 from nashdescent.generator import (
+    RESTRICTIONS,
     GeneratorInput,
+    _TightLpBuilder,
+    _pair_candidates,
     _bound_curve,
     _bound_point,
     certificate_json,
@@ -25,6 +29,9 @@ from nashdescent.generator import (
     tight_no_dominated,
     verify_tight,
 )
+from nashdescent.lp import INFEASIBLE, solve_lp
+
+from .oracles import pair_candidates_unscreened
 
 
 class TestConstants:
@@ -155,6 +162,87 @@ class TestGenerate:
         )
         assert_satisfies_feasibility_program(blend, inp, insts[0].k, insts[0].l, cons)
         assert verify_tight(blend, inp, grid_size=80).passed
+
+
+def _sweep_inputs(sizes, per_cell):
+    """Seeded generator inputs: every size, restriction and witness kind."""
+    for m, n in sizes:
+        for r, restriction in enumerate(RESTRICTIONS):
+            for pure_duals in (True, False):
+                rng = np.random.default_rng([m, n, r, pure_duals])
+                for _ in range(per_cell):
+                    yield sample_inputs(m, n, restriction, rng, pure_duals=pure_duals)
+
+
+class TestPairScreen:
+    """_pair_candidates leaves out only pairs whose tight LP is infeasible."""
+
+    def test_dropped_pairs_have_infeasible_programs(self):
+        sizes = [(3, 3), (3, 5), (4, 4), (5, 4), (5, 5), (6, 6)]
+        dropped = kept = 0
+        for inp in _sweep_inputs(sizes, per_cell=3):
+            screened = _pair_candidates(inp)
+            every = pair_candidates_unscreened(inp)
+            # a subsequence of the unscreened enumeration, in its order
+            assert screened == [pair for pair in every if pair in set(screened)]
+            kept += len(screened)
+            for k, l in set(every) - set(screened):
+                dropped += 1
+                for intersect in (False, True):
+                    builder = _TightLpBuilder(inp, k, l, intersect)
+                    assert solve_lp(builder.lp).status == INFEASIBLE, (inp, k, l, intersect)
+        assert dropped >= 100 and kept >= 100
+
+    @pytest.mark.parametrize("all_pairs", [False, True])
+    @pytest.mark.parametrize("intersect", [False, True])
+    def test_same_games_and_rng_state_as_unscreened(self, monkeypatch, all_pairs, intersect):
+        inputs = list(_sweep_inputs([(3, 3), (4, 4), (5, 3)], per_cell=1))
+
+        def run():
+            rng = np.random.default_rng(5)
+            out = []
+            for inp in inputs:
+                insts = generate_tight(inp, count=2, objectives=2, rng=rng,
+                                       all_pairs=all_pairs, lambda_intersect=intersect)
+                out.append(([(inst.k, inst.l, inst.game.R, inst.game.C) for inst in insts],
+                            tight_feasible(inp, lambda_intersect=intersect),
+                            rng.bit_generator.state))
+            return out
+
+        got = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(generator, "_pair_candidates", pair_candidates_unscreened)
+            want = run()
+        assert sum(len(games) for games, _, _ in got) >= 4
+        for (games, feasible, state), (games0, feasible0, state0) in zip(got, want):
+            assert feasible == feasible0
+            assert state == state0
+            assert len(games) == len(games0)
+            for (k, l, R, C), (k0, l0, R0, C0) in zip(games, games0):
+                assert k == k0 and l == l0
+                assert (R == R0).all() and (C == C0).all()
+
+    @pytest.mark.parametrize("restriction", RESTRICTIONS)
+    def test_pure_witness_index_is_never_a_candidate(self, restriction):
+        rng = np.random.default_rng(17)
+        for size in (3, 4, 5, 6):
+            for _ in range(5):
+                inp = sample_inputs(size, size, restriction, rng)
+                a, b = int(inp.w_star.argmax()), int(inp.z_star.argmax())
+                for k, l in _pair_candidates(inp):
+                    assert k != a and l != b
+
+    def test_two_point_support_on_3x3_disjoint_needs_no_lp(self, monkeypatch):
+        inp = GeneratorInput([0.5, 0.5, 0.0], pure(3, 0), pure(3, 2), pure(3, 2))
+        assert pair_candidates_unscreened(inp) == [(2, 1), (2, 2)]
+        assert _pair_candidates(inp) == []
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("a tight LP was built")
+
+        monkeypatch.setattr(generator, "_TightLpBuilder", no_lp)
+        assert generate_tight(inp, rng=np.random.default_rng(0)) == []
+        assert not tight_feasible(inp)
 
 
 class TestSampleInputs:

@@ -34,3 +34,29 @@ Y0 = [0.8394008555658641, 0.02133997670016621, 0.13925916773396976]
 def test_direction_lp_rejects_its_own_optimum(solver):
     game = Game(np.array(R), np.array(C))
     solver(game, Profile(mixed(X0), mixed(Y0)), delta=1e-3, max_iter=200)
+
+
+# Bench ts-tight3, seed 65: its op on input 127 of the 400 hits the same
+# rejection of a terminal direction-LP basis under both solvers.
+R65 = [[0.08763778585529793, 0.0, 0.309316450894032],
+       [0.46818751368351375, 1.0, 0.5215667765801852],
+       [0.9004525592229202, 0.8128147733676225, 0.6486485734864249]]
+C65 = [[0.6486485734864249, 0.6486485734864249, 0.309316450894032],
+       [0.46818751368351375, 0.6869040376549391, 0.1954578863476908],
+       [1.0, 0.5825222146359572, 0.0]]
+X65 = [0.28747192206208855, 0.5972075497495093, 0.11532052818840223]
+Y65 = [0.0016167714231791154, 0.9982618981831813, 0.00012133039363958914]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=LpNumericalError,
+    reason="a direction LP of the descent ends on a basis that fails the "
+    "kernel's feasibility checks under all four pivot policies (\"terminal "
+    "basis failed feasibility checks\"); the LP kernel needs a certified "
+    "optimum (see notes/decisions.md)",
+)
+@pytest.mark.parametrize("solver", [ts_solve, dfm_solve], ids=["ts_solve", "dfm_solve"])
+def test_bench_seed_65_direction_lp_fails(solver):
+    game = Game(np.array(R65), np.array(C65))
+    solver(game, Profile(mixed(X65), mixed(Y65)), delta=1e-3, max_iter=200)
