@@ -376,8 +376,8 @@ def find_stationary(
     (carrying the best profile) if the iteration cap is hit; the default
     cap ceil(4/delta^2) honors the quadratic convergence bound.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError("delta must be a positive finite number")
     if max_iter is None:
         max_iter = math.ceil(4.0 / (delta * delta))
     p = game.check_profile(p0)

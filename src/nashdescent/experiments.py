@@ -73,8 +73,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.count < 1 or self.trials < 1 or self.rounds < 1 or self.points < 1:
             raise ValueError("counts must be positive")
-        if self.radius <= 0 or self.delta <= 0 or self.otb_delta <= 0:
-            raise ValueError("radius and precisions must be positive")
+        if not all(0.0 < v < math.inf for v in (self.radius, self.delta, self.otb_delta)):
+            raise ValueError("radius and precisions must be positive finite numbers")
 
     def ball_samples(self, m: int, n: int) -> int:
         return self.samples if self.samples is not None else 16 * (m - 1) * (n - 1)

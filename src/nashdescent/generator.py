@@ -16,7 +16,7 @@ import numpy as np
 from .descent import DualSolution, stationary_from, verify_stationary
 from .game import SUPPORT_TOL, Game, Profile, grid_f, mixed, regrets, segment_min_f
 from .lp import (
-    CHECK_TOL, EQ, GE, LE, MINIMIZE, MAXIMIZE, OPTIMAL, INFEASIBLE, LinearProgram, solve_lp,
+    CHECK_TOL, EQ, GE, MINIMIZE, MAXIMIZE, OPTIMAL, LinearProgram, solve_lp,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -174,161 +174,109 @@ class TightCertificate:
         return [name for name, ok in self.checks.items() if not ok]
 
 
+def _player_conditions(x, y, w, z, weights, k: int, height: float, b: float):
+    """One player's conditions of the tight program, stated for the row
+    player of a game (R, C) with stationary data (x*, y*, w*, z*).
+
+    A row is a (2, m, n) block of coefficients: on the player's own payoffs
+    R, then on the opponent's C.  Returns the conditions in the program's
+    order, each as (rows, relations, right-hand side); the row
+    (R y*)_k - (R y*)_a, with a the first index of supp w*; and the lower
+    bounds, as a (2, m, n) block.  ``weights`` is (rho, 1 - rho), the dual
+    weights on the player's own regret and the opponent's.
+    """
+    m, n = x.size, y.size
+    every = np.arange(m)
+
+    def per_strategy(own, opp=0.0):
+        # V[i] states a per-strategy quantity at i, on row i of each block.
+        V = np.zeros((m, 2, m, n))
+        V[every, 0, every] = own
+        V[every, 1, every] = opp
+        return V
+
+    def dominance(V, members, maximal: bool):
+        # The members (a mask) tie, and lie above (maximal) or below every
+        # other index.
+        tied, rest = members.nonzero()[0], V[~members]
+        anchor = V[tied[0]]
+        outside = anchor - rest if maximal else rest - anchor
+        rows = np.concatenate([V[tied[1:]] - anchor, outside])
+        return rows, [EQ] * (len(tied) - 1) + [GE] * len(rest), 0.0
+
+    def equals(own, value):
+        rows = np.zeros((1, 2, m, n))
+        rows[0, 0] = own
+        return rows, [EQ], value
+
+    rho, rho_opp = weights
+    sw = w > SUPPORT_TOL
+    Vy = per_strategy(y)
+    lower = np.zeros((2, m, n))
+    lower[0, k, z > SUPPORT_TOL] = 1.0
+    conditions = [
+        # w* sits on the best-response set to y*, and k best-responds to z*.
+        dominance(Vy, sw, True),
+        dominance(per_strategy(z), every == k, True),
+        # Stationarity: supp x* minimizes the certificate vector
+        # A_i = -rho (R y*)_i + (1 - rho)(C (z* - y*))_i.
+        dominance(per_strategy(-rho * y, rho_opp * (z - y)), x > SUPPORT_TOL, False),
+        # The regret at the stationary profile equals the bound.
+        equals(np.outer(w - x, y), b),
+        # Far-corner structure: a zero own payoff at (x*, z*) and the
+        # prescribed height at (w*, z*); with the lower bounds on row k,
+        # the best response to z* saturates.
+        equals(np.outer(x, z), 0.0),
+        equals(np.outer(w, z), height),
+    ]
+    return conditions, Vy[k] - Vy[sw.argmax()], lower
+
+
+def _swap_back(blocks: np.ndarray) -> np.ndarray:
+    """Blocks (C', R') stated over the swapped game, of shape (..., 2, n, m),
+    as (R, C) blocks of shape (..., 2, m, n)."""
+    return blocks[..., ::-1, :, :].swapaxes(-1, -2)
+
+
 class _TightLpBuilder:
     """Assemble the feasibility program over the 2mn payoff entries.
 
     Variables are the entries of R then C, row-major.  Every structural
     condition of the characterization is linear once the stationary profile
-    and dual witnesses are fixed.
+    and dual witnesses are fixed.  ``_player_conditions`` states the row
+    player's conditions; the column player's are the row player's of the
+    swapped game (C', R') at (y*, x*, z*, w*), weights (1 - rho, rho),
+    strategy l and height mu0, mapped back by ``_swap_back``.  The rows come
+    in this order: each condition's row-player rows, then its column-player
+    rows; then (C'x*)_l = (C'x*)_a with a the first index of supp z*, which
+    puts the boundary minimum on the linear-bound intersection; then, with
+    ``lambda_intersect``, (R y*)_k = (R y*)_a with a the first index of
+    supp w*, which makes k best-respond to y* too (notes/decisions.md
+    section 11).
     """
 
     def __init__(self, inp: GeneratorInput, k: int, l: int, lambda_intersect: bool):
-        self.inp = inp
-        self.k = k
-        self.l = l
-        self.lambda_intersect = lambda_intersect
-        self.m = inp.m
-        self.n = inp.n
-        self.nv = 2 * self.m * self.n
-        self.rows: list = []
         cons = solve_b()
-        self.b = cons.b
-        self.lam0 = cons.lambda0
-        self.mu0 = cons.mu0
-        self.rho = cons.rho_star
-        self.lower = [0.0] * self.nv
-        self._build()
-        self.lp = LinearProgram(np.zeros(self.nv), MINIMIZE, self.rows, lower=self.lower,
-                                upper=(1.0,) * self.nv)
-
-    def _r(self, i: int, j: int) -> int:
-        return i * self.n + j
-
-    def _c(self, i: int, j: int) -> int:
-        return self.m * self.n + i * self.n + j
-
-    def _row_payoff_coeffs(self, i: int, weights_y: np.ndarray) -> np.ndarray:
-        """Coefficients of (R weights_y)_i."""
-        a = np.zeros(self.nv)
-        for j in range(self.n):
-            a[self._r(i, j)] = weights_y[j]
-        return a
-
-    def _col_payoff_coeffs(self, j: int, weights_x: np.ndarray) -> np.ndarray:
-        """Coefficients of (C' weights_x)_j."""
-        a = np.zeros(self.nv)
-        for i in range(self.m):
-            a[self._c(i, j)] = weights_x[i]
-        return a
-
-    def _argmax_rows(self, values, members, universe):
-        """members all equal and dominating every index of the universe."""
-        anchor = int(members[0])
-        for i in members[1:]:
-            self.rows.append((values(int(i)) - values(anchor), EQ, 0.0))
-        in_members = set(int(t) for t in members)
-        for i in universe:
-            if i not in in_members:
-                self.rows.append((values(anchor) - values(int(i)), GE, 0.0))
-
-    def _build(self):
-        inp = self.inp
-        m, n = self.m, self.n
-        sx, sy, sw, sz = inp.supports()
         x, y, w, z = inp.x_star, inp.y_star, inp.w_star, inp.z_star
-        rho = self.rho
-
-        # Dual witnesses sit on best-response sets.
-        self._argmax_rows(lambda i: self._row_payoff_coeffs(i, y), sw, range(m))
-        self._argmax_rows(lambda j: self._col_payoff_coeffs(j, x), sz, range(n))
-        # The enumerated pure strategies are best responses to z* and w*.
-        self._argmax_rows(lambda i: self._row_payoff_coeffs(i, z), [self.k], range(m))
-        self._argmax_rows(lambda j: self._col_payoff_coeffs(j, w), [self.l], range(n))
-
-        # Stationarity: supports of x*, y* minimize the certificate vectors
-        # A_i = -rho (Ry*)_i + (1-rho)(C(z*-y*))_i  and
-        # B_j =  rho (R'(w*-x*))_j - (1-rho)(C'x*)_j.
-        def A_coeffs(i: int) -> np.ndarray:
-            a = np.zeros(self.nv)
-            for j in range(n):
-                a[self._r(i, j)] = -rho * y[j]
-                a[self._c(i, j)] = (1.0 - rho) * (z[j] - y[j])
-            return a
-
-        def B_coeffs(j: int) -> np.ndarray:
-            a = np.zeros(self.nv)
-            for i in range(m):
-                a[self._r(i, j)] = rho * (w[i] - x[i])
-                a[self._c(i, j)] = -(1.0 - rho) * x[i]
-            return a
-
-        anchor = int(sx[0])
-        for i in sx[1:]:
-            self.rows.append((A_coeffs(int(i)) - A_coeffs(anchor), EQ, 0.0))
-        in_sx = set(int(t) for t in sx)
-        for i in range(m):
-            if i not in in_sx:
-                self.rows.append((A_coeffs(int(i)) - A_coeffs(anchor), GE, 0.0))
-        anchor = int(sy[0])
-        for j in sy[1:]:
-            self.rows.append((B_coeffs(int(j)) - B_coeffs(anchor), EQ, 0.0))
-        in_sy = set(int(t) for t in sy)
-        for j in range(n):
-            if j not in in_sy:
-                self.rows.append((B_coeffs(int(j)) - B_coeffs(anchor), GE, 0.0))
-
-        # Regrets at the stationary profile equal the bound.
-        a = np.zeros(self.nv)
-        for i in range(m):
-            for j in range(n):
-                a[self._r(i, j)] = (w[i] - x[i]) * y[j]
-        self.rows.append((a, EQ, self.b))
-        a = np.zeros(self.nv)
-        for i in range(m):
-            for j in range(n):
-                a[self._c(i, j)] = x[i] * (z[j] - y[j])
-        self.rows.append((a, EQ, self.b))
-
-        # Far-corner structure: zero own payoffs, saturated best responses,
-        # and the prescribed height differences.
-        a = np.zeros(self.nv)
-        for i in range(m):
-            for j in range(n):
-                a[self._r(i, j)] = x[i] * z[j]
-        self.rows.append((a, EQ, 0.0))
-        a = np.zeros(self.nv)
-        for i in range(m):
-            for j in range(n):
-                a[self._c(i, j)] = w[i] * y[j]
-        self.rows.append((a, EQ, 0.0))
-        for j in sz:
-            self.lower[self._r(self.k, int(j))] = 1.0
-        for i in sw:
-            self.lower[self._c(int(i), self.l)] = 1.0
-        a = np.zeros(self.nv)
-        for i in range(m):
-            for j in range(n):
-                a[self._r(i, j)] = w[i] * z[j]
-        self.rows.append((a, EQ, self.lam0))
-        a = np.zeros(self.nv)
-        for i in range(m):
-            for j in range(n):
-                a[self._c(i, j)] = w[i] * z[j]
-        self.rows.append((a, EQ, self.mu0))
-
-        # The boundary minimum coincides with the linear-bound intersection.
-        anchor_z = int(sz[0])
-        self.rows.append(
-            (self._col_payoff_coeffs(self.l, x) - self._col_payoff_coeffs(anchor_z, x), EQ, 0.0)
-        )
-
-        if self.lambda_intersect:
-            # Force k to also best-respond to y*, intersecting the two
-            # row-player best-response sets.
-            anchor_w = int(sw[0])
-            self.rows.append(
-                (self._row_payoff_coeffs(self.k, y) - self._row_payoff_coeffs(anchor_w, y), EQ, 0.0)
-            )
+        # Both weight pairs hold the same two doubles: 1 - (1 - rho) may
+        # round away from rho.
+        rho, rho_c = cons.rho_star, 1.0 - cons.rho_star
+        row, k_row, lower_r = _player_conditions(x, y, w, z, (rho, rho_c), k, cons.lambda0,
+                                                 cons.b)
+        col, l_row, lower_c = _player_conditions(y, x, z, w, (rho_c, rho), l, cons.mu0, cons.b)
+        groups = []
+        for mine, (blocks, rels, rhs) in zip(row, col):
+            groups += [mine, (_swap_back(blocks), rels, rhs)]
+        groups.append((_swap_back(l_row)[None], [EQ], 0.0))
+        if lambda_intersect:
+            groups.append((k_row[None], [EQ], 0.0))
+        self.nv = 2 * inp.m * inp.n
+        coeffs = np.concatenate([blocks for blocks, _, _ in groups]).reshape(-1, self.nv)
+        rels = [rel for _, group_rels, _ in groups for rel in group_rels]
+        rhs = [value for _, group_rels, value in groups for _ in group_rels]
+        lower = (lower_r + _swap_back(lower_c)).ravel().tolist()
+        self.lp = LinearProgram(np.zeros(self.nv), MINIMIZE, tuple(zip(coeffs, rels, rhs)),
+                                lower=lower, upper=(1.0,) * self.nv)
 
     def solve(self, objective: np.ndarray | None, sense: str = MINIMIZE):
         """Optimize over the program; None asks for feasibility only.
@@ -340,31 +288,40 @@ class _TightLpBuilder:
         return solve_lp(self.lp.with_objective(c, sense))
 
 
+def _best_responses(x, w, z, height: float) -> list[int]:
+    """The strategies k outside supp x* that the row player's conditions
+    may take as the best response to z*, in increasing order.
+
+    Those conditions bound R[k, j] below by 1 for j in supp z*, keep every
+    entry in [0, 1] and ask for w*'Rz* = height, so w*'Rz* >=
+    w*_k sum_{supp z*} z*.  A k whose floor beats the height by more than
+    CHECK_TOL, phase 1's infeasibility threshold, has an LP that answers
+    INFEASIBLE (notes/decisions.md section 10).
+    """
+    z_mass = z[z > SUPPORT_TOL].sum()
+    return [k for k in range(x.size)
+            if x[k] <= SUPPORT_TOL and w[k] * z_mass - height <= CHECK_TOL]
+
+
 def _pair_candidates(inp: GeneratorInput):
     """The best-response pairs (k, l) whose tight LP may be feasible, in the
-    order the generator tries them: k outside supp x*, l outside supp y*.
-
-    A pair whose LP phase 1 is sure to reject is left out before any row is
-    built (notes/decisions.md section 10).
-    """
-    sx, sy, sw, sz = inp.supports()
+    order the generator tries them: k outside supp x*, l outside supp y*,
+    less the pairs whose LP phase 1 is sure to reject.  An input with a full
+    supp x* or supp y* has none."""
     cons = solve_b()
-    w, z = inp.w_star, inp.z_star
-    # _TightLpBuilder._build bounds R[k, j] below by 1 for j in supp z* and
-    # C[i, l] for i in supp w*, keeps every entry in [0, 1], and asks for
-    # w*'Rz* = lambda0 and w*'Cz* = mu0.  So w*'Rz* >= w*_k sum_{supp z*} z*
-    # and w*'Cz* >= z*_l sum_{supp w*} w*; a pair where either floor beats
-    # its height by more than CHECK_TOL, phase 1's infeasibility threshold,
-    # has an LP that answers INFEASIBLE.
-    z_mass = z[sz].sum()
-    w_mass = w[sw].sum()
-    in_sx = set(int(t) for t in sx)
-    in_sy = set(int(t) for t in sy)
-    ks = [k for k in range(inp.m)
-          if k not in in_sx and w[k] * z_mass - cons.lambda0 <= CHECK_TOL]
-    ls = [l for l in range(inp.n)
-          if l not in in_sy and z[l] * w_mass - cons.mu0 <= CHECK_TOL]
+    ks = _best_responses(inp.x_star, inp.w_star, inp.z_star, cons.lambda0)
+    ls = _best_responses(inp.y_star, inp.z_star, inp.w_star, cons.mu0)
     return [(k, l) for k in ks for l in ls]
+
+
+def _feasible_programs(inp: GeneratorInput, lambda_intersect: bool):
+    """Lazily, each candidate pair whose tight LP is feasible, as
+    (k, l, builder, feasibility probe)."""
+    for k, l in _pair_candidates(inp):
+        builder = _TightLpBuilder(inp, k, l, lambda_intersect)
+        probe = builder.solve(None)
+        if probe.status == OPTIMAL:
+            yield k, l, builder, probe
 
 
 def generate_tight(
@@ -387,17 +344,10 @@ def generate_tight(
     exists for this input.
     """
     rng = np.random.default_rng() if rng is None else rng
-    sx, sy, _, _ = inp.supports()
-    if len(sx) == inp.m or len(sy) == inp.n:
-        return []
     n_obj = inp.m if objectives is None else objectives
     out: list[TightInstance] = []
     cons = solve_b()
-    for k, l in _pair_candidates(inp):
-        builder = _TightLpBuilder(inp, k, l, lambda_intersect)
-        probe = builder.solve(None)
-        if probe.status != OPTIMAL:
-            continue
+    for k, l, builder, probe in _feasible_programs(inp, lambda_intersect):
         vertices = [probe.x]
         for _ in range(n_obj):
             c = rng.uniform(0.0, 1.0, size=builder.nv)
@@ -409,19 +359,8 @@ def generate_tight(
         for _ in range(count):
             weights = rng.uniform(0.0, 1.0, size=len(vertices))
             weights /= weights.sum()
-            flat = weights @ V
-            mn = inp.m * inp.n
-            R = np.clip(flat[:mn].reshape(inp.m, inp.n), 0.0, 1.0)
-            C = np.clip(flat[mn:].reshape(inp.m, inp.n), 0.0, 1.0)
-            out.append(
-                TightInstance(
-                    game=Game(R, C),
-                    input=inp,
-                    rho_star=cons.rho_star,
-                    k=k,
-                    l=l,
-                )
-            )
+            R, C = np.clip((weights @ V).reshape(2, inp.m, inp.n), 0.0, 1.0)
+            out.append(TightInstance(Game(R, C), inp, cons.rho_star, k, l))
         if not all_pairs:
             break
     return out
@@ -429,14 +368,7 @@ def generate_tight(
 
 def tight_feasible(inp: GeneratorInput, lambda_intersect: bool = False) -> bool:
     """Whether any game realizes the prescribed tight stationary data."""
-    sx, sy, _, _ = inp.supports()
-    if len(sx) == inp.m or len(sy) == inp.n:
-        return False
-    for k, l in _pair_candidates(inp):
-        builder = _TightLpBuilder(inp, k, l, lambda_intersect)
-        if builder.solve(None).status == OPTIMAL:
-            return True
-    return False
+    return next(_feasible_programs(inp, lambda_intersect), None) is not None
 
 
 RESTRICTIONS = ("none", "disjoint", "intersecting", "nested")
@@ -588,6 +520,8 @@ def verify_tight(
     cert.checks["boundary_above_b"] = min(lows) >= cons.b - tol
 
     if full_grid:
+        if grid_size < 2:
+            raise ValueError("grid_size must be at least 2")
         alphas = np.linspace(0.0, 1.0, grid_size)
         X = (1 - alphas)[:, None] * x + alphas[:, None] * w
         Y = (1 - alphas)[:, None] * y + alphas[:, None] * z

@@ -10,6 +10,8 @@ import numpy as np
 
 from nashdescent.baselines import RunTrace, _history_stride
 from nashdescent.game import Game, Profile, mixed, regrets
+from nashdescent.generator import GeneratorInput, solve_b
+from nashdescent.lp import EQ, GE, MINIMIZE, LinearProgram, solve_lp
 
 
 def nonempty_subsets(k):
@@ -189,3 +191,172 @@ def pair_candidates_unscreened(inp):
     ks = [k for k in range(inp.m) if k not in set(int(t) for t in sx)]
     ls = [l for l in range(inp.n) if l not in set(int(t) for t in sy)]
     return [(k, l) for k in ks for l in ls]
+
+
+class TightLpBuilderOld:
+    """generator._TightLpBuilder as it was before it stated its rows in
+    array blocks, copied verbatim: the hand-mirrored row and column loops.
+
+    Assemble the feasibility program over the 2mn payoff entries.
+
+    Variables are the entries of R then C, row-major.  Every structural
+    condition of the characterization is linear once the stationary profile
+    and dual witnesses are fixed.
+    """
+
+    def __init__(self, inp: GeneratorInput, k: int, l: int, lambda_intersect: bool):
+        self.inp = inp
+        self.k = k
+        self.l = l
+        self.lambda_intersect = lambda_intersect
+        self.m = inp.m
+        self.n = inp.n
+        self.nv = 2 * self.m * self.n
+        self.rows: list = []
+        cons = solve_b()
+        self.b = cons.b
+        self.lam0 = cons.lambda0
+        self.mu0 = cons.mu0
+        self.rho = cons.rho_star
+        self.lower = [0.0] * self.nv
+        self._build()
+        self.lp = LinearProgram(np.zeros(self.nv), MINIMIZE, self.rows, lower=self.lower,
+                                upper=(1.0,) * self.nv)
+
+    def _r(self, i: int, j: int) -> int:
+        return i * self.n + j
+
+    def _c(self, i: int, j: int) -> int:
+        return self.m * self.n + i * self.n + j
+
+    def _row_payoff_coeffs(self, i: int, weights_y: np.ndarray) -> np.ndarray:
+        """Coefficients of (R weights_y)_i."""
+        a = np.zeros(self.nv)
+        for j in range(self.n):
+            a[self._r(i, j)] = weights_y[j]
+        return a
+
+    def _col_payoff_coeffs(self, j: int, weights_x: np.ndarray) -> np.ndarray:
+        """Coefficients of (C' weights_x)_j."""
+        a = np.zeros(self.nv)
+        for i in range(self.m):
+            a[self._c(i, j)] = weights_x[i]
+        return a
+
+    def _argmax_rows(self, values, members, universe):
+        """members all equal and dominating every index of the universe."""
+        anchor = int(members[0])
+        for i in members[1:]:
+            self.rows.append((values(int(i)) - values(anchor), EQ, 0.0))
+        in_members = set(int(t) for t in members)
+        for i in universe:
+            if i not in in_members:
+                self.rows.append((values(anchor) - values(int(i)), GE, 0.0))
+
+    def _build(self):
+        inp = self.inp
+        m, n = self.m, self.n
+        sx, sy, sw, sz = inp.supports()
+        x, y, w, z = inp.x_star, inp.y_star, inp.w_star, inp.z_star
+        rho = self.rho
+
+        # Dual witnesses sit on best-response sets.
+        self._argmax_rows(lambda i: self._row_payoff_coeffs(i, y), sw, range(m))
+        self._argmax_rows(lambda j: self._col_payoff_coeffs(j, x), sz, range(n))
+        # The enumerated pure strategies are best responses to z* and w*.
+        self._argmax_rows(lambda i: self._row_payoff_coeffs(i, z), [self.k], range(m))
+        self._argmax_rows(lambda j: self._col_payoff_coeffs(j, w), [self.l], range(n))
+
+        # Stationarity: supports of x*, y* minimize the certificate vectors
+        # A_i = -rho (Ry*)_i + (1-rho)(C(z*-y*))_i  and
+        # B_j =  rho (R'(w*-x*))_j - (1-rho)(C'x*)_j.
+        def A_coeffs(i: int) -> np.ndarray:
+            a = np.zeros(self.nv)
+            for j in range(n):
+                a[self._r(i, j)] = -rho * y[j]
+                a[self._c(i, j)] = (1.0 - rho) * (z[j] - y[j])
+            return a
+
+        def B_coeffs(j: int) -> np.ndarray:
+            a = np.zeros(self.nv)
+            for i in range(m):
+                a[self._r(i, j)] = rho * (w[i] - x[i])
+                a[self._c(i, j)] = -(1.0 - rho) * x[i]
+            return a
+
+        anchor = int(sx[0])
+        for i in sx[1:]:
+            self.rows.append((A_coeffs(int(i)) - A_coeffs(anchor), EQ, 0.0))
+        in_sx = set(int(t) for t in sx)
+        for i in range(m):
+            if i not in in_sx:
+                self.rows.append((A_coeffs(int(i)) - A_coeffs(anchor), GE, 0.0))
+        anchor = int(sy[0])
+        for j in sy[1:]:
+            self.rows.append((B_coeffs(int(j)) - B_coeffs(anchor), EQ, 0.0))
+        in_sy = set(int(t) for t in sy)
+        for j in range(n):
+            if j not in in_sy:
+                self.rows.append((B_coeffs(int(j)) - B_coeffs(anchor), GE, 0.0))
+
+        # Regrets at the stationary profile equal the bound.
+        a = np.zeros(self.nv)
+        for i in range(m):
+            for j in range(n):
+                a[self._r(i, j)] = (w[i] - x[i]) * y[j]
+        self.rows.append((a, EQ, self.b))
+        a = np.zeros(self.nv)
+        for i in range(m):
+            for j in range(n):
+                a[self._c(i, j)] = x[i] * (z[j] - y[j])
+        self.rows.append((a, EQ, self.b))
+
+        # Far-corner structure: zero own payoffs, saturated best responses,
+        # and the prescribed height differences.
+        a = np.zeros(self.nv)
+        for i in range(m):
+            for j in range(n):
+                a[self._r(i, j)] = x[i] * z[j]
+        self.rows.append((a, EQ, 0.0))
+        a = np.zeros(self.nv)
+        for i in range(m):
+            for j in range(n):
+                a[self._c(i, j)] = w[i] * y[j]
+        self.rows.append((a, EQ, 0.0))
+        for j in sz:
+            self.lower[self._r(self.k, int(j))] = 1.0
+        for i in sw:
+            self.lower[self._c(int(i), self.l)] = 1.0
+        a = np.zeros(self.nv)
+        for i in range(m):
+            for j in range(n):
+                a[self._r(i, j)] = w[i] * z[j]
+        self.rows.append((a, EQ, self.lam0))
+        a = np.zeros(self.nv)
+        for i in range(m):
+            for j in range(n):
+                a[self._c(i, j)] = w[i] * z[j]
+        self.rows.append((a, EQ, self.mu0))
+
+        # The boundary minimum coincides with the linear-bound intersection.
+        anchor_z = int(sz[0])
+        self.rows.append(
+            (self._col_payoff_coeffs(self.l, x) - self._col_payoff_coeffs(anchor_z, x), EQ, 0.0)
+        )
+
+        if self.lambda_intersect:
+            # Force k to also best-respond to y*, intersecting the two
+            # row-player best-response sets.
+            anchor_w = int(sw[0])
+            self.rows.append(
+                (self._row_payoff_coeffs(self.k, y) - self._row_payoff_coeffs(anchor_w, y), EQ, 0.0)
+            )
+
+    def solve(self, objective: np.ndarray | None, sense: str = MINIMIZE):
+        """Optimize over the program; None asks for feasibility only.
+
+        Every objective shares ``self.lp``'s standard form, so the program's
+        phase 1 runs once however many objectives are solved.
+        """
+        c = np.zeros(self.nv) if objective is None else objective
+        return solve_lp(self.lp.with_objective(c, sense))

@@ -172,6 +172,23 @@ def test_canonical_block_without_w_fails_verify_as_io_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: the game file's canonical block has no 'w'\n"
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_non_finite_delta_is_io_error(tmp_path, capsys, delta):
+    run(capsys, "generate", "--static", "tight-3x3", "--out", str(tmp_path))
+    code = main(["solve", str(tmp_path / "tight-3x3.json"), "--init", "file:canonical",
+                 "--delta", delta])
+    assert code == 1
+    assert capsys.readouterr().err == "error: delta must be a positive finite number\n"
+
+
+@pytest.mark.parametrize("grid", ["0", "1"])
+def test_full_grid_below_two_points_is_io_error(tmp_path, capsys, grid):
+    run(capsys, "generate", "--static", "tight-3x3", "--out", str(tmp_path))
+    code = main(["verify", str(tmp_path / "tight-3x3.json"), "--full-grid", "--grid", grid])
+    assert code == 1
+    assert capsys.readouterr().err == "error: grid_size must be at least 2\n"
+
+
 def test_malformed_static_size_is_io_error(tmp_path, capsys):
     code = main(["generate", "--static", "tight-3", "--out", str(tmp_path)])
     assert code == 1

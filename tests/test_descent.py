@@ -246,6 +246,11 @@ class TestFindStationary:
         with pytest.raises(ValueError):
             find_stationary(eq1.game, eq1.profile, delta=0.0)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_delta(self, eq1, delta):
+        with pytest.raises(ValueError, match="delta must be a positive finite number"):
+            find_stationary(eq1.game, eq1.profile, delta=delta, max_iter=5)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_stationary_point_estimates(self, seed):
         # Lemma-style bounds at tight precision: lambda*, mu* in [0,1] and

@@ -46,6 +46,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(radius=0.0)
 
+    @pytest.mark.parametrize("name", ["radius", "delta", "otb_delta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_radius_and_precisions_rejected(self, name, value):
+        with pytest.raises(ValueError, match="positive finite"):
+            ExperimentConfig(**{name: value})
+
     def test_default_ball_samples(self):
         cfg = ExperimentConfig()
         assert cfg.ball_samples(3, 3) == 64

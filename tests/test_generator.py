@@ -31,7 +31,7 @@ from nashdescent.generator import (
 )
 from nashdescent.lp import INFEASIBLE, solve_lp
 
-from .oracles import pair_candidates_unscreened
+from .oracles import TightLpBuilderOld, pair_candidates_unscreened
 
 
 class TestConstants:
@@ -245,6 +245,28 @@ class TestPairScreen:
         assert not tight_feasible(inp)
 
 
+class TestTightLpRows:
+    """_TightLpBuilder states exactly the program of the hand-mirrored
+    builder it replaced (oracles.TightLpBuilderOld)."""
+
+    def test_same_program_as_mirrored_loops(self):
+        sizes = [(2, 2), (2, 4), (3, 3), (4, 5), (5, 5), (7, 3)]
+        programs = 0
+        for inp in _sweep_inputs(sizes, per_cell=2):
+            for k, l in pair_candidates_unscreened(inp):
+                for intersect in (False, True):
+                    got = _TightLpBuilder(inp, k, l, intersect).lp
+                    want = TightLpBuilderOld(inp, k, l, intersect).lp
+                    assert len(got.constraints) == len(want.constraints)
+                    for (a, rel, rhs), (a0, rel0, rhs0) in zip(got.constraints, want.constraints):
+                        assert np.array_equal(a, a0), (inp, k, l, intersect)
+                        assert np.array_equal(np.signbit(a), np.signbit(a0))
+                        assert rel == rel0 and rhs == rhs0
+                    assert got.lower == want.lower and got.upper == want.upper
+                    programs += 1
+        assert programs >= 500
+
+
 class TestSampleInputs:
     def test_disjoint_restriction(self):
         rng = np.random.default_rng(1)
@@ -339,6 +361,12 @@ class TestVerifyTight:
             cert = verify_tight(insts[0].game, inp, grid_size=100, full_grid=True)
             assert cert.passed and cert.checks["grid_above_b"], cert.failures
             done += 1
+
+
+    @pytest.mark.parametrize("grid_size", [0, 1])
+    def test_full_grid_needs_two_points_per_side(self, eq1, grid_size):
+        with pytest.raises(ValueError, match="grid_size must be at least 2"):
+            verify_tight(eq1.game, eq1.generator_input, grid_size=grid_size, full_grid=True)
 
 
 class TestSamplers:
