@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .game import SUPPORT_TOL, Game, Profile, mixed, regrets, supports
-from .lp import EQ, GE, LE, MINIMIZE, OPTIMAL, LinearProgram, LpNumericalError, _as_strategy, solve_lp
+from .game import SUPPORT_TOL, Game, Profile, mixed, regrets, renormalized, supports
+from .lp import EQ, GE, LE, MINIMIZE, OPTIMAL, LinearProgram, LpNumericalError, solve_lp
 
 # |fR - fC| band inside which a profile counts as balanced and the balance
 # LP is skipped.
@@ -131,12 +131,13 @@ def _rebalance_row(game: Game, p: Profile) -> Profile:
     y = p.y
     Ry = R @ y
     Cy = C @ y
-    rows = [(Ry + C[:, j] - Cy, LE, float(Ry.max())) for j in range(game.n)]
-    rows.append((np.ones(game.m), EQ, 1.0))
-    sol = solve_lp(LinearProgram(-Ry, MINIMIZE, rows))
+    rows = np.vstack([Ry + C.T - Cy, np.ones(game.m)])
+    rels = (LE,) * game.n + (EQ,)
+    rhs = [float(Ry.max())] * game.n + [1.0]
+    sol = solve_lp(LinearProgram(-Ry, MINIMIZE, rows, rels, rhs))
     if sol.status != OPTIMAL:
         raise LpNumericalError(f"balance LP ended {sol.status}")
-    return Profile(_as_strategy(sol.x), y)
+    return Profile(renormalized(sol.x), y)
 
 
 def _support_rows(game: Game, p: Profile, tol: float):
@@ -193,25 +194,20 @@ def direction(
     nv = n + m + 1
     c = np.zeros(nv)
     c[-1] = 1.0
-    rows = []
-    for rid in row_ids:
-        a = np.zeros(nv)
-        a[: n + m] = -G[rid]
-        a[-1] = 1.0
-        rows.append((a, GE, 0.0))
-    ay = np.zeros(nv)
-    ay[:n] = 1.0
-    rows.append((ay, EQ, 1.0))
-    ax = np.zeros(nv)
-    ax[n : n + m] = 1.0
-    rows.append((ax, EQ, 1.0))
+    # v >= G_k (y';x') on each best-response row, then the two simplices.
+    rows = np.zeros((k + 2, nv))
+    rows[:k, :-1] = -G[row_ids]
+    rows[:k, -1] = 1.0
+    rows[k, :n] = 1.0
+    rows[k + 1, n:-1] = 1.0
     lower = [0.0] * (n + m) + [None]
-    sol = solve_lp(LinearProgram(c, MINIMIZE, rows, lower=lower))
+    sol = solve_lp(LinearProgram(c, MINIMIZE, rows, (GE,) * k + (EQ, EQ), [0.0] * k + [1.0, 1.0],
+                                 lower=lower))
     if sol.status != OPTIMAL:
         raise LpNumericalError(f"direction LP ended {sol.status}")
     res = DirectionResult(
-        x_new=_as_strategy(sol.x[n : n + m]),
-        y_new=_as_strategy(sol.x[:n]),
+        x_new=renormalized(sol.x[n : n + m]),
+        y_new=renormalized(sol.x[:n]),
         value=float(sol.objective),
         dual=_dual_from_weights(game, sol.duals[:k], sup),
         _program=(G, row_ids, sup),
@@ -249,24 +245,21 @@ def _equalized_dual_weights(G, row_ids, n, m, value):
     nv = k + 3
     c = np.zeros(nv)
     c[-1] = 1.0
-    rows = []
-    for col in range(n + m):
-        a = np.zeros(nv)
-        a[:k] = Gs[:, col]
-        a[k + (0 if col < n else 1)] = -1.0
-        rows.append((a, GE, 0.0))
-        a2 = a.copy()
-        a2[-1] = -1.0
-        rows.append((a2, LE, 0.0))
-    asum = np.zeros(nv)
-    asum[:k] = 1.0
-    rows.append((asum, EQ, 1.0))
-    aface = np.zeros(nv)
-    aface[k] = 1.0
-    aface[k + 1] = 1.0
-    rows.append((aface, GE, value - 1e-10))
+    # Per column of u'G, a GE row against its group minimum (dy for the
+    # first n columns, dx for the rest) and an LE row with the slack s;
+    # then sum u = 1 and the dual-optimal face.
+    rows = np.zeros((2 * (n + m) + 2, nv))
+    pairs = rows[:-2].reshape(n + m, 2, nv)
+    pairs[:, :, :k] = Gs.T[:, None, :]
+    pairs[:n, :, k] = -1.0
+    pairs[n:, :, k + 1] = -1.0
+    pairs[:, 1, -1] = -1.0
+    rows[-2, :k] = 1.0
+    rows[-1, k : k + 2] = 1.0
+    rels = (GE, LE) * (n + m) + (EQ, GE)
+    rhs = [0.0] * (2 * (n + m)) + [1.0, value - 1e-10]
     lower = [0.0] * k + [None, None, 0.0]
-    sol = solve_lp(LinearProgram(c, MINIMIZE, rows, lower=lower))
+    sol = solve_lp(LinearProgram(c, MINIMIZE, rows, rels, rhs, lower=lower))
     if sol.status != OPTIMAL:
         return None
     return sol.x[:k]

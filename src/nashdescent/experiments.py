@@ -71,10 +71,15 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.count < 1 or self.trials < 1 or self.rounds < 1 or self.points < 1:
-            raise ValueError("counts must be positive")
+        counts = {"count": self.count, "trials": self.trials, "rounds": self.rounds,
+                  "points": self.points, "resolution": self.resolution, "samples": self.samples}
+        low = [name for name, v in counts.items() if v is not None and v < 1]
+        if low:
+            raise ValueError(f"counts must be positive: {', '.join(low)}")
         if not all(0.0 < v < math.inf for v in (self.radius, self.delta, self.otb_delta)):
             raise ValueError("radius and precisions must be positive finite numbers")
+        if not 0.0 < self.effectiveness <= 1.0:
+            raise ValueError("effectiveness must lie in (0, 1]")
 
     def ball_samples(self, m: int, n: int) -> int:
         return self.samples if self.samples is not None else 16 * (m - 1) * (n - 1)

@@ -73,6 +73,17 @@ def uniform(k: int) -> np.ndarray:
     return v
 
 
+def renormalized(vec) -> np.ndarray:
+    """A vector scaled to a mixed strategy: negatives clipped to 0, then
+    divided by the sum; uniform when no mass is left."""
+    v = np.clip(np.asarray(vec, dtype=float), 0.0, None)
+    total = v.sum()
+    if total <= 0:
+        v = np.ones_like(v)
+        total = v.sum()
+    return mixed(v / total)
+
+
 class Profile(NamedTuple):
     """A pair of mixed strategies (x for the row player, y for the column player)."""
 

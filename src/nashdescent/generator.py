@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .descent import DualSolution, stationary_from, verify_stationary
-from .game import SUPPORT_TOL, Game, Profile, grid_f, mixed, regrets, segment_min_f
+from .game import SUPPORT_TOL, Game, Profile, grid_f, mixed, regrets, renormalized, segment_min_f
 from .lp import (
     CHECK_TOL, EQ, GE, MINIMIZE, MAXIMIZE, OPTIMAL, LinearProgram, solve_lp,
 )
@@ -275,7 +275,7 @@ class _TightLpBuilder:
         rels = [rel for _, group_rels, _ in groups for rel in group_rels]
         rhs = [value for _, group_rels, value in groups for _ in group_rels]
         lower = (lower_r + _swap_back(lower_c)).ravel().tolist()
-        self.lp = LinearProgram(np.zeros(self.nv), MINIMIZE, tuple(zip(coeffs, rels, rhs)),
+        self.lp = LinearProgram(np.zeros(self.nv), MINIMIZE, coeffs, rels, rhs,
                                 lower=lower, upper=(1.0,) * self.nv)
 
     def solve(self, objective: np.ndarray | None, sense: str = MINIMIZE):
@@ -444,13 +444,7 @@ def perturb_profile(p: Profile, radius: float, rng: np.random.Generator) -> Prof
     """Perturb every coordinate uniformly in [-radius, radius], clamp, renormalize."""
     x = np.asarray(p.x) + rng.uniform(-radius, radius, size=p.x.size)
     y = np.asarray(p.y) + rng.uniform(-radius, radius, size=p.y.size)
-    x = np.clip(x, 0.0, None)
-    y = np.clip(y, 0.0, None)
-    if x.sum() <= 0:
-        x = np.ones_like(x)
-    if y.sum() <= 0:
-        y = np.ones_like(y)
-    return Profile(mixed(x / x.sum()), mixed(y / y.sum()))
+    return Profile(renormalized(x), renormalized(y))
 
 
 def profile_distance(p: Profile, q: Profile) -> float:

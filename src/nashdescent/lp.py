@@ -6,31 +6,34 @@ dense tableau with fully vectorized pivots is both the simplest and the
 fastest option.  Pivot ties break by lowest index, which makes every solve
 bit-reproducible; a degenerate solve that drifts into an infeasible basis
 is detected and retried under progressively coarser, equally deterministic
-pivot policies before any result is returned.
+pivot policies before any result is returned.  Each fallback is logged at
+debug level on the ``nashdescent.lp`` logger.
 
 The tableaux the descent solves are tiny (4 to 14 rows), so the kernel's
 cost is the number of numpy calls, not flops.  The objective row is the
 tableau's last row, so a pivot is one rank-1 update of the whole tableau,
 and the standard form is filled by whole-block assignments.
 
-Phase 1 depends on the constraints and the pivot policy only, so it runs
-once per constraint set: the objective-free standard form is built on a
-program's first solve and memoizes each policy's phase-1 outcome (the
-feasible tableau with its basis, infeasibility, or the error raised).
-``LinearProgram.with_objective`` derives a program with another objective
-that shares that form, and solving it runs phase 2 from a copy of the
-cached tableau; the answer is bit-identical to a fresh program's.
+A program states its constraints as one block: a (k, nv) coefficient
+array, k relations and k right-hand sides, fixed when the program is made.
+Its objective-free standard form is built then too, and memoizes each pivot
+policy's phase-1 outcome (the feasible tableau with its basis,
+infeasibility, or the error raised), since phase 1 depends on the
+constraints and the policy only.  ``LinearProgram.with_objective`` derives
+a program with another objective that shares that form, and solving it runs
+phase 2 from a copy of the cached tableau; the answer is bit-identical to a
+fresh program's.
 """
 
 from __future__ import annotations
 
 import copy
-import math
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import mixed
+from .game import renormalized
 
 # Feasibility / optimality tolerance of the simplex.
 TOL = 1e-9
@@ -49,6 +52,8 @@ LE, EQ, GE = "<=", "=", ">="
 # (ratio-tie window, entering rule) fallbacks, tried in order.
 _ATTEMPTS = ((TOL, "bland"), (1e-7, "bland"), (1e-7, "dantzig"), (1e-5, "dantzig"))
 
+_log = logging.getLogger(__name__)
+
 
 class LpError(ValueError):
     """Malformed linear program."""
@@ -58,32 +63,27 @@ class LpNumericalError(RuntimeError):
     """No pivot policy produced a clean optimal basis within budget."""
 
 
-class _SharedForm:
-    """The standard form that programs derived through ``with_objective``
-    share; empty until the first of them is solved."""
-
-    form: "_ConstraintForm | None" = None
-
-
 @dataclass
 class LinearProgram:
-    """min or max  c'x  subject to rows (a, rel, b) and box bounds on x.
+    """min or max  c'x  subject to  constraints[i] @ x  relations[i]  rhs[i]
+    for each row i, and box bounds on x.
 
-    Bounds default to x >= 0.  A lower bound of None makes the variable
-    free; finite lower bounds are shifted out internally and upper bounds
-    become internal rows, so callers never see either transformation.
-    Constraints and bounds are stored as tuples and change only through
-    ``add``, so the standard form built from them on the first solve (see
-    ``with_objective``) never goes stale.
+    ``constraints`` is a (k, nv) array, ``relations`` k of LE, EQ and GE,
+    and ``rhs`` k finite numbers.  Bounds default to x >= 0.  A lower bound
+    of None makes the variable free; finite lower bounds are shifted out
+    internally and upper bounds become internal rows, so callers never see
+    either transformation.  The constraints and bounds are fixed at
+    construction, when the standard form is built from them.
     """
 
     objective: np.ndarray
-    sense: str = MINIMIZE
-    constraints: tuple = ()
+    sense: str
+    constraints: np.ndarray
+    relations: tuple
+    rhs: np.ndarray
     lower: tuple | None = None  # per-variable, None entry = free
     upper: tuple | None = None  # per-variable, None entry = unbounded
-    _shared: _SharedForm = field(default_factory=_SharedForm, init=False, repr=False,
-                                 compare=False)
+    _form: "_ConstraintForm" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._check_objective(None)
@@ -92,7 +92,19 @@ class LinearProgram:
         self.upper = (None,) * nv if self.upper is None else tuple(self.upper)
         if len(self.lower) != nv or len(self.upper) != nv:
             raise LpError("bound lists must match the variable count")
-        self.constraints = tuple(self._checked_row(*row) for row in self.constraints)
+        A = np.asarray(self.constraints, dtype=float)
+        self.constraints = A.reshape(0, nv) if A.size == 0 else A
+        self.relations = tuple(self.relations)
+        self.rhs = np.asarray(self.rhs, dtype=float)
+        k = len(self.relations)
+        if self.constraints.shape != (k, nv) or self.rhs.shape != (k,):
+            raise LpError("constraints must be a (rows, variables) block with one "
+                          "relation and one rhs per row")
+        if not set(self.relations) <= {LE, EQ, GE}:
+            raise LpError(f"unknown relation among {self.relations}")
+        if not np.isfinite(self.rhs).all():
+            raise LpError("constraint rhs must be finite")
+        self._form = _ConstraintForm(self)
 
     def _check_objective(self, nv):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -103,40 +115,19 @@ class LinearProgram:
         if self.sense not in (MINIMIZE, MAXIMIZE):
             raise LpError(f"unknown sense {self.sense!r}")
 
-    def _checked_row(self, a, rel, b):
-        a = np.asarray(a, dtype=float)
-        if a.shape != (self.objective.size,):
-            raise LpError("constraint row width does not match objective")
-        if rel not in (LE, EQ, GE):
-            raise LpError(f"unknown relation {rel!r}")
-        b = float(b)
-        if not math.isfinite(b):
-            raise LpError("constraint rhs must be finite")
-        return a, rel, b
-
-    def add(self, a, rel, b):
-        """Append one constraint; programs sharing the old ones keep them."""
-        self.constraints = self.constraints + (self._checked_row(a, rel, b),)
-        self._shared = _SharedForm()
-
     def with_objective(self, objective, sense: str = MINIMIZE) -> "LinearProgram":
         """The same constraints and bounds under another objective.
 
         The returned program shares this one's validated constraints, its
-        bounds and its standard form, which the first solve of any of them
-        builds and whose memo holds each pivot policy's phase-1 outcome; so
-        among all programs derived from one constraint set, phase 1 runs
-        once per policy and every further solve runs phase 2 only.
+        bounds and its standard form, whose memo holds each pivot policy's
+        phase-1 outcome; so among all programs derived from one program,
+        phase 1 runs once per policy and every further solve runs phase 2
+        only.
         """
         lp = copy.copy(self)
         lp.objective, lp.sense = objective, sense
         lp._check_objective(self.objective.size)
         return lp
-
-    def _standard_form(self) -> "_ConstraintForm":
-        if self._shared.form is None:
-            self._shared.form = _ConstraintForm(self)
-        return self._shared.form
 
 
 @dataclass
@@ -215,7 +206,7 @@ class _ConstraintForm:
 
     def __init__(self, lp: LinearProgram):
         nv = self.nv = lp.objective.size
-        n_user = self.n_user = len(lp.constraints)
+        n_user = self.n_user = len(lp.relations)
         self.free_extra = [j for j, lo in enumerate(lp.lower) if lo is None]
         self.shift = np.array([0.0 if lo is None else float(lo) for lo in lp.lower])
         ub = [j for j, up in enumerate(lp.upper) if up is not None]
@@ -227,27 +218,30 @@ class _ConstraintForm:
 
         # User rows, then one row x_j <= u_j per upper bound.  A row with a
         # negative rhs is negated, which swaps <= and >=; the slack of a <=
-        # row enters with +1, of a >= row with -1.
-        rhs = ([bi - a @ self.shift for a, _, bi in lp.constraints]
-               + [float(lp.upper[j]) - self.shift[j] for j in ub])
-        rels = [rel for _, rel, _ in lp.constraints] + [LE] * len(ub)
-        flip = [-1.0 if v < 0 else 1.0 for v in rhs]
-        slack = [0.0 if rel == EQ else f if rel == LE else -f for rel, f in zip(rels, flip)]
+        # row enters with +1, of a >= row with -1.  The shift comes off with
+        # one product per row, since A @ shift sums in another order and can
+        # move a last bit; with nothing shifted every product is +0.0.
+        rhs = lp.rhs
+        if self.shift.any():
+            rhs = np.array([bi - a @ self.shift for a, bi in zip(lp.constraints, rhs)])
+        upper = np.array([lp.upper[j] for j in ub], dtype=float) - self.shift[ub]
+        rhs = np.concatenate([rhs, upper])
+        rels = np.array(lp.relations + (LE,) * len(ub), dtype=str)
+        flip = self.flip = np.where(rhs < 0, -1.0, 1.0)
+        slack = np.where(rels == EQ, 0.0, np.where(rels == LE, flip, -flip))
         A = np.zeros((nrows, self.ncols))
         S = A[:, :ncols_struct]
-        if n_user:
-            S[:n_user, :nv] = [a for a, _, _ in lp.constraints]
+        S[:n_user, :nv] = lp.constraints
         if ub:
             S[range(n_user, nrows), ub] = 1.0
         if self.free_extra:
             # A free variable's second column carries the negated coefficients.
             S[:, nv:] = -S[:, self.free_extra]
-        self.flip = np.array(flip)
-        if -1.0 in flip:
-            S *= self.flip[:, None]
+        if (flip < 0).any():
+            S *= flip[:, None]
         np.fill_diagonal(A[:, ncols_struct:], slack)
-        self.A, self.b = A, np.array(rhs) * self.flip
-        self.needs_artificial = np.array([i for i, v in enumerate(slack) if v <= 0.0], dtype=int)
+        self.A, self.b = A, rhs * flip
+        self.needs_artificial = np.flatnonzero(slack <= 0.0)
         self.resid_tol = CHECK_TOL * (1.0 + np.abs(self.b).max(initial=0.0))
         self.budget = 50 * (self.ncols + nrows)
         self._phase_one = {}
@@ -400,38 +394,35 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     Each pivot policy is one phase 1 (memoized on the program's standard
     form, see ``LinearProgram.with_objective``) and one phase 2.
     """
-    form = lp._standard_form()
+    form = lp._form
     obj = _Objective(lp, form)
-    last_error = None
-    for window, entering in _ATTEMPTS:
-        start = form.phase_one(window, entering)
-        if isinstance(start, LpNumericalError):
-            # A fresh error per solve: the memoized one is shared.
-            last_error = LpNumericalError(*start.args)
-            continue
-        if start is None:
-            return LpSolution(status=INFEASIBLE)
+    for attempt, policy in enumerate(_ATTEMPTS, 1):
         try:
-            basis = _phase_two(form, obj, start, window, entering)
+            return _solve_with(form, obj, *policy)
         except LpNumericalError as err:
             last_error = err
-            continue
-        if basis is None:
-            return LpSolution(status=UNBOUNDED)
-        sol = _extract(form, obj, basis, start[2])
-        if sol is not None:
-            return sol
-        last_error = LpNumericalError("terminal basis failed feasibility checks")
-    raise last_error or LpNumericalError("no pivot policy succeeded")
+            following = (f"trying policy {attempt + 1} {_ATTEMPTS[attempt]}"
+                         if attempt < len(_ATTEMPTS) else "no policy left")
+            _log.debug("pivot policy %d %s failed on a %d-row program: %s; %s",
+                       attempt, policy, form.nrows, err, following)
+    raise last_error
 
 
-def _as_strategy(vec) -> np.ndarray:
-    v = np.clip(np.asarray(vec, dtype=float), 0.0, None)
-    total = v.sum()
-    if total <= 0:
-        v = np.ones_like(v)
-        total = v.sum()
-    return mixed(v / total)
+def _solve_with(form: _ConstraintForm, obj: _Objective, window: float, entering: str):
+    """One pivot policy's answer; raises LpNumericalError when it fails."""
+    start = form.phase_one(window, entering)
+    if isinstance(start, LpNumericalError):
+        # A fresh error per solve: the memoized one is shared.
+        raise LpNumericalError(*start.args)
+    if start is None:
+        return LpSolution(status=INFEASIBLE)
+    basis = _phase_two(form, obj, start, window, entering)
+    if basis is None:
+        return LpSolution(status=UNBOUNDED)
+    sol = _extract(form, obj, basis, start[2])
+    if sol is None:
+        raise LpNumericalError("terminal basis failed feasibility checks")
+    return sol
 
 
 def solve_zero_sum(A) -> tuple[np.ndarray, np.ndarray, float]:
@@ -447,23 +438,25 @@ def solve_zero_sum(A) -> tuple[np.ndarray, np.ndarray, float]:
         raise LpError("payoff matrix must be a nonempty finite matrix")
     m, n = A.shape
 
+    def value_program(P, rel, sense):
+        # max v s.t. (P'x)_j >= v, or min u s.t. (P'x)_j <= u, over the
+        # simplex: variables x then the free value.
+        k, nv = P.shape[1], P.shape[0] + 1
+        rows = np.zeros((k + 1, nv))
+        rows[:k, :-1] = P.T
+        rows[:k, -1] = -1.0
+        rows[k, :-1] = 1.0
+        c = np.zeros(nv)
+        c[-1] = 1.0
+        return LinearProgram(c, sense, rows, (rel,) * k + (EQ,), [0.0] * k + [1.0],
+                             lower=[0.0] * (nv - 1) + [None])
+
     # Row side: max v subject to (A'x)_j >= v for every column j.
-    cx = np.zeros(m + 1)
-    cx[-1] = 1.0
-    rows = [(np.concatenate([A[:, j], [-1.0]]), GE, 0.0) for j in range(n)]
-    rows.append((np.concatenate([np.ones(m), [0.0]]), EQ, 1.0))
-    lpx = LinearProgram(cx, MAXIMIZE, rows, lower=[0.0] * m + [None])
-    solx = solve_lp(lpx)
+    solx = solve_lp(value_program(A, GE, MAXIMIZE))
     if solx.status != OPTIMAL:
         raise LpNumericalError(f"zero-sum row LP ended {solx.status}")
-
     # Column side: min u subject to (Ay)_i <= u for every row i.
-    cy = np.zeros(n + 1)
-    cy[-1] = 1.0
-    rows = [(np.concatenate([A[i, :], [-1.0]]), LE, 0.0) for i in range(m)]
-    rows.append((np.concatenate([np.ones(n), [0.0]]), EQ, 1.0))
-    lpy = LinearProgram(cy, MINIMIZE, rows, lower=[0.0] * n + [None])
-    soly = solve_lp(lpy)
+    soly = solve_lp(value_program(A.T, LE, MINIMIZE))
     if soly.status != OPTIMAL:
         raise LpNumericalError(f"zero-sum column LP ended {soly.status}")
 
@@ -472,4 +465,4 @@ def solve_zero_sum(A) -> tuple[np.ndarray, np.ndarray, float]:
         raise LpNumericalError(
             f"zero-sum values disagree: {value} vs {soly.objective}"
         )
-    return _as_strategy(solx.x[:m]), _as_strategy(soly.x[:n]), value
+    return renormalized(solx.x[:m]), renormalized(soly.x[:n]), value

@@ -339,7 +339,13 @@ def random_program(rng) -> LinearProgram:
     rows = [(draw(nv), [LE, EQ, GE][int(rng.integers(3))], float(draw(1)[0]))
             for _ in range(int(rng.integers(0, 7)))]
     sense = ["min", "max"][int(rng.integers(2))]
-    return LinearProgram(draw(nv), sense, rows, lower=lower, upper=upper)
+    return LinearProgram(draw(nv), sense, *row_block(rows, nv), lower=lower, upper=upper)
+
+
+def row_block(rows, nv: int):
+    """(coefficients, relations, rhs) of a list of (a, rel, b) rows."""
+    return (np.array([a for a, _, _ in rows]).reshape(len(rows), nv),
+            [rel for _, rel, _ in rows], [b for _, _, b in rows])
 
 
 # The functions that call solve_lp, by the LP they state.

@@ -11,7 +11,7 @@ import numpy as np
 from nashdescent.baselines import RunTrace, _history_stride
 from nashdescent.game import Game, Profile, mixed, regrets
 from nashdescent.generator import GeneratorInput, solve_b
-from nashdescent.lp import EQ, GE, MINIMIZE, LinearProgram, solve_lp
+from nashdescent.lp import EQ, GE, LE
 
 
 def nonempty_subsets(k):
@@ -196,6 +196,8 @@ def pair_candidates_unscreened(inp):
 class TightLpBuilderOld:
     """generator._TightLpBuilder as it was before it stated its rows in
     array blocks, copied verbatim: the hand-mirrored row and column loops.
+    It keeps the (a, rel, b) rows and the lower bounds it states; its
+    program has upper bound 1 on every variable.
 
     Assemble the feasibility program over the 2mn payoff entries.
 
@@ -220,8 +222,6 @@ class TightLpBuilderOld:
         self.rho = cons.rho_star
         self.lower = [0.0] * self.nv
         self._build()
-        self.lp = LinearProgram(np.zeros(self.nv), MINIMIZE, self.rows, lower=self.lower,
-                                upper=(1.0,) * self.nv)
 
     def _r(self, i: int, j: int) -> int:
         return i * self.n + j
@@ -352,11 +352,81 @@ class TightLpBuilderOld:
                 (self._row_payoff_coeffs(self.k, y) - self._row_payoff_coeffs(anchor_w, y), EQ, 0.0)
             )
 
-    def solve(self, objective: np.ndarray | None, sense: str = MINIMIZE):
-        """Optimize over the program; None asks for feasibility only.
 
-        Every objective shares ``self.lp``'s standard form, so the program's
-        phase 1 runs once however many objectives are solved.
-        """
-        c = np.zeros(self.nv) if objective is None else objective
-        return solve_lp(self.lp.with_objective(c, sense))
+# The descent's three LPs as they were stated row by row, as (a, rel, b)
+# tuples, before LinearProgram took one constraint block; copied verbatim
+# from descent._rebalance_row, descent.direction and
+# descent._equalized_dual_weights.  Each returns (objective, rows, lower).
+
+
+def rebalance_rows_old(game: Game, p: Profile):
+    R, C = game.R, game.C
+    y = p.y
+    Ry = R @ y
+    Cy = C @ y
+    rows = [(Ry + C[:, j] - Cy, LE, float(Ry.max())) for j in range(game.n)]
+    rows.append((np.ones(game.m), EQ, 1.0))
+    return -Ry, rows, None
+
+
+def direction_rows_old(G, row_ids, n, m):
+    nv = n + m + 1
+    c = np.zeros(nv)
+    c[-1] = 1.0
+    rows = []
+    for rid in row_ids:
+        a = np.zeros(nv)
+        a[: n + m] = -G[rid]
+        a[-1] = 1.0
+        rows.append((a, GE, 0.0))
+    ay = np.zeros(nv)
+    ay[:n] = 1.0
+    rows.append((ay, EQ, 1.0))
+    ax = np.zeros(nv)
+    ax[n : n + m] = 1.0
+    rows.append((ax, EQ, 1.0))
+    lower = [0.0] * (n + m) + [None]
+    return c, rows, lower
+
+
+def equalized_rows_old(G, row_ids, n, m, value):
+    k = len(row_ids)
+    Gs = G[row_ids]  # k x (n+m)
+    # Variables: u (k), dy, dx (free), s (>= 0).
+    nv = k + 3
+    c = np.zeros(nv)
+    c[-1] = 1.0
+    rows = []
+    for col in range(n + m):
+        a = np.zeros(nv)
+        a[:k] = Gs[:, col]
+        a[k + (0 if col < n else 1)] = -1.0
+        rows.append((a, GE, 0.0))
+        a2 = a.copy()
+        a2[-1] = -1.0
+        rows.append((a2, LE, 0.0))
+    asum = np.zeros(nv)
+    asum[:k] = 1.0
+    rows.append((asum, EQ, 1.0))
+    aface = np.zeros(nv)
+    aface[k] = 1.0
+    aface[k + 1] = 1.0
+    rows.append((aface, GE, value - 1e-10))
+    lower = [0.0] * k + [None, None, 0.0]
+    return c, rows, lower
+
+
+def same_program(lp, objective, rows, lower, upper=None):
+    """Whether a LinearProgram states exactly these (a, rel, b) rows, in
+    order, with equal sign bits on every coefficient, and this objective
+    and these bounds."""
+    nv = lp.objective.size
+    return (len(lp.constraints) == len(rows)
+            and all(np.array_equal(got, a) and np.array_equal(np.signbit(got), np.signbit(a))
+                    for got, (a, _, _) in zip(lp.constraints, rows))
+            and list(lp.relations) == [rel for _, rel, _ in rows]
+            and lp.rhs.tolist() == [b for _, _, b in rows]
+            and np.array_equal(lp.objective, objective)
+            and np.array_equal(np.signbit(lp.objective), np.signbit(objective))
+            and lp.lower == ((0.0,) * nv if lower is None else tuple(lower))
+            and lp.upper == ((None,) * nv if upper is None else tuple(upper)))

@@ -189,6 +189,15 @@ def test_full_grid_below_two_points_is_io_error(tmp_path, capsys, grid):
     assert capsys.readouterr().err == "error: grid_size must be at least 2\n"
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_stability_without_restarts_is_io_error(capsys, samples):
+    code = main(["exp-stability", "--count", "2", "--samples", samples])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: counts must be positive: samples\n"
+
+
 def test_malformed_static_size_is_io_error(tmp_path, capsys):
     code = main(["generate", "--static", "tight-3", "--out", str(tmp_path)])
     assert code == 1

@@ -298,3 +298,69 @@ class TestVerifyStationary:
         A = -0.9 * (eq1.game.R @ eq1.y_star) + 0.1 * (eq1.game.C @ (eq1.z_star - eq1.y_star))
         assert np.allclose(rep.A, A, atol=1e-12)
         assert A[0] > A.min() + 1e-6
+
+
+class TestLpBlocks:
+    """The descent states each LP as one block, with exactly the rows of the
+    row-by-row builders it replaced (oracles.*_rows_old): the same
+    coefficients with the same sign bits, relations and rhs, in order."""
+
+    @staticmethod
+    def inputs():
+        from nashdescent.experiments import lattice_profile, sample_tight_games
+
+        rng = np.random.default_rng(2718)
+        for m, n in [(2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (2, 5), (5, 3)]:
+            games = [normalize_game(rng.uniform(size=(m, n)), rng.uniform(size=(m, n)))
+                     for _ in range(3)]
+            starts = {}
+            if min(m, n) >= 3:
+                for inst in sample_tight_games(m, n, 2, rng, groups=2):
+                    games.append(inst.game)
+                    starts[len(games) - 1] = Profile(inst.input.x_star, inst.input.y_star)
+            for gi, game in enumerate(games):
+                profiles = [random_profile(game, rng), lattice_profile(m, n, 10, rng)]
+                profiles += [starts[gi]] if gi in starts else []
+                yield game, profiles
+
+    def test_same_rows_as_row_by_row_builders(self, monkeypatch):
+        import contextlib
+
+        from nashdescent import descent
+        from nashdescent.lp import LpNumericalError
+
+        from .oracles import (direction_rows_old, equalized_rows_old, rebalance_rows_old,
+                              same_program)
+
+        captured = []
+        real = descent.solve_lp
+
+        def recording(lp):
+            captured.append(lp)
+            return real(lp)
+
+        monkeypatch.setattr(descent, "solve_lp", recording)
+        counts = {"balance": 0, "direction": 0, "equalized": 0}
+        for game, profiles in self.inputs():
+            for p in profiles:
+                for g, q in ((game, p), (game.swapped(), p.swapped())):
+                    captured.clear()
+                    with contextlib.suppress(LpNumericalError):
+                        descent._rebalance_row(g, q)
+                    assert same_program(captured[0], *rebalance_rows_old(g, q))
+                    counts["balance"] += 1
+                # At the start and at its balanced twin, where the
+                # best-response sets of both players tie.
+                for q in (p, balance(game, p)):
+                    G = bilinear_matrix(game, q.x, q.y)
+                    row_ids, _ = descent._support_rows(game, q, 1e-9)
+                    captured.clear()
+                    with contextlib.suppress(LpNumericalError):
+                        d = direction(game, q, canonicalize=True)
+                    assert same_program(captured[0], *direction_rows_old(G, row_ids, game.n, game.m))
+                    counts["direction"] += 1
+                    if len(captured) > 1:
+                        assert same_program(captured[1], *equalized_rows_old(
+                            G, row_ids, game.n, game.m, d.value))
+                        counts["equalized"] += 1
+        assert min(counts.values()) >= 80, counts

@@ -52,6 +52,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="positive finite"):
             ExperimentConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [("samples", 0), ("samples", -3),
+                                             ("resolution", 0), ("resolution", -1)])
+    def test_counts_below_one_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"counts must be positive: {name}"):
+            ExperimentConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [0.0, -0.5, 1.5, float("nan")])
+    def test_effectiveness_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ValueError, match="effectiveness"):
+            ExperimentConfig(effectiveness=value)
+
     def test_default_ball_samples(self):
         cfg = ExperimentConfig()
         assert cfg.ball_samples(3, 3) == 64

@@ -31,7 +31,7 @@ from nashdescent.generator import (
 )
 from nashdescent.lp import INFEASIBLE, solve_lp
 
-from .oracles import TightLpBuilderOld, pair_candidates_unscreened
+from .oracles import TightLpBuilderOld, pair_candidates_unscreened, same_program
 
 
 class TestConstants:
@@ -256,13 +256,9 @@ class TestTightLpRows:
             for k, l in pair_candidates_unscreened(inp):
                 for intersect in (False, True):
                     got = _TightLpBuilder(inp, k, l, intersect).lp
-                    want = TightLpBuilderOld(inp, k, l, intersect).lp
-                    assert len(got.constraints) == len(want.constraints)
-                    for (a, rel, rhs), (a0, rel0, rhs0) in zip(got.constraints, want.constraints):
-                        assert np.array_equal(a, a0), (inp, k, l, intersect)
-                        assert np.array_equal(np.signbit(a), np.signbit(a0))
-                        assert rel == rel0 and rhs == rhs0
-                    assert got.lower == want.lower and got.upper == want.upper
+                    want = TightLpBuilderOld(inp, k, l, intersect)
+                    assert same_program(got, np.zeros(want.nv), want.rows, want.lower,
+                                        (1.0,) * want.nv), (inp, k, l, intersect)
                     programs += 1
         assert programs >= 500
 

@@ -18,49 +18,62 @@ from nashdescent.lp import (
     solve_zero_sum,
 )
 
+from .golden_corpus import row_block
 from .oracles import simplex_grid, zero_sum_value_enum
 
 
 def test_forced_minimum():
-    sol = solve_lp(LinearProgram(np.array([1.0, 1.0]), "min",
-                                 [(np.array([1.0, 1.0]), GE, 1.0)]))
+    sol = solve_lp(LinearProgram(np.array([1.0, 1.0]), "min", [[1.0, 1.0]], [GE], [1.0]))
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
 
 
 def test_single_binding_row_dual():
-    sol = solve_lp(LinearProgram(np.array([1.0]), "max",
-                                 [(np.array([1.0]), LE, 0.5)]))
+    sol = solve_lp(LinearProgram(np.array([1.0]), "max", [[1.0]], [LE], [0.5]))
     assert sol.objective == pytest.approx(0.5, abs=1e-12)
     assert sol.duals[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_infeasible_and_unbounded_verdicts():
-    sol = solve_lp(LinearProgram(np.array([1.0]), "min",
-                                 [(np.array([1.0]), GE, 2.0), (np.array([1.0]), LE, 1.0)]))
+    sol = solve_lp(LinearProgram(np.array([1.0]), "min", [[1.0], [1.0]], [GE, LE], [2.0, 1.0]))
     assert sol.status == INFEASIBLE
-    sol = solve_lp(LinearProgram(np.array([-1.0]), "min", []))
+    sol = solve_lp(LinearProgram(np.array([-1.0]), "min", [], [], []))
     assert sol.status == UNBOUNDED
     # No rows at all: the optimum sits on the lower bounds.
-    sol = solve_lp(LinearProgram(np.array([1.0, 0.0]), "min", [], lower=[0.5, 0.0]))
+    sol = solve_lp(LinearProgram(np.array([1.0, 0.0]), "min", np.empty((0, 2)), (), [],
+                                 lower=[0.5, 0.0]))
     assert sol.status == OPTIMAL and sol.x.tolist() == [0.5, 0.0]
     assert sol.objective == 0.5 and sol.duals.size == 0
 
 
 def test_malformed_programs_rejected():
     with pytest.raises(LpError):
-        LinearProgram(np.array([1.0]), "mid", [])
+        LinearProgram(np.array([1.0]), "mid", [], [], [])
+    for constraints, relations, rhs in [
+        ([[1.0, 2.0]], [LE], [1.0]),          # row wider than the objective
+        ([1.0], [LE], [1.0]),                 # a row, not a block
+        ([[1.0], [2.0]], [LE], [1.0, 2.0]),   # fewer relations than rows
+        ([[1.0]], [LE], [1.0, 2.0]),          # more rhs than rows
+        ([[1.0]], ["<>"], [1.0]),             # unknown relation
+        ([[1.0]], [LE], [np.inf]),            # infinite rhs
+        ([[1.0]], [LE], [np.nan]),            # NaN rhs
+        ([], [LE], [1.0]),                    # a relation with no row
+    ]:
+        with pytest.raises(LpError):
+            LinearProgram(np.array([1.0]), "min", constraints, relations, rhs)
+
+
+def test_malformed_bounds_rejected():
     with pytest.raises(LpError):
-        LinearProgram(np.array([1.0]), "min", [(np.array([1.0, 2.0]), LE, 1.0)])
+        LinearProgram(np.array([1.0, 1.0]), "min", [], [], [], lower=[0.0])
     with pytest.raises(LpError):
-        LinearProgram(np.array([1.0]), "min", [(np.array([1.0]), LE, np.inf)])
+        LinearProgram(np.array([1.0]), "min", [], [], [], lower=[None], upper=[1.0])
 
 
 def test_bounds_and_free_variables():
     # min x - t  s.t.  t <= 3, 0 <= x <= 2: optimum x=0, t=3
     lp = LinearProgram(
-        np.array([1.0, -1.0]), "min",
-        [(np.array([0.0, 1.0]), LE, 3.0)],
+        np.array([1.0, -1.0]), "min", [[0.0, 1.0]], [LE], [3.0],
         lower=[0.0, None], upper=[2.0, None],
     )
     sol = solve_lp(lp)
@@ -76,7 +89,7 @@ def test_strong_duality_on_random_programs(seed):
     c = rng.normal(size=nv)
     rows = [(rng.normal(size=nv), rng.choice([LE, GE, EQ]), float(rng.normal()))
             for _ in range(nc)]
-    sol = solve_lp(LinearProgram(c, "min", rows, upper=[3.0] * nv))
+    sol = solve_lp(LinearProgram(c, "min", *row_block(rows, nv), upper=[3.0] * nv))
     if sol.status == OPTIMAL:
         assert abs(sol.objective - sol.dual_objective) <= 1e-7 * (1 + abs(sol.objective))
 
@@ -165,7 +178,7 @@ def same_outcome(got, want):
 
 
 def fresh(c, sense, rows, lower, upper):
-    return outcome(LinearProgram(c, sense, list(rows), lower=lower, upper=upper))
+    return outcome(LinearProgram(c, sense, *row_block(rows, c.size), lower=lower, upper=upper))
 
 
 small = st.integers(-3, 3).map(float)
@@ -188,66 +201,51 @@ def programs(draw):
     objectives = [(np.array(draw(st.lists(small, min_size=nv, max_size=nv))),
                    draw(st.sampled_from(["min", "max"])))
                   for _ in range(draw(st.integers(2, 4)))]
-    extra = (np.array(draw(st.lists(small, min_size=nv, max_size=nv))),
-             draw(st.sampled_from([LE, EQ, GE])), draw(small))
-    return rows, lower, upper, objectives, extra
+    return rows, lower, upper, objectives
 
 
 @settings(max_examples=300, deadline=None)
 @given(programs())
 def test_shared_phase_one_matches_fresh_solves(prog):
-    rows, lower, upper, objectives, extra = prog
+    rows, lower, upper, objectives = prog
     (c0, s0), rest = objectives[0], objectives[1:]
-    base = LinearProgram(c0, s0, list(rows), lower=lower, upper=upper)
+    base = LinearProgram(c0, s0, *row_block(rows, c0.size), lower=lower, upper=upper)
     assert same_outcome(outcome(base), fresh(c0, s0, rows, lower, upper))
     for c, sense in rest:
         assert same_outcome(outcome(base.with_objective(c, sense)),
                             fresh(c, sense, rows, lower, upper))
-    # A row added to a derived program reaches neither the base nor the
-    # phase 1 that the base already holds.
-    c, sense = rest[0]
-    derived = base.with_objective(c, sense)
-    derived.add(*extra)
-    assert len(base.constraints) == len(rows)
-    assert same_outcome(outcome(derived), fresh(c, sense, rows + [extra], lower, upper))
-    assert same_outcome(outcome(base.with_objective(c, sense)),
-                        fresh(c, sense, rows, lower, upper))
 
 
 def test_shared_phase_one_statuses():
     # 0 <= x0 <= 2, x1 free, x0 + x1 >= 1: bounded below in x0, not in x1
-    rows = [(np.array([1.0, 1.0]), GE, 1.0)]
     lower, upper = [0.0, None], [2.0, None]
-    base = LinearProgram(np.array([1.0, 1.0]), "min", rows, lower=lower, upper=upper)
+    base = LinearProgram(np.array([1.0, 1.0]), "min", [[1.0, 1.0]], [GE], [1.0],
+                         lower=lower, upper=upper)
     sol = solve_lp(base)
     assert sol.status == OPTIMAL and sol.objective == pytest.approx(1.0)
     assert solve_lp(base.with_objective(np.array([0.0, 1.0]), "max")).status == UNBOUNDED
     sol = solve_lp(base.with_objective(np.array([-1.0, 0.0]), "min"))
     assert sol.status == OPTIMAL and sol.x[0] == pytest.approx(2.0)
-    # Cutting the region empty in one program leaves the other feasible.
-    cut = base.with_objective(np.array([1.0, 0.0]), "min")
-    cut.add(np.array([1.0, 1.0]), LE, 0.0)
+    # The same region cut empty: infeasible under every objective.
+    cut = LinearProgram(np.array([1.0, 0.0]), "min", [[1.0, 1.0], [1.0, 1.0]], [GE, LE],
+                        [1.0, 0.0], lower=lower, upper=upper)
     assert solve_lp(cut).status == INFEASIBLE
-    assert solve_lp(base).status == OPTIMAL
-    base.add(np.array([1.0, 1.0]), LE, 0.0)
-    assert solve_lp(base).status == INFEASIBLE
-    # An infeasible base stays infeasible under every objective.
     for c in (np.array([1.0, 0.0]), np.array([0.0, -1.0])):
-        assert solve_lp(base.with_objective(c, "max")).status == INFEASIBLE
+        assert solve_lp(cut.with_objective(c, "max")).status == INFEASIBLE
 
 
 def test_with_objective_validates_and_shares():
-    base = LinearProgram(np.array([1.0, 1.0]), "min", [(np.array([1.0, 1.0]), GE, 1.0)])
+    base = LinearProgram(np.array([1.0, 1.0]), "min", [[1.0, 1.0]], [GE], [1.0])
     other = base.with_objective(np.array([2.0, 1.0]), "max")
     assert other.constraints is base.constraints
+    assert other.relations is base.relations and other.rhs is base.rhs
     assert other.lower is base.lower and other.upper is base.upper
+    assert other._form is base._form
     assert base.objective.tolist() == [1.0, 1.0] and base.sense == "min"
     with pytest.raises(LpError):
         base.with_objective(np.array([1.0]), "min")
     with pytest.raises(LpError):
         base.with_objective(np.array([1.0, 1.0]), "mid")
-    with pytest.raises(LpError):
-        base.add(np.array([1.0, 1.0]), "<>", 0.0)
 
 
 def test_phase_one_runs_once_per_policy(monkeypatch):
@@ -263,15 +261,16 @@ def test_phase_one_runs_once_per_policy(monkeypatch):
         return real(form, window, entering)
 
     monkeypatch.setattr(lpmod, "_phase_one", first_policy_fails)
-    base = LinearProgram(np.array([1.0, 1.0]), "min", [(np.array([1.0, 1.0]), GE, 1.0)])
+    base = LinearProgram(np.array([1.0, 1.0]), "min", [[1.0, 1.0]], [GE], [1.0])
     for c in (np.array([1.0, 1.0]), np.array([1.0, 2.0]), np.array([2.0, 1.0])):
         assert solve_lp(base.with_objective(c, "min")).status == OPTIMAL
     # The failed policy and the next one each ran phase 1 once.
     assert calls == list(lpmod._ATTEMPTS[:2])
     calls.clear()
-    base.add(np.array([1.0, 1.0]), LE, 0.5)
+    empty = LinearProgram(np.array([1.0, 1.0]), "min", [[1.0, 1.0], [1.0, 1.0]], [GE, LE],
+                          [1.0, 0.5])
     for c in (np.array([1.0, 1.0]), np.array([-1.0, 0.0])):
-        assert solve_lp(base.with_objective(c, "max")).status == INFEASIBLE
+        assert solve_lp(empty.with_objective(c, "max")).status == INFEASIBLE
     assert calls == list(lpmod._ATTEMPTS[:2])
 
 
@@ -317,8 +316,9 @@ def highs_outcome(lp, presolve=True):
     from scipy.optimize import linprog
 
     sign = 1.0 if lp.sense == "min" else -1.0
-    ub = [(a, b) if rel == LE else (-a, -b) for a, rel, b in lp.constraints if rel != EQ]
-    eq = [(a, b) for a, rel, b in lp.constraints if rel == EQ]
+    rows = list(zip(lp.constraints, lp.relations, lp.rhs))
+    ub = [(a, b) if rel == LE else (-a, -b) for a, rel, b in rows if rel != EQ]
+    eq = [(a, b) for a, rel, b in rows if rel == EQ]
     res = linprog(
         sign * lp.objective,
         A_ub=np.array([a for a, _ in ub]) if ub else None,
