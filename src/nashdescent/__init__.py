@@ -15,7 +15,6 @@ from .adjust import (
     adjust_linear,
     adjust_ts,
     lambda_mu,
-    rectangle_scan,
     ts_solve,
 )
 from .baselines import RunTrace, ZeroSumResult, fictitious_play, regret_matching, zero_sum_baseline
@@ -47,6 +46,7 @@ from .game import (
     pure,
     regrets,
     segment_min_f,
+    square_min_f,
     supports,
     uniform,
 )

@@ -1,7 +1,7 @@
 """Post-processing of a stationary point inside the square spanned by
 (x*,y*) and the dual witnesses (w*,z*): the classic convex-combination
 adjustment, the exact boundary minimum, and the linear-bound intersection,
-plus the full descent-and-adjust pipeline and a verification grid scan.
+plus the full descent-and-adjust pipeline.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descent import StationaryPoint, find_stationary
-from .game import SUPPORT_TOL, Game, Profile, grid_f, mixed, regrets, segment_min_f, supports
+from .game import SUPPORT_TOL, Game, Profile, mixed, regrets, segment_min_f, supports
 
 METHOD_TS = "ts"
 METHOD_BOUNDARY = "boundary-min"
@@ -27,30 +27,6 @@ class AdjustmentOutcome:
     method: str
     profile: Profile
     f: float
-
-
-@dataclass(frozen=True)
-class Rectangle:
-    """Convex combinations between a stationary profile and its dual witnesses."""
-
-    base: StationaryPoint
-
-    def corner(self, alpha: float, beta: float) -> Profile:
-        x, y = self.base.profile
-        w, z = self.base.dual.w, self.base.dual.z
-        return Profile(
-            mixed(alpha * w + (1.0 - alpha) * x),
-            mixed(beta * z + (1.0 - beta) * y),
-        )
-
-    @property
-    def corners(self) -> tuple[Profile, Profile, Profile, Profile]:
-        return (
-            self.corner(0, 0),
-            self.corner(0, 1),
-            self.corner(1, 0),
-            self.corner(1, 1),
-        )
 
 
 def lambda_mu(game: Game, sp: StationaryPoint, tol: float = SUPPORT_TOL) -> tuple[float, float]:
@@ -160,37 +136,4 @@ def ts_solve(game: Game, p0: Profile, delta: float = 1e-3, **kwargs) -> TsResult
         ts_f=m1.f,
         boundary_f=m2.f,
         linear_f=m3.f,
-    )
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    f_min: float
-    alpha: float
-    beta: float
-    profile: Profile
-
-
-def rectangle_scan(game: Game, sp: StationaryPoint, grid_size: int = 200) -> ScanResult:
-    """Minimum of f over a uniform lattice on the adjustment square.
-
-    Verification-only: the scan includes the four corners and returns the
-    location of the minimum.
-    """
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
-    x, y = sp.profile
-    w, z = sp.dual.w, sp.dual.z
-    alphas = np.linspace(0.0, 1.0, grid_size)
-    betas = np.linspace(0.0, 1.0, grid_size)
-    X = (1.0 - alphas)[:, None] * x[None, :] + alphas[:, None] * w[None, :]
-    Y = (1.0 - betas)[:, None] * y[None, :] + betas[:, None] * z[None, :]
-    F = grid_f(game, X, Y)
-    ia, ib = np.unravel_index(np.argmin(F), F.shape)
-    a, b = float(alphas[ia]), float(betas[ib])
-    return ScanResult(
-        f_min=float(F[ia, ib]),
-        alpha=a,
-        beta=b,
-        profile=Rectangle(sp).corner(a, b),
     )

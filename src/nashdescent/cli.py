@@ -163,8 +163,7 @@ def cmd_generate(args) -> int:
             continue
         feasible_inputs += 1
         inst = insts[0]
-        cert = verify_tight(inst.game, inst.input, grid_size=args.grid,
-                            full_grid=args.lambda_intersect)
+        cert = verify_tight(inst.game, inst.input, full_square=args.lambda_intersect)
         inst = type(inst)(inst.game, inst.input, inst.rho_star, inst.k, inst.l, cert)
         stem = os.path.join(args.out, f"game_{len(written):04d}")
         with open(stem + ".json", "w") as fh:
@@ -240,7 +239,7 @@ def cmd_verify(args) -> int:
         if not canon:
             raise GameError("no certificate file and no canonical block in the game file")
         inp = _witness_input(canon, ("x", "y", "w", "z"), "the game file's canonical block")
-    cert = verify_tight(game, inp, grid_size=args.grid, full_grid=args.full_grid)
+    cert = verify_tight(game, inp, full_square=args.full_square)
     print(json.dumps({"passed": cert.passed, "checks": cert.checks,
                       "values": cert.values, "mixedDuals": cert.mixed_duals}))
     return EXIT_OK if cert.passed else EXIT_EMPTY
@@ -295,10 +294,9 @@ def main(argv=None) -> int:
                    choices=("none", "disjoint", "intersecting", "nested"))
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=".")
-    g.add_argument("--grid", type=int, default=100,
-                   help="lattice size of the whole-square check run with --lambda-intersect")
     g.add_argument("--max-attempts", type=int, default=10_000)
-    g.add_argument("--lambda-intersect", action="store_true")
+    g.add_argument("--lambda-intersect", action="store_true",
+                   help="also make k best-respond to y*, and certify the whole square")
     g.add_argument("--mixed-duals", action="store_true")
     g.add_argument("--static", default=None,
                    help="write a named instance instead of sampling")
@@ -316,9 +314,9 @@ def main(argv=None) -> int:
     v = sub.add_parser("verify", help="verify a worst-case certificate")
     v.add_argument("game")
     v.add_argument("--cert", default=None)
-    v.add_argument("--grid", type=int, default=200,
-                   help="lattice size of the --full-grid check; the boundary check is exact")
-    v.add_argument("--full-grid", action="store_true")
+    v.add_argument("--full-square", action="store_true",
+                   help="also check f >= b - tol on the whole adjustment square, not "
+                        "only on its boundary; both checks are exact")
 
     for name in ("exp-stability", "exp-otb", "exp-success", "exp-compare"):
         e = sub.add_parser(name, help=f"run the {name[4:]} experiment")

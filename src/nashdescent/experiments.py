@@ -16,7 +16,7 @@ from io import StringIO
 import numpy as np
 
 from .adjust import ts_solve
-from .descent import find_stationary
+from .descent import DescentBudgetError, find_stationary
 from .baselines import fictitious_play, regret_matching, zero_sum_baseline
 from .dfm import dfm_solve
 from .game import Game, Profile, mixed
@@ -32,6 +32,9 @@ from .generator import (
 )
 
 F_THRESHOLD = 0.339
+# The algorithms exp-compare runs: the descent pipelines ts and dfm from `points`
+# lattice starts each, then fictitious play, regret matching and zero-sum once.
+ALGORITHMS = ("ts", "dfm", "fp", "rm", "zs")
 CSV_COLUMNS = ("experiment", "instance", "algorithm", "seed", "f", "iterations",
                "wall_ms", "detail")
 
@@ -65,7 +68,7 @@ class ExperimentConfig:
     restrictions: tuple = RESTRICTIONS
     pure_duals: bool = True
     lambda_intersect: bool = False
-    algorithms: tuple = ("ts", "dfm", "fp", "rm", "zs")
+    algorithms: tuple = ALGORITHMS
     effectiveness: float = 0.95
     seed: int = 0
     workers: int = 1
@@ -80,6 +83,15 @@ class ExperimentConfig:
             raise ValueError("radius and precisions must be positive finite numbers")
         if not 0.0 < self.effectiveness <= 1.0:
             raise ValueError("effectiveness must lie in (0, 1]")
+        named = [("algorithm", v, ALGORITHMS) for v in self.algorithms] + [
+            ("restriction", v, RESTRICTIONS) for v in (self.restriction, *self.restrictions)]
+        for name, v, known in named:
+            if v not in known:
+                raise ValueError(f"unknown {name} {v!r}; expected one of {', '.join(known)}")
+        for size in self.sizes:
+            if not (isinstance(size, (tuple, list)) and len(size) == 2
+                    and all(isinstance(k, (int, np.integer)) and k >= 2 for k in size)):
+                raise ValueError(f"sizes must be (m, n) pairs with m, n >= 2, got {size!r}")
 
     def ball_samples(self, m: int, n: int) -> int:
         return self.samples if self.samples is not None else 16 * (m - 1) * (n - 1)
@@ -256,11 +268,9 @@ def _otb_task(payload):
 def _compare_task(payload):
     (key, R, C, algorithm, seed, delta, rounds, points, resolution) = payload
     game = Game(np.asarray(R), np.asarray(C))
-    from .descent import DescentBudgetError
-
-    records = []
-    if algorithm in ("ts", "dfm"):
+    if algorithm in ALGORITHMS[:2]:  # the descent pipelines
         solver = ts_solve if algorithm == "ts" else dfm_solve
+        records = []
         for t in range(points):
             rng = _rng(seed, t)
             p0 = lattice_profile(game.m, game.n, resolution, rng)
@@ -274,25 +284,17 @@ def _compare_task(payload):
             wall = (time.perf_counter() - t0) * 1000.0
             records.append(TrialRecord("compare", key, algorithm, seed, f, iters, wall,
                                        {"trial": t}))
-    elif algorithm == "fp":
-        t0 = time.perf_counter()
-        trace = fictitious_play(game, rounds)
-        wall = (time.perf_counter() - t0) * 1000.0
-        records.append(TrialRecord("compare", key, "fp", seed, trace.f, rounds, wall, {}))
+        return records
+    t0 = time.perf_counter()
+    if algorithm == "fp":
+        f, iters, detail = fictitious_play(game, rounds).f, rounds, {}
     elif algorithm == "rm":
-        t0 = time.perf_counter()
-        trace = regret_matching(game, rounds, _rng(seed))
-        wall = (time.perf_counter() - t0) * 1000.0
-        records.append(TrialRecord("compare", key, "rm", seed, trace.f, rounds, wall, {}))
-    elif algorithm == "zs":
-        t0 = time.perf_counter()
-        res = zero_sum_baseline(game)
-        wall = (time.perf_counter() - t0) * 1000.0
-        records.append(TrialRecord("compare", key, "zs", seed, res.f, 0, wall,
-                                   {"candidate": res.candidate, "adjusted": res.adjusted}))
+        f, iters, detail = regret_matching(game, rounds, _rng(seed)).f, rounds, {}
     else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return records
+        res = zero_sum_baseline(game)
+        f, iters, detail = res.f, 0, {"candidate": res.candidate, "adjusted": res.adjusted}
+    wall = (time.perf_counter() - t0) * 1000.0
+    return [TrialRecord("compare", key, algorithm, seed, f, iters, wall, detail)]
 
 
 def _pmap(fn, payloads, workers: int):

@@ -239,6 +239,12 @@ def regrets(game: Game, p: Profile) -> Regrets:
     return Regrets(fR, fC, max(fR, fC))
 
 
+def _quadratic_roots(qa, qb, qc) -> tuple[np.ndarray, np.ndarray]:
+    """Both roots of qa t^2 + qb t + qc, elementwise, without cancellation."""
+    q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)), qb))
+    return q / qa, qc / q
+
+
 def segment_min_f(game: Game, a: Profile, b: Profile) -> tuple[float, Profile, float]:
     """Minimize f exactly along the segment from profile a to profile b.
 
@@ -264,11 +270,10 @@ def segment_min_f(game: Game, a: Profile, b: Profile) -> tuple[float, Profile, f
     # Differences of every ordered pair of pieces (each pair twice, harmless).
     qa, qb, qc = (v[:, None] - v[None, :] for v in (p2, p1, p0))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # Both roots of qa t^2 + qb t + qc without cancellation; when qa = 0
-        # (two pieces of one family) the second one is the linear root.
-        q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)), qb))
-        # A concave piece's vertex is a maximum, a harmless extra candidate.
-        roots = np.concatenate([(q / qa).ravel(), (qc / q).ravel(), -p1 / (2.0 * p2)])
+        # When qa = 0 (two pieces of one family) the second root is the linear
+        # one; a concave piece's vertex is a maximum, a harmless extra candidate.
+        roots = np.concatenate([r.ravel() for r in _quadratic_roots(qa, qb, qc)]
+                               + [-p1 / (2.0 * p2)])
     ts = np.concatenate([[0.0, 1.0], roots[(roots > 0.0) & (roots < 1.0)]])
     F = (p0[:, None] + ts * (p1[:, None] + ts * p2[:, None])).max(axis=0)
     t = float(ts[F <= F.min() + SEGMENT_TIE_TOL].min())
@@ -276,13 +281,69 @@ def segment_min_f(game: Game, a: Profile, b: Profile) -> tuple[float, Profile, f
     return t, prof, regrets(game, prof).f
 
 
-def grid_f(game: Game, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """f at every pairing of a row of X with a row of Y: F[a, b] = f(X[a], Y[b])."""
-    RY = game.R @ Y.T
-    CX = game.C.T @ X.T
-    fR = RY.max(axis=0)[None, :] - X @ RY
-    fC = CX.max(axis=0)[:, None] - (X @ game.C) @ Y.T
-    return np.maximum(fR, fC)
+def _cuts(c0, c1) -> np.ndarray:
+    """0, 1 and every t in (0, 1) where two of the lines c0 + c1 t cross."""
+    t = ((c0[None, :] - c0[:, None]) / (c1[:, None] - c1[None, :])).ravel()
+    return np.unique(np.concatenate([[0.0, 1.0], t[(t > 0.0) & (t < 1.0)]]))
+
+
+def _pair_points(d0, du, dv, duv, g0, gu, gv, cuts) -> tuple[np.ndarray, np.ndarray]:
+    """Points (u, v) of each curve d0 + du u + dv v + duv uv = 0 on the lines
+    v = c of cuts, and where it meets its line g0 + gu u + gv v = 0."""
+    on_cuts = -(d0[:, None] + dv[:, None] * cuts) / (du[:, None] + duv[:, None] * cuts)
+    u = np.stack(_quadratic_roots(-duv * gu, du * gv - dv * gu - duv * g0, d0 * gv - dv * g0))
+    v = np.broadcast_to(cuts, on_cuts.shape)
+    return (np.concatenate([on_cuts.ravel(), u.ravel()]),
+            np.concatenate([v.ravel(), (-(g0 + gu * u) / gv).ravel()]))
+
+
+def square_min_f(game: Game, a: Profile, b: Profile) -> tuple[float, float, Profile, float]:
+    """Minimize f exactly on p(alpha, beta) = ((1-alpha) x + alpha w,
+    (1-beta) y + beta z), the square spanned by a = (x, y) and b = (w, z).
+
+    Each row and column piece of f is bilinear in (alpha, beta); two row
+    pieces cross on a line beta = const, two column pieces on a line alpha =
+    const.  A bilinear piece has no strict interior minimum, so f's minimum
+    is a vertex of these cut lines, a row-column crossing on a cut line, or
+    a point of a row-column crossing where the two gradients are parallel
+    (a line: one quadratic per pair).  Of the candidates within
+    SEGMENT_TIE_TOL of the least value, the least alpha, then the least beta
+    wins; f is recomputed at the profile returned.  Returns
+    (alpha, beta, profile, f).
+    """
+    game.check_profile(a)
+    game.check_profile(b)
+    x, y = a
+    dx, dy = b.x - x, b.y - y
+    Ry, Rdy = game.R @ y, game.R @ dy
+    Cx, Cdx = game.C.T @ x, game.C.T @ dx
+    # Coefficients (k0, ka, kb, kab) of k0 + ka alpha + kb beta + kab alpha beta;
+    # the row pieces share ka and kab, the column pieces kb and kab.
+    row = (Ry - x @ Ry, np.full_like(Ry, -(dx @ Ry)), Rdy - x @ Rdy, np.full_like(Ry, -(dx @ Rdy)))
+    col = (Cx - Cx @ y, Cdx - Cdx @ y, np.full_like(Cx, -(Cx @ dy)), np.full_like(Cx, -(Cdx @ dy)))
+    # Per (row, column) pair: the pieces' difference d0 + da alpha + db beta
+    # + dab alpha beta, and the line g0 + ga alpha + gb beta = 0 where their
+    # gradients are parallel.
+    pk, pa, pb, pab = (np.repeat(c, Cx.size) for c in row)
+    qk, qa, qb, qab = (np.tile(c, Ry.size) for c in col)
+    d0, da, db, dab = pk - qk, pa - qa, pb - qb, pab - qab
+    g0, ga, gb = pa * qb - pb * qa, pa * qab - pab * qa, pab * qb - pb * qab
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        alphas, betas = _cuts(col[0], col[1]), _cuts(row[0], row[2])
+        al1, be1 = _pair_points(d0, da, db, dab, g0, ga, gb, betas)
+        be2, al2 = _pair_points(d0, db, da, dab, g0, gb, ga, alphas)
+    al = np.concatenate([np.repeat(alphas, betas.size), al1, al2])
+    be = np.concatenate([np.tile(betas, alphas.size), be1, be2])
+    inside = (al >= 0.0) & (al <= 1.0) & (be >= 0.0) & (be <= 1.0)
+    al, be = al[inside], be[inside]
+    k0, ka, kb, kab = (np.concatenate(c)[:, None] for c in zip(row, col))
+    F = (k0 + al * (ka + kab * be) + kb * be).max(axis=0)
+    tied = F <= F.min() + SEGMENT_TIE_TOL
+    alpha = float(al[tied].min())
+    beta = float(be[tied][al[tied] == alpha].min())
+    prof = Profile(mixed(np.clip((1.0 - alpha) * x + alpha * b.x, 0.0, None)),
+                   mixed(np.clip((1.0 - beta) * y + beta * b.y, 0.0, None)))
+    return alpha, beta, prof, regrets(game, prof).f
 
 
 def supports(game: Game, p: Profile, tol: float = SUPPORT_TOL) -> Supports:

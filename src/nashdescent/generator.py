@@ -14,7 +14,8 @@ from functools import lru_cache
 import numpy as np
 
 from .descent import DualSolution, stationary_from, verify_stationary
-from .game import SUPPORT_TOL, Game, Profile, grid_f, mixed, regrets, renormalized, segment_min_f
+from .game import (SUPPORT_TOL, Game, Profile, mixed, regrets, renormalized, segment_min_f,
+                   square_min_f)
 from .lp import (
     CHECK_TOL, EQ, GE, MINIMIZE, MAXIMIZE, OPTIMAL, LinearProgram, solve_lp,
 )
@@ -473,9 +474,8 @@ def sample_outside_ball(
 def verify_tight(
     game: Game,
     inp: GeneratorInput,
-    grid_size: int = 200,
     tol: float = 1e-6,
-    full_grid: bool = False,
+    full_square: bool = False,
 ) -> TightCertificate:
     """Check that a game is worst-case tight for the prescribed data.
 
@@ -484,8 +484,8 @@ def verify_tight(
     two far-corner regrets saturate at 1; the far corner leans toward the
     column regret; and f stays above b - tol on the square's boundary,
     checked exactly by minimizing f along each of its four edges.  With
-    full_grid set, f is also checked on a grid_size x grid_size lattice over
-    the whole square; grid_size sizes nothing else.
+    full_square set, f is also checked above b - tol on the whole square,
+    exactly, by ``square_min_f``.
     """
     cons = solve_b()
     cert = TightCertificate(mixed_duals=not inp.pure_duals)
@@ -513,14 +513,9 @@ def verify_tight(
     cert.values["boundary_min"] = min(lows)
     cert.checks["boundary_above_b"] = min(lows) >= cons.b - tol
 
-    if full_grid:
-        if grid_size < 2:
-            raise ValueError("grid_size must be at least 2")
-        alphas = np.linspace(0.0, 1.0, grid_size)
-        X = (1 - alphas)[:, None] * x + alphas[:, None] * w
-        Y = (1 - alphas)[:, None] * y + alphas[:, None] * z
-        cert.values["grid_min"] = float(grid_f(game, X, Y).min())
-        cert.checks["grid_above_b"] = cert.values["grid_min"] >= cons.b - tol
+    if full_square:
+        cert.values["square_min"] = square_min_f(game, xy, wz)[3]
+        cert.checks["square_above_b"] = cert.values["square_min"] >= cons.b - tol
     return cert
 
 

@@ -17,7 +17,11 @@ LPs of one ts_solve run and one generate_tight draw) were added from the
 code before the simplex kernel's pivots and set-up were rewritten, and are
 compared exactly too.  The ``generate_tight`` entries of the intersecting
 spec were appended from the code before sample_inputs tested supports with
-Python sets.  Regenerate with
+Python sets.  The ``rectangle_scan_f`` entries and the verify entries'
+``grid_min`` and ``grid_above_b`` were renamed ``square_min_f``,
+``square_min`` and ``square_above_b`` with their stored values kept, when
+the lattice scans gave way to the exact square minimizer; it reproduces
+them within 3.4e-16.  Regenerate with
 
     PYTHONPATH=src python tests/golden_corpus.py
 
@@ -39,7 +43,6 @@ from nashdescent.adjust import (
     adjust_boundary_min,
     adjust_linear,
     adjust_ts,
-    rectangle_scan,
     ts_solve,
 )
 from nashdescent.baselines import fictitious_play, regret_matching, zero_sum_baseline
@@ -59,7 +62,7 @@ from nashdescent.experiments import (
     lattice_profile,
     sample_tight_games,
 )
-from nashdescent.game import Game, Profile, mixed, regrets, segment_min_f
+from nashdescent.game import Game, Profile, mixed, regrets, segment_min_f, square_min_f
 from nashdescent.generator import (
     dfm_family,
     dfm_tight,
@@ -152,9 +155,7 @@ def ts_entries(games) -> list:
                 "adjust_ts": plain(adjust_ts(game, sp)),
                 "adjust_boundary_min": plain(adjust_boundary_min(game, sp)),
                 "adjust_linear": plain(adjust_linear(game, sp)),
-                # Only the value: the scan's minimum often lies on a plateau,
-                # where last-bit noise decides which lattice cell is reported.
-                "rectangle_scan_f": rectangle_scan(game, sp, grid_size=40).f_min,
+                "square_min_f": square_min_f(game, sp.profile, Profile(sp.dual.w, sp.dual.z))[3],
             })
     return out
 
@@ -277,7 +278,7 @@ def segment_entries() -> list:
 def verify_entries() -> list:
     out = []
     for inst in sample_tight_games(3, 3, 2, np.random.default_rng(81), groups=2):
-        cert = verify_tight(inst.game, inst.input, grid_size=60, full_grid=True)
+        cert = verify_tight(inst.game, inst.input, full_square=True)
         out.append({"checks": cert.checks, "values": plain(cert.values)})
     return out
 

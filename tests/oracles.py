@@ -103,6 +103,22 @@ def segment_f_min_grid(R, C, a, b, points):
     return float(np.maximum(fR, fC).min())
 
 
+def square_f_min_grid(R, C, a, b, points):
+    """Least f = max(fR, fC) over a points x points lattice on the square of
+    profiles ((1 - s) x + s w, (1 - t) y + t z) spanned by a = (x, y) and
+    b = (w, z), corners included."""
+    R = np.asarray(R, float)
+    C = np.asarray(C, float)
+    ts = np.linspace(0.0, 1.0, points)[:, None]
+    X = (1.0 - ts) * np.asarray(a[0], float) + ts * np.asarray(b[0], float)
+    Y = (1.0 - ts) * np.asarray(a[1], float) + ts * np.asarray(b[1], float)
+    RY = R @ Y.T  # column l: R y_l
+    CX = C.T @ X.T  # column k: C' x_k
+    fR = RY.max(axis=0)[None, :] - X @ RY
+    fC = CX.max(axis=0)[:, None] - (X @ C) @ Y.T
+    return float(np.maximum(fR, fC).min())
+
+
 def grid_direction_value(R, C, x, y, row_best, col_best, resolution):
     """Brute min over a profile grid of the best-response smoothed derivative.
 

@@ -10,11 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from nashdescent.adjust import adjust_boundary_min, adjust_linear, adjust_ts, rectangle_scan, ts_solve
+from nashdescent.adjust import adjust_boundary_min, adjust_linear, adjust_ts, ts_solve
 from nashdescent.baselines import fictitious_play, regret_matching, zero_sum_baseline
 from nashdescent.descent import DualSolution, find_stationary, stationary_from, verify_stationary
 from nashdescent.dfm import dfm_adjust, dfm_solve
-from nashdescent.game import Profile, mixed, normalize_game, regrets, supports, uniform
+from nashdescent.game import (
+    Profile, mixed, normalize_game, regrets, square_min_f, supports, uniform,
+)
 from nashdescent.generator import (
     sample_inputs,
     generate_tight,
@@ -61,17 +63,17 @@ def test_criterion_1_constants():
 def test_criterion_2_tight_bound(eq1, cons):
     t0 = time.perf_counter()
     res = ts_solve(eq1.game, eq1.profile, delta=DELTA_FINE)
-    scan = rectangle_scan(eq1.game, res.sp, grid_size=200)
+    square_f = square_min_f(eq1.game, res.sp.profile, Profile(res.sp.dual.w, res.sp.dual.z))[3]
     wall = time.perf_counter() - t0
     values = (res.best.f, res.stationary_f, res.ts_f, res.boundary_f, res.linear_f)
     ok = (
         all(abs(v - cons.b) <= 1e-6 for v in values)
-        and scan.f_min >= cons.b - 1e-6
+        and square_f >= cons.b - 1e-6
         and wall < 5.0
     )
     assert report(
         "2 (tight bound attained)", ok,
-        f"pipeline f={res.best.f:.9f} scan min={scan.f_min:.9f} in {wall:.2f}s",
+        f"pipeline f={res.best.f:.9f} square min={square_f:.9f} in {wall:.2f}s",
     )
 
 
@@ -137,20 +139,20 @@ def test_criterion_6_generator_soundness(cons):
                 if checked >= 200:
                     break
                 checked += 1
-                all_pass &= verify_tight(inst.game, inst.input, grid_size=100).passed
-    grid_ok = True
+                all_pass &= verify_tight(inst.game, inst.input).passed
+    square_ok = True
     rng = np.random.default_rng(777)
     done = 0
     while done < 40:
         inp = sample_inputs(3, 3, "disjoint", rng)
         for inst in generate_tight(inp, count=2, rng=rng, lambda_intersect=True):
-            cert = verify_tight(inst.game, inst.input, grid_size=100, full_grid=True)
-            grid_ok &= cert.checks["grid_above_b"]
+            cert = verify_tight(inst.game, inst.input, full_square=True)
+            square_ok &= cert.checks["square_above_b"]
             done += 1
-    ok = all_pass and grid_ok
+    ok = all_pass and square_ok
     assert report(
         "6 (generator soundness)", ok,
-        f"600 sampled instances verified={all_pass}, full-square floor={grid_ok}",
+        f"600 sampled instances verified={all_pass}, full-square floor={square_ok}",
     )
 
 

@@ -5,16 +5,14 @@ from nashdescent.adjust import (
     METHOD_BOUNDARY,
     METHOD_LINEAR,
     METHOD_TS,
-    Rectangle,
     adjust_boundary_min,
     adjust_linear,
     adjust_ts,
     lambda_mu,
-    rectangle_scan,
     ts_solve,
 )
 from nashdescent.descent import DualSolution, StationaryPoint, lambda_mu_star, stationary_from
-from nashdescent.game import Game, Profile, mixed, pure, regrets, uniform
+from nashdescent.game import Game, Profile, mixed, pure, regrets, square_min_f, uniform
 
 
 def zero_game_sp():
@@ -198,16 +196,22 @@ class TestTsSolve:
             ts_solve(eq1.game, eq1.profile, delta=-1.0)
 
 
+def square_min(game, sp):
+    """square_min_f over the adjustment square of a stationary point."""
+    return square_min_f(game, sp.profile, Profile(sp.dual.w, sp.dual.z))
+
+
 class TestRectangleScan:
+    """The exact minimum of f over the adjustment square (rectangle)."""
+
     def test_tight_instance_floor(self, eq1, cons):
-        scan = rectangle_scan(eq1.game, eq1.stationary_point(), 200)
-        assert scan.f_min >= cons.b - 1e-9
+        assert square_min(eq1.game, eq1.stationary_point())[3] >= cons.b - 1e-9
 
     def test_equilibrium_corner(self):
         g, sp = zero_game_sp()
-        scan = rectangle_scan(g, sp, 50)
-        assert scan.f_min == 0.0
-        assert (scan.alpha, scan.beta) == (0.0, 0.0)
+        alpha, beta, prof, f = square_min(g, sp)
+        assert (alpha, beta, f) == (0.0, 0.0, 0.0)
+        assert np.array_equal(prof.x, sp.profile.x) and np.array_equal(prof.y, sp.profile.y)
 
     def test_scan_never_beats_corners(self, generated_3x3):
         inst = generated_3x3[0]
@@ -215,13 +219,9 @@ class TestRectangleScan:
             inst.game, Profile(inst.input.x_star, inst.input.y_star),
             DualSolution(inst.rho_star, inst.input.w_star, inst.input.z_star),
         )
-        scan = rectangle_scan(inst.game, sp, 60)
-        corner_f = min(regrets(inst.game, c).f for c in Rectangle(sp).corners)
-        assert scan.f_min <= corner_f + 1e-12
-
-    def test_rejects_tiny_grid(self, eq1):
-        with pytest.raises(ValueError):
-            rectangle_scan(eq1.game, eq1.stationary_point(), 1)
+        (x, y), (w, z) = sp.profile, (sp.dual.w, sp.dual.z)
+        corner_f = min(regrets(inst.game, Profile(a, b)).f for a in (x, w) for b in (y, z))
+        assert square_min(inst.game, sp)[3] <= corner_f + 1e-12
 
 
 class TestSquareGeometry:

@@ -68,9 +68,10 @@ def test_generate_verify_and_determinism(tmp_path, capsys):
         assert (out1 / name).read_text() == (out2 / name).read_text()
 
     code, out = run(capsys, "verify", str(out1 / "game_0000.json"),
-                    "--cert", str(out1 / "game_0000.cert.json"), "--grid", "100")
+                    "--cert", str(out1 / "game_0000.cert.json"), "--full-square")
     assert code == 0
-    assert json.loads(out)["passed"]
+    doc = json.loads(out)
+    assert doc["passed"] and doc["checks"]["square_above_b"]
 
 
 def test_verify_fails_on_tampered_game(tmp_path, capsys):
@@ -181,12 +182,12 @@ def test_non_finite_delta_is_io_error(tmp_path, capsys, delta):
     assert capsys.readouterr().err == "error: delta must be a positive finite number\n"
 
 
-@pytest.mark.parametrize("grid", ["0", "1"])
-def test_full_grid_below_two_points_is_io_error(tmp_path, capsys, grid):
-    run(capsys, "generate", "--static", "tight-3x3", "--out", str(tmp_path))
-    code = main(["verify", str(tmp_path / "tight-3x3.json"), "--full-grid", "--grid", grid])
+def test_stability_on_one_by_one_games_is_io_error(capsys):
+    code = main(["exp-stability", "--size", "1x1"])
     assert code == 1
-    assert capsys.readouterr().err == "error: grid_size must be at least 2\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sizes must be (m, n) pairs with m, n >= 2, got (1, 1)\n"
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nashdescent.experiments import (
+    ALGORITHMS,
     ExperimentConfig,
     exp_compare,
     exp_outside_ball,
@@ -15,6 +16,7 @@ from nashdescent.experiments import (
     sample_tight_games,
     wilson_interval,
 )
+from nashdescent.generator import RESTRICTIONS
 
 
 def strip_walls(report):
@@ -62,6 +64,25 @@ class TestConfig:
     def test_effectiveness_outside_unit_interval_rejected(self, value):
         with pytest.raises(ValueError, match="effectiveness"):
             ExperimentConfig(effectiveness=value)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("algorithms", ("ts", "bogus"), "unknown algorithm 'bogus'"),
+        ("restriction", "bogus", "unknown restriction 'bogus'"),
+        ("restrictions", ("disjoint", "bogus"), "unknown restriction 'bogus'"),
+        ("sizes", ((1, 1),), "sizes must be"),
+        ("sizes", ((3, 3), (2, 1)), "sizes must be"),
+        ("sizes", ((3, 3, 3),), "sizes must be"),
+        ("sizes", (3,), "sizes must be"),
+        ("sizes", ((3.0, 3),), "sizes must be"),
+    ])
+    def test_unrunnable_names_and_sizes_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{field: value})
+
+    def test_every_algorithm_and_restriction_accepted(self):
+        cfg = ExperimentConfig(algorithms=ALGORITHMS, restrictions=RESTRICTIONS,
+                               sizes=((2, 2), (3, 5)))
+        assert cfg.algorithms == ("ts", "dfm", "fp", "rm", "zs")
 
     def test_default_ball_samples(self):
         cfg = ExperimentConfig()

@@ -15,11 +15,12 @@ from nashdescent.game import (
     pure,
     regrets,
     segment_min_f,
+    square_min_f,
     supports,
     uniform,
 )
 
-from .oracles import segment_f_min_grid, support_enum_ne
+from .oracles import segment_f_min_grid, square_f_min_grid, support_enum_ne
 
 
 def test_normalize_affine_map():
@@ -231,3 +232,36 @@ def test_segment_min_f_is_exact(data):
     np.testing.assert_allclose(prof.y, a.y + t * (b.y - a.y), rtol=0, atol=1e-12)
     assert f == regrets(game, prof).f
     assert f <= segment_f_min_grid(game.R, game.C, a, b, 2001) + 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(segments())
+def test_square_min_f_is_exact(data):
+    """The segment draw's two ends span the square: it may be a segment or a
+    point, and its corners may be pure."""
+    game, a, b = data
+    alpha, beta, prof, f = square_min_f(game, a, b)
+    assert 0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0
+    np.testing.assert_allclose(prof.x, a.x + alpha * (b.x - a.x), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(prof.y, a.y + beta * (b.y - a.y), rtol=0, atol=1e-12)
+    assert f == regrets(game, prof).f
+    assert f <= square_f_min_grid(game.R, game.C, a, b, 201) + 1e-12
+    (x, y), (w, z) = a, b
+    for p, q in (((x, y), (w, y)), ((x, z), (w, z)), ((x, y), (x, z)), ((w, y), (w, z))):
+        assert f <= segment_min_f(game, Profile(*p), Profile(*q))[2] + 1e-12
+
+
+def test_square_min_f_finds_an_interior_crossing_minimum():
+    """A square whose minimum lies inside a cell, on the crossing of a row
+    and a column piece where their gradients are parallel: no cut-grid
+    vertex or cut-line crossing reaches it (the best of those is 0.10256)."""
+    R = np.array([[0.2, 0.2, 0.5], [0.5, 0.4, 0.8], [0.6, 0.6, 0.5]])
+    C = np.array([[0.3, 0.4, 0.2], [0.3, 0.1, 0.0], [0.9, 0.8, 0.5]])
+    a = Profile(mixed(np.array([0, 3, 2]) / 5), mixed(np.array([2, 1, 3]) / 6))
+    b = Profile(mixed(np.array([1, 0, 1]) / 2), mixed(np.array([1, 2, 0]) / 3))
+    alpha, beta, prof, f = square_min_f(Game(R, C), a, b)
+    assert 0.4 < alpha < 0.43 and 0.65 < beta < 0.67
+    r = regrets(Game(R, C), prof)
+    assert abs(r.fR - r.fC) <= 1e-12
+    assert f <= square_f_min_grid(R, C, a, b, 201) + 1e-12
+    assert f < 0.0978

@@ -161,7 +161,7 @@ class TestGenerate:
             0.5 * (insts[0].game.C + insts[1].game.C),
         )
         assert_satisfies_feasibility_program(blend, inp, insts[0].k, insts[0].l, cons)
-        assert verify_tight(blend, inp, grid_size=80).passed
+        assert verify_tight(blend, inp).passed
 
 
 def _sweep_inputs(sizes, per_cell):
@@ -310,12 +310,12 @@ class TestSampleInputs:
 class TestVerifyTight:
     def test_static_instances_pass(self, eq1):
         for inst in (eq1, tight_m_n(4, 5), tight_no_dominated()):
-            cert = verify_tight(inst.game, inst.generator_input, grid_size=120)
+            cert = verify_tight(inst.game, inst.generator_input)
             assert cert.passed, cert.failures
 
     def test_mixed_dual_flag(self):
         cert = verify_tight(tight_no_dominated().game,
-                            tight_no_dominated().generator_input, grid_size=50)
+                            tight_no_dominated().generator_input)
         assert cert.mixed_duals
 
     def test_perturbed_entry_breaks_the_certificate(self, eq1):
@@ -323,7 +323,7 @@ class TestVerifyTight:
         # regret stays at b, so the equal-regret half of stationarity fails
         R = eq1.game.R.copy()
         R[0, 0] = 0.2
-        cert = verify_tight(Game(R, eq1.game.C), eq1.generator_input, grid_size=50)
+        cert = verify_tight(Game(R, eq1.game.C), eq1.generator_input)
         assert not cert.passed
         assert "stationary" in cert.failures
         r = regrets(Game(R, eq1.game.C), eq1.profile)
@@ -344,7 +344,7 @@ class TestVerifyTight:
 
     def test_generated_instances_pass(self, generated_3x3, generated_4x4):
         for inst in list(generated_3x3) + list(generated_4x4):
-            assert verify_tight(inst.game, inst.input, grid_size=80).passed
+            assert verify_tight(inst.game, inst.input).passed
 
     def test_lambda_intersect_controls_full_square(self):
         rng = np.random.default_rng(42)
@@ -354,15 +354,9 @@ class TestVerifyTight:
             insts = generate_tight(inp, count=1, rng=rng, lambda_intersect=True)
             if not insts:
                 continue
-            cert = verify_tight(insts[0].game, inp, grid_size=100, full_grid=True)
-            assert cert.passed and cert.checks["grid_above_b"], cert.failures
+            cert = verify_tight(insts[0].game, inp, full_square=True)
+            assert cert.passed and cert.checks["square_above_b"], cert.failures
             done += 1
-
-
-    @pytest.mark.parametrize("grid_size", [0, 1])
-    def test_full_grid_needs_two_points_per_side(self, eq1, grid_size):
-        with pytest.raises(ValueError, match="grid_size must be at least 2"):
-            verify_tight(eq1.game, eq1.generator_input, grid_size=grid_size, full_grid=True)
 
 
 class TestSamplers:
@@ -402,7 +396,7 @@ class TestStaticInstances:
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 5), (6, 4), (7, 7)])
     def test_family_members_verify(self, m, n):
         inst = tight_m_n(m, n)
-        assert verify_tight(inst.game, inst.generator_input, grid_size=80).passed
+        assert verify_tight(inst.game, inst.generator_input).passed
 
     def test_no_dominated_strategies(self):
         g = tight_no_dominated().game
