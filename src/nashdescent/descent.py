@@ -9,12 +9,14 @@ stationary point feeds every adjustment method downstream.
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .game import SUPPORT_TOL, Game, Profile, mixed, regrets, renormalized, supports
+from .game import (SUPPORT_TOL, Game, Profile, mixed, normalize_in_place, regrets, renormalized,
+                   supports)
 from .lp import EQ, GE, LE, MINIMIZE, OPTIMAL, LinearProgram, LpNumericalError, solve_lp
 
 # |fR - fC| band inside which a profile counts as balanced and the balance
@@ -22,6 +24,8 @@ from .lp import EQ, GE, LE, MINIMIZE, OPTIMAL, LinearProgram, LpNumericalError, 
 BALANCE_BAND = 1e-7
 # fR/fC proximity under which the derivative takes the max of both branches.
 EQUAL_REGRET_TOL = 1e-9
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -41,17 +45,30 @@ class DualSolution:
         return DualSolution(1.0 - self.rho, self.z, self.w)
 
 
-@dataclass(frozen=True)
 class DirectionResult:
-    """Outcome of the minimax direction program at a balanced profile."""
+    """Outcome of the minimax direction program at a balanced profile.
 
-    x_new: np.ndarray
-    y_new: np.ndarray
-    value: float
-    dual: DualSolution
-    # The program's data (G, its best-response row ids, the supports), kept
-    # for the equalized-dual LP at the same profile.
-    _program: tuple | None = field(default=None, repr=False, compare=False)
+    ``dual`` is the program's dual witness.  A result of ``direction``
+    builds it from the LP's weights when it is first read: the descent
+    reads it only at its stationary point, and only when the equalizing LP
+    fails there.
+    """
+
+    def __init__(self, x_new: np.ndarray, y_new: np.ndarray, value: float,
+                 dual: DualSolution | None = None, _program: tuple | None = None):
+        self.x_new, self.y_new, self.value = x_new, y_new, value
+        self._dual = dual
+        # The program's data (the game, G, its best-response row ids, the
+        # supports and the LP's weights on those rows), kept for the witness
+        # and for the equalized-dual LP at the same profile.
+        self._program = _program
+
+    @property
+    def dual(self) -> DualSolution:
+        if self._dual is None:
+            game, _, _, sup, weights = self._program
+            self._dual = _dual_from_weights(game, weights, sup)
+        return self._dual
 
 
 @dataclass(frozen=True)
@@ -131,7 +148,9 @@ def _rebalance_row(game: Game, p: Profile) -> Profile:
     y = p.y
     Ry = R @ y
     Cy = C @ y
-    rows = np.vstack([Ry + C.T - Cy, np.ones(game.m)])
+    rows = np.empty((game.n + 1, game.m))
+    rows[:-1] = Ry + C.T - Cy
+    rows[-1] = 1.0
     rels = (LE,) * game.n + (EQ,)
     rhs = [float(Ry.max())] * game.n + [1.0]
     sol = solve_lp(LinearProgram(-Ry, MINIMIZE, rows, rels, rhs))
@@ -146,7 +165,7 @@ def _support_rows(game: Game, p: Profile, tol: float):
 
 
 def _dual_from_weights(game: Game, weights: np.ndarray, sup) -> DualSolution:
-    u = np.clip(weights, 0.0, None)
+    u = np.maximum(weights, 0.0)
     total = u.sum()
     if total <= 0:
         u = np.ones_like(u)
@@ -165,7 +184,7 @@ def _dual_from_weights(game: Game, weights: np.ndarray, sup) -> DualSolution:
         else:  # degenerate certificate: any best response works
             full[best] = 1.0 / len(best)
         masses.append(mass)
-        witnesses.append(mixed(full))
+        witnesses.append(normalize_in_place(full))
     return DualSolution(rho=min(max(masses[0], 0.0), 1.0), w=witnesses[0], z=witnesses[1])
 
 
@@ -209,26 +228,32 @@ def direction(
         x_new=renormalized(sol.x[n : n + m]),
         y_new=renormalized(sol.x[:n]),
         value=float(sol.objective),
-        dual=_dual_from_weights(game, sol.duals[:k], sup),
-        _program=(G, row_ids, sup),
+        _program=(game, G, row_ids, sup, sol.duals[:k]),
     )
     if canonicalize:
-        res = replace(res, dual=_equalized_dual(game, res))
+        res = DirectionResult(res.x_new, res.y_new, res.value, _equalized_dual(res),
+                              res._program)
     return res
 
 
-def _equalized_dual(game: Game, d: DirectionResult) -> DualSolution:
+def _equalized_dual(d: DirectionResult) -> DualSolution:
     """The equalized dual witness at the profile where ``direction``
     returned d, from the program data d carries.
 
-    Falls back to d's own witness when the equalizing LP fails.
+    Falls back to d's own witness, with a debug record on this module's
+    logger, when the equalizing LP fails.
     """
-    G, row_ids, sup = d._program
+    game, G, row_ids, sup, _ = d._program
     try:
         weights = _equalized_dual_weights(G, row_ids, game.n, game.m, d.value)
-    except LpNumericalError:
-        weights = None
-    return d.dual if weights is None else _dual_from_weights(game, weights, sup)
+        failure = "ended without an optimum"
+    except LpNumericalError as err:
+        weights, failure = None, f"raised: {err}"
+    if weights is None:
+        _log.debug("equalized-dual LP on %d best-response rows %s; keeping the "
+                   "direction LP's witness", len(row_ids), failure)
+        return d.dual
+    return _dual_from_weights(game, weights, sup)
 
 
 def _equalized_dual_weights(G, row_ids, n, m, value):
@@ -323,18 +348,20 @@ def line_search(game: Game, p: Profile, dres: DirectionResult, tol: float = SUPP
     r = regrets(game, p)
 
     def support_bound(vals, vals_new):
-        vmax = vals.max()
-        best = vals >= vmax - tol
-        if np.all(best):
+        # On Python floats: the comparisons, differences and quotients of
+        # the array form, without an array call for each of them.
+        vals, vals_new = vals.tolist(), vals_new.tolist()
+        vmax = max(vals)
+        best = [v >= vmax - tol for v in vals]
+        if all(best):
             return np.inf
-        m_new = vals_new[best].max()
-        num = vmax - vals[~best]
-        gap = vals_new[~best] - m_new
-        den = num + gap
-        ok = (gap > 0) & (den > 1e-12)
-        if not np.any(ok):
-            return np.inf
-        return float((num[ok] / den[ok]).min())
+        m_new = max([w for w, b in zip(vals_new, best) if b])
+        bound = np.inf
+        for v, w, b in zip(vals, vals_new, best):
+            num, gap = vmax - v, w - m_new
+            if not b and gap > 0 and num + gap > 1e-12:
+                bound = min(bound, num / (num + gap))
+        return bound
 
     eps1 = support_bound(R @ y, R @ yp)
     eps2 = support_bound(C.T @ x, C.T @ xp)
@@ -365,15 +392,19 @@ def find_stationary(
     """Iterate balance / direction / line search until V - f >= -delta.
 
     Returns the stationary point together with its equalized dual witness
-    and the derived quantities lambda*, mu*.  Raises DescentBudgetError
-    (carrying the best profile) if the iteration cap is hit; the default
-    cap ceil(4/delta^2) honors the quadratic convergence bound.
+    and the derived quantities lambda*, mu*.  Raises GameError when p0 is
+    not a profile of mixed strategies (it is checked, never renormalized)
+    and DescentBudgetError (carrying the best profile) if the iteration cap
+    is hit; the default cap ceil(4/delta^2) honors the quadratic
+    convergence bound.  The witness is built once, at the stationary point.
     """
     if not 0.0 < delta < math.inf:
         raise ValueError("delta must be a positive finite number")
     if max_iter is None:
         max_iter = math.ceil(4.0 / (delta * delta))
     p = game.check_profile(p0)
+    for v in p:
+        mixed(v)  # a check only: the start keeps its bytes
     history = []
     iterations = 0
     while True:
@@ -383,7 +414,7 @@ def find_stationary(
             history.append(r.f)
         d = direction(game, p, tol)
         if d.value - r.f >= -delta:
-            dual = _equalized_dual(game, d)
+            dual = _equalized_dual(d)
             lam, mu = lambda_mu_star(game, p, dual)
             return StationaryPoint(
                 profile=p,
@@ -398,10 +429,8 @@ def find_stationary(
         if iterations >= max_iter:
             raise DescentBudgetError(p, r.f, iterations)
         eps = line_search(game, p, d, tol)
-        p = Profile(
-            mixed(np.clip(p.x + eps * (d.x_new - p.x), 0.0, None)),
-            mixed(np.clip(p.y + eps * (d.y_new - p.y), 0.0, None)),
-        )
+        p = Profile(normalize_in_place(np.maximum(p.x + eps * (d.x_new - p.x), 0.0)),
+                    normalize_in_place(np.maximum(p.y + eps * (d.y_new - p.y), 0.0)))
         iterations += 1
 
 

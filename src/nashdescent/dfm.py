@@ -8,12 +8,15 @@ along a segment leaving the square.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .descent import StationaryPoint, find_stationary
 from .game import Game, Profile, mixed, regrets, segment_min_f
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,9 @@ def _case_three(game: Game, sp: StationaryPoint) -> DfmTrace:
     else:
         den = 1.0 + mu / 2.0 - lam - t_r
         if den <= 0:  # cannot occur when t_r <= mu/2; bail out defensively
+            _log.debug("branch B fallback: 1 + mu/2 - lambda - t_r = %r <= 0 (lambda %r, "
+                       "mu %r, t_r %r, in case 3's frame); returning the stationary profile",
+                       den, lam, mu, t_r)
             prof = sp.profile
             return DfmTrace(3, "B", y_hat, w_hat, t_r, v_r, mu_hat, None, None,
                             prof, regrets(game, prof).f, fallback=True)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from io import StringIO
 
@@ -300,6 +299,10 @@ def _compare_task(payload):
 def _pmap(fn, payloads, workers: int):
     if workers <= 1:
         return [fn(p) for p in payloads]
+    # Imported here: it loads multiprocessing, sockets and subprocesses,
+    # which a serial run never needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, payloads))
 

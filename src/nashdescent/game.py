@@ -48,9 +48,20 @@ def mixed(vec, k: int | None = None) -> np.ndarray:
         raise GameError("mixed strategy has non-finite entries")
     if v.min() < -NEG_TOL:
         raise GameError(f"mixed strategy entry {v.min()} is negative")
+    return normalize_in_place(v)
+
+
+def normalize_in_place(v: np.ndarray) -> np.ndarray:
+    """The arithmetic of ``mixed`` without its input checks, in place: zero
+    v's negatives, divide v by its sum (which must be within 1e-9 of 1) and
+    make v read-only; returns v.
+
+    For a finite float vector that the caller owns, such as one the library
+    just computed; ``mixed`` is the check on anything else.
+    """
     v[v < 0] = 0.0
     s = v.sum()
-    if abs(s - 1.0) > SUM_TOL:
+    if not abs(s - 1.0) <= SUM_TOL:  # a NaN sum fails too
         raise GameError(f"mixed strategy sums to {s}, not 1")
     v /= s
     v.flags.writeable = False
@@ -76,12 +87,12 @@ def uniform(k: int) -> np.ndarray:
 def renormalized(vec) -> np.ndarray:
     """A vector scaled to a mixed strategy: negatives clipped to 0, then
     divided by the sum; uniform when no mass is left."""
-    v = np.clip(np.asarray(vec, dtype=float), 0.0, None)
+    v = np.maximum(np.asarray(vec, dtype=float), 0.0)
     total = v.sum()
     if total <= 0:
         v = np.ones_like(v)
         total = v.sum()
-    return mixed(v / total)
+    return normalize_in_place(v / total)
 
 
 class Profile(NamedTuple):

@@ -12,7 +12,10 @@ debug level on the ``nashdescent.lp`` logger.
 The tableaux the descent solves are tiny (4 to 14 rows), so the kernel's
 cost is the number of numpy calls, not flops.  The objective row is the
 tableau's last row, so a pivot is one rank-1 update of the whole tableau,
-and the standard form is filled by whole-block assignments.
+and the standard form is filled by whole-block assignments.  Work that is
+one number per row runs on Python floats, with the same arithmetic as on
+arrays: the standard form's relation signs, slacks and artificial rows,
+the ratio test's ties, and the finiteness checks of a recovered solution.
 
 A program states its constraints as one block: a (k, nv) coefficient
 array, k relations and k right-hand sides, fixed when the program is made.
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import copy
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,10 +146,11 @@ class LpSolution:
 def _pivot(T: np.ndarray, row: int, col: int, basis: np.ndarray):
     """Pivot on T[row, col]: one rank-1 update of every row, objective row
     (T's last) included; the pivot row's multiplier is zeroed."""
-    T[row] /= T[row, col]
+    prow = T[row]
+    prow /= prow[col]
     colvals = T[:, col].copy()
     colvals[row] = 0.0
-    T -= colvals[:, None] * T[row]
+    T -= colvals[:, None] * prow
     basis[row] = col
 
 
@@ -185,15 +190,17 @@ def _run_simplex(T, basis, budget, window, entering, bounded_objective=False):
             continue
         row = pos[0]
         if pos.size > 1:
-            cpos = colv[pos]
-            ratios = rhs[pos] / cpos
-            best = ratios.min()
-            tie = ratios <= best + window * (1.0 + abs(best))
-            ties, cties = pos[tie], cpos[tie]
-            row = ties[0]
-            if ties.size > 1:
-                strong = ties[cties >= 0.1 * cties.max()]
-                row = strong[basis[strong].argmin()]
+            # The ratio test on Python floats: the same divisions and
+            # comparisons as on arrays, without an array call for each.
+            cl, pl = colv[pos].tolist(), pos.tolist()
+            ratios = [b / c for b, c in zip(rhs[pos].tolist(), cl)]
+            best = min(ratios)
+            limit = best + window * (1.0 + abs(best))
+            ties = [k for k, r in enumerate(ratios) if r <= limit]
+            row = pl[ties[0]]
+            if len(ties) > 1:
+                floor = 0.1 * max([cl[k] for k in ties])
+                row = min([pl[k] for k in ties if cl[k] >= floor], key=basis.__getitem__)
         _pivot(T, int(row), col, basis)
     raise LpNumericalError(
         f"no optimal basis within {budget} pivots ({nrows} rows)"
@@ -208,42 +215,54 @@ class _ConstraintForm:
         nv = self.nv = lp.objective.size
         n_user = self.n_user = len(lp.relations)
         self.free_extra = [j for j, lo in enumerate(lp.lower) if lo is None]
-        self.shift = np.array([0.0 if lo is None else float(lo) for lo in lp.lower])
+        shift = [0.0 if lo is None else float(lo) for lo in lp.lower]
+        self.shift = np.array(shift)
         ub = [j for j, up in enumerate(lp.upper) if up is not None]
         if any(lp.lower[j] is None for j in ub):
             raise LpError("upper bound on a free variable is not supported")
         ncols_struct = self.ncols_struct = nv + len(self.free_extra)
         nrows = self.nrows = n_user + len(ub)
-        self.ncols = ncols_struct + nrows
+        ncols = self.ncols = ncols_struct + nrows
 
         # User rows, then one row x_j <= u_j per upper bound.  A row with a
         # negative rhs is negated, which swaps <= and >=; the slack of a <=
         # row enters with +1, of a >= row with -1.  The shift comes off with
         # one product per row, since A @ shift sums in another order and can
-        # move a last bit; with nothing shifted every product is +0.0.
+        # move a last bit; with nothing shifted every product is +0.0.  The
+        # per-row bookkeeping runs on Python floats, with the same values.
         rhs = lp.rhs
-        if self.shift.any():
+        if any(shift):
             rhs = np.array([bi - a @ self.shift for a, bi in zip(lp.constraints, rhs)])
-        upper = np.array([lp.upper[j] for j in ub], dtype=float) - self.shift[ub]
-        rhs = np.concatenate([rhs, upper])
-        rels = np.array(lp.relations + (LE,) * len(ub), dtype=str)
-        flip = self.flip = np.where(rhs < 0, -1.0, 1.0)
-        slack = np.where(rels == EQ, 0.0, np.where(rels == LE, flip, -flip))
-        A = np.zeros((nrows, self.ncols))
+        rhs = rhs.tolist() + [float(lp.upper[j]) - shift[j] for j in ub]
+        flip = [-1.0 if bi < 0 else 1.0 for bi in rhs]
+        slack = [0.0 if rel == EQ else f if rel == LE else -f
+                 for rel, f in zip(lp.relations + (LE,) * len(ub), flip)]
+        self.flip = np.array(flip)
+        A = np.zeros((nrows, ncols))
         S = A[:, :ncols_struct]
         S[:n_user, :nv] = lp.constraints
         if ub:
             S[range(n_user, nrows), ub] = 1.0
         if self.free_extra:
             # A free variable's second column carries the negated coefficients.
-            S[:, nv:] = -S[:, self.free_extra]
-        if (flip < 0).any():
-            S *= flip[:, None]
-        np.fill_diagonal(A[:, ncols_struct:], slack)
-        self.A, self.b = A, rhs * flip
-        self.needs_artificial = np.flatnonzero(slack <= 0.0)
+            S[:, nv:] = -S.take(self.free_extra, axis=1)
+        if -1.0 in flip:
+            S *= self.flip[:, None]
+        A.ravel()[ncols_struct::ncols + 1] = slack  # the slack block's diagonal
+        self.A, self.b = A, np.array([bi * f for bi, f in zip(rhs, flip)])
+        # Phase 1's starting basis: the slack of each row, or an artificial
+        # (a column past ncols) for a row whose slack cannot start at b_i.
+        # Also the flat positions of the artificials' unit entries in phase
+        # 1's tableau, and the rows its cost row is made of.
+        art = self.needs_artificial = [i for i, sl in enumerate(slack) if sl <= 0.0]
+        self.start_basis = list(range(ncols_struct, ncols))
+        width = ncols + len(art) + 1
+        for j, i in enumerate(art, ncols):
+            self.start_basis[i] = j
+        self.art_cells = np.array([i * width + j for j, i in enumerate(art, ncols)], dtype=np.intp)
+        self.cost_rows = np.array([nrows] + art, dtype=np.intp)
         self.resid_tol = CHECK_TOL * (1.0 + np.abs(self.b).max(initial=0.0))
-        self.budget = 50 * (self.ncols + nrows)
+        self.budget = 50 * (ncols + nrows)
         self._phase_one = {}
 
     def phase_one(self, window: float, entering: str):
@@ -270,7 +289,7 @@ class _Objective:
         self.c_user = self.sign * lp.objective
         self.c_full = np.zeros(form.ncols)
         self.c_full[: form.nv] = self.c_user
-        self.c_full[form.nv : form.ncols_struct] = -self.c_user[form.free_extra]
+        self.c_full[form.nv : form.ncols_struct] = -self.c_user.take(form.free_extra)
         self.c_std = self.c_full[: form.ncols_struct]
 
 
@@ -285,19 +304,17 @@ def _phase_one(form: _ConstraintForm, window: float, entering: str):
     on the objective.
     """
     nrows, ncols, art = form.nrows, form.ncols, form.needs_artificial
-    basis = form.ncols_struct + np.arange(nrows)
-    n_art = art.size
-    T = np.zeros((nrows + 1, ncols + n_art + 1))
+    basis = np.array(form.start_basis, dtype=np.intp)
+    T = np.zeros((nrows + 1, ncols + len(art) + 1))
     T[:nrows, :ncols] = form.A
     T[:nrows, -1] = form.b
-    if not n_art:
+    if not art:
         return T, basis, None
-    basis[art] = ncols + np.arange(n_art)
-    T[art, basis[art]] = 1.0
+    T.ravel()[form.art_cells] = 1.0
     # Phase-1 costs: 1 on each artificial, minus every artificial row,
     # subtracted one row at a time in row order.
     T[-1, ncols:-1] = 1.0
-    T[-1] = np.subtract.reduce(T[np.append(nrows, art)])
+    T[-1] = np.subtract.reduce(T[form.cost_rows])
     _run_simplex(T, basis, form.budget, window, entering, bounded_objective=True)
     if -T[-1, -1] > CHECK_TOL:
         return None
@@ -351,9 +368,8 @@ def _extract(form: _ConstraintForm, obj: _Objective, basis, kept):
         yk = np.linalg.solve(Bmat.T, obj.c_full[basis])
     except np.linalg.LinAlgError:
         return None
-    if not (np.isfinite(xb).all() and np.isfinite(yk).all()):
-        return None
-    if xb.min(initial=0.0) < -CHECK_TOL:
+    xl = xb.tolist()
+    if not all(map(math.isfinite, xl + yk.tolist())) or min(xl, default=0.0) < -CHECK_TOL:
         return None
     x_std = np.zeros(form.ncols)
     x_std[basis] = np.maximum(xb, 0.0)

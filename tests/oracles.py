@@ -4,14 +4,31 @@ Everything here is deliberately brute force (enumeration, grids, finite
 differences) and never calls the code paths under test.
 """
 
+import logging
 from itertools import chain, combinations
 
 import numpy as np
 
 from nashdescent.baselines import RunTrace, _history_stride
-from nashdescent.game import Game, Profile, mixed, regrets
+from nashdescent.descent import DirectionResult, DualSolution
+from nashdescent.game import NEG_TOL, SUM_TOL, SUPPORT_TOL, Game, GameError, Profile, mixed, regrets
 from nashdescent.generator import GeneratorInput, solve_b
-from nashdescent.lp import EQ, GE, LE
+from nashdescent.lp import (
+    _ATTEMPTS,
+    CHECK_TOL,
+    EQ,
+    GE,
+    INFEASIBLE,
+    LE,
+    MINIMIZE,
+    OPTIMAL,
+    TOL,
+    UNBOUNDED,
+    LinearProgram,
+    LpError,
+    LpNumericalError,
+    LpSolution,
+)
 
 
 def nonempty_subsets(k):
@@ -446,3 +463,396 @@ def same_program(lp, objective, rows, lower, upper=None):
             and np.array_equal(np.signbit(lp.objective), np.signbit(objective))
             and lp.lower == ((0.0,) * nv if lower is None else tuple(lower))
             and lp.upper == ((None,) * nv if upper is None else tuple(upper)))
+
+
+# ---------------------------------------------------------------------------
+# The LP kernel and the normalizations as they were before the per-call
+# overhead was taken out of them, copied verbatim from lp.py, game.py and
+# descent.py; only the names changed (an _old suffix, and solve_lp_old builds
+# its own ConstraintFormOld instead of reading the program's form).  The
+# kernel tests compare the library with these byte for byte.
+
+_log = logging.getLogger("nashdescent.lp.old")
+
+
+def pivot_old(T: np.ndarray, row: int, col: int, basis: np.ndarray):
+    """Pivot on T[row, col]: one rank-1 update of every row, objective row
+    (T's last) included; the pivot row's multiplier is zeroed."""
+    T[row] /= T[row, col]
+    colvals = T[:, col].copy()
+    colvals[row] = 0.0
+    T -= colvals[:, None] * T[row]
+    basis[row] = col
+
+
+def run_simplex_old(T, basis, budget, window, entering, bounded_objective=False):
+    """Drive a tableau to optimality; returns 'optimal' or 'unbounded'.
+
+    T's last row is the objective row: reduced costs, then minus the
+    objective value.  ``entering`` picks the entering column (Bland: lowest
+    eligible index; Dantzig: most negative reduced cost, lowest index on
+    ties); the leaving row takes the best-scaled pivot among rows whose
+    ratio is within ``window`` of the minimum, lowest basis index on ties.
+    With ``bounded_objective`` (phase 1, which cannot descend below zero)
+    an apparently unbounded column is numerically degenerate: it is frozen
+    out of the entering candidates for the rest of the run.
+    """
+    nrows = T.shape[0] - 1
+    reduced, rhs = T[-1, :-1], T[:-1, -1]
+    allowed = None
+    for _ in range(budget):
+        eligible = reduced < -TOL
+        if allowed is not None:
+            eligible &= allowed
+        if entering == "bland":
+            col = int(eligible.argmax())
+        else:
+            col = int(np.where(eligible, reduced, np.inf).argmin())
+        if not eligible[col]:
+            return OPTIMAL
+        colv = T[:-1, col]
+        pos = (colv > TOL).nonzero()[0]
+        if pos.size == 0:
+            if not bounded_objective:
+                return UNBOUNDED
+            if allowed is None:
+                allowed = np.ones(reduced.size, dtype=bool)
+            allowed[col] = False
+            continue
+        row = pos[0]
+        if pos.size > 1:
+            cpos = colv[pos]
+            ratios = rhs[pos] / cpos
+            best = ratios.min()
+            tie = ratios <= best + window * (1.0 + abs(best))
+            ties, cties = pos[tie], cpos[tie]
+            row = ties[0]
+            if ties.size > 1:
+                strong = ties[cties >= 0.1 * cties.max()]
+                row = strong[basis[strong].argmin()]
+        pivot_old(T, int(row), col, basis)
+    raise LpNumericalError(
+        f"no optimal basis within {budget} pivots ({nrows} rows)"
+    )
+
+
+class ConstraintFormOld:
+    """Objective-free equality standard form of a LinearProgram, the
+    back-maps, and the memoized phase-1 outcome of each pivot policy."""
+
+    def __init__(self, lp: LinearProgram):
+        nv = self.nv = lp.objective.size
+        n_user = self.n_user = len(lp.relations)
+        self.free_extra = [j for j, lo in enumerate(lp.lower) if lo is None]
+        self.shift = np.array([0.0 if lo is None else float(lo) for lo in lp.lower])
+        ub = [j for j, up in enumerate(lp.upper) if up is not None]
+        if any(lp.lower[j] is None for j in ub):
+            raise LpError("upper bound on a free variable is not supported")
+        ncols_struct = self.ncols_struct = nv + len(self.free_extra)
+        nrows = self.nrows = n_user + len(ub)
+        self.ncols = ncols_struct + nrows
+
+        # User rows, then one row x_j <= u_j per upper bound.  A row with a
+        # negative rhs is negated, which swaps <= and >=; the slack of a <=
+        # row enters with +1, of a >= row with -1.  The shift comes off with
+        # one product per row, since A @ shift sums in another order and can
+        # move a last bit; with nothing shifted every product is +0.0.
+        rhs = lp.rhs
+        if self.shift.any():
+            rhs = np.array([bi - a @ self.shift for a, bi in zip(lp.constraints, rhs)])
+        upper = np.array([lp.upper[j] for j in ub], dtype=float) - self.shift[ub]
+        rhs = np.concatenate([rhs, upper])
+        rels = np.array(lp.relations + (LE,) * len(ub), dtype=str)
+        flip = self.flip = np.where(rhs < 0, -1.0, 1.0)
+        slack = np.where(rels == EQ, 0.0, np.where(rels == LE, flip, -flip))
+        A = np.zeros((nrows, self.ncols))
+        S = A[:, :ncols_struct]
+        S[:n_user, :nv] = lp.constraints
+        if ub:
+            S[range(n_user, nrows), ub] = 1.0
+        if self.free_extra:
+            # A free variable's second column carries the negated coefficients.
+            S[:, nv:] = -S[:, self.free_extra]
+        if (flip < 0).any():
+            S *= flip[:, None]
+        np.fill_diagonal(A[:, ncols_struct:], slack)
+        self.A, self.b = A, rhs * flip
+        self.needs_artificial = np.flatnonzero(slack <= 0.0)
+        self.resid_tol = CHECK_TOL * (1.0 + np.abs(self.b).max(initial=0.0))
+        self.budget = 50 * (self.ncols + nrows)
+        self._phase_one = {}
+
+    def phase_one(self, window: float, entering: str):
+        """``_phase_one`` under one pivot policy, computed once.
+
+        Returns (T, basis, kept), None when the constraints are
+        infeasible, or the LpNumericalError that phase 1 raised.  Callers
+        must not modify the returned arrays.
+        """
+        key = (window, entering)
+        if key not in self._phase_one:
+            try:
+                self._phase_one[key] = phase_one_old(self, window, entering)
+            except LpNumericalError as err:
+                self._phase_one[key] = err
+        return self._phase_one[key]
+
+
+class ObjectiveOld:
+    """The per-objective part of the standard form: sign and costs."""
+
+    def __init__(self, lp: LinearProgram, form: ConstraintFormOld):
+        self.sign = 1.0 if lp.sense == MINIMIZE else -1.0
+        self.c_user = self.sign * lp.objective
+        self.c_full = np.zeros(form.ncols)
+        self.c_full[: form.nv] = self.c_user
+        self.c_full[form.nv : form.ncols_struct] = -self.c_user[form.free_extra]
+        self.c_std = self.c_full[: form.ncols_struct]
+
+
+def phase_one_old(form: ConstraintFormOld, window: float, entering: str):
+    """A feasible starting tableau for phase 2 under a fixed pivot policy.
+
+    Returns (T, basis, kept) with the artificial columns removed and a last
+    row for phase 2's objective, where ``kept`` lists the rows left after
+    redundant ones were dropped, or is None when none was; or returns None
+    when the constraints are infeasible; raises LpNumericalError when the
+    budget runs out.  Depends on the constraints and the policy only, never
+    on the objective.
+    """
+    nrows, ncols, art = form.nrows, form.ncols, form.needs_artificial
+    basis = form.ncols_struct + np.arange(nrows)
+    n_art = art.size
+    T = np.zeros((nrows + 1, ncols + n_art + 1))
+    T[:nrows, :ncols] = form.A
+    T[:nrows, -1] = form.b
+    if not n_art:
+        return T, basis, None
+    basis[art] = ncols + np.arange(n_art)
+    T[art, basis[art]] = 1.0
+    # Phase-1 costs: 1 on each artificial, minus every artificial row,
+    # subtracted one row at a time in row order.
+    T[-1, ncols:-1] = 1.0
+    T[-1] = np.subtract.reduce(T[np.append(nrows, art)])
+    run_simplex_old(T, basis, form.budget, window, entering, bounded_objective=True)
+    if -T[-1, -1] > CHECK_TOL:
+        return None
+    # Drive leftover artificials out of the basis; an artificial stuck in
+    # an all-zero row marks a redundant constraint, which is dropped.
+    dropped = []
+    for i in (basis >= ncols).nonzero()[0]:
+        row = np.abs(T[i, :ncols])
+        cand = (row > 1e-7).nonzero()[0]
+        if cand.size == 0:
+            cand = (row > TOL).nonzero()[0]
+        if cand.size:
+            pivot_old(T, i, int(cand[0]), basis)
+        else:
+            dropped.append(i)
+    T = np.concatenate([T[:, :ncols], T[:, -1:]], axis=1)
+    if not dropped:
+        return T, basis, None
+    kept = np.setdiff1d(np.arange(nrows), dropped)
+    return T[np.append(kept, nrows)], basis[kept], kept
+
+
+def phase_two_old(form: ConstraintFormOld, obj: ObjectiveOld, start, window: float, entering: str):
+    """Optimize the objective from a copy of phase 1's tableau.
+
+    Returns the terminal basis, or None when the objective is unbounded;
+    raises LpNumericalError when the budget runs out.
+    """
+    T, basis = start[0].copy(), start[1].copy()
+    z = T[-1]
+    z[:-1], z[-1] = obj.c_full, 0.0
+    z -= obj.c_full[basis] @ T[:-1]
+    status = run_simplex_old(T, basis, form.budget, window, entering)
+    return None if status == UNBOUNDED else basis
+
+
+def extract_old(form: ConstraintFormOld, obj: ObjectiveOld, basis, kept):
+    """Primal/dual recovery from a terminal basis, with feasibility checks.
+
+    Both solves run against the unpivoted data, so tableau drift cannot leak
+    into the returned solution.  Returns None if the basis is not genuinely
+    feasible (the caller then retries under a coarser pivot policy).
+    """
+    A, b = form.A, form.b
+    if kept is None:
+        Bmat, bk = A[:, basis], b
+    else:
+        Bmat, bk = A[np.ix_(kept, basis)], b[kept]
+    try:
+        xb = np.linalg.solve(Bmat, bk)
+        yk = np.linalg.solve(Bmat.T, obj.c_full[basis])
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.isfinite(xb).all() and np.isfinite(yk).all()):
+        return None
+    if xb.min(initial=0.0) < -CHECK_TOL:
+        return None
+    x_std = np.zeros(form.ncols)
+    x_std[basis] = np.maximum(xb, 0.0)
+    resid = np.abs(A @ x_std - b).max(initial=0.0)
+    if resid > form.resid_tol:
+        return None
+    y_std = yk
+    if kept is not None:
+        y_std = np.zeros(form.nrows)
+        y_std[kept] = yk
+
+    x = x_std[: form.nv].copy()
+    if form.free_extra:
+        x[form.free_extra] -= x_std[form.nv : form.ncols_struct]
+    x += form.shift
+    primal_obj_std = float(obj.c_std @ x_std[: form.ncols_struct])
+    dual_obj_std = float(y_std @ b)
+    duals = obj.sign * form.flip[: form.n_user] * y_std[: form.n_user]
+    c_shift = obj.c_user @ form.shift
+    objective = obj.sign * (primal_obj_std + c_shift)
+    dual_objective = obj.sign * (dual_obj_std + c_shift)
+    return LpSolution(
+        status=OPTIMAL,
+        x=x,
+        duals=duals,
+        objective=objective,
+        dual_objective=dual_objective,
+    )
+
+
+def solve_lp_old(lp: LinearProgram) -> LpSolution:
+    """Solve a LinearProgram, returning primal, duals and both objectives.
+
+    The returned duals are oriented so that for every optimal solve the
+    dual objective (rhs-weighted multipliers plus bound terms) equals the
+    primal objective up to round-off; signs follow the usual convention
+    (e.g. a binding <= row in a max problem carries a nonnegative dual).
+    Each pivot policy is one phase 1 (memoized on the program's standard
+    form, see ``LinearProgram.with_objective``) and one phase 2.
+    """
+    form = ConstraintFormOld(lp)
+    obj = ObjectiveOld(lp, form)
+    for attempt, policy in enumerate(_ATTEMPTS, 1):
+        try:
+            return solve_with_old(form, obj, *policy)
+        except LpNumericalError as err:
+            last_error = err
+            following = (f"trying policy {attempt + 1} {_ATTEMPTS[attempt]}"
+                         if attempt < len(_ATTEMPTS) else "no policy left")
+            _log.debug("pivot policy %d %s failed on a %d-row program: %s; %s",
+                       attempt, policy, form.nrows, err, following)
+    raise last_error
+
+
+def solve_with_old(form: ConstraintFormOld, obj: ObjectiveOld, window: float, entering: str):
+    """One pivot policy's answer; raises LpNumericalError when it fails."""
+    start = form.phase_one(window, entering)
+    if isinstance(start, LpNumericalError):
+        # A fresh error per solve: the memoized one is shared.
+        raise LpNumericalError(*start.args)
+    if start is None:
+        return LpSolution(status=INFEASIBLE)
+    basis = phase_two_old(form, obj, start, window, entering)
+    if basis is None:
+        return LpSolution(status=UNBOUNDED)
+    sol = extract_old(form, obj, basis, start[2])
+    if sol is None:
+        raise LpNumericalError("terminal basis failed feasibility checks")
+    return sol
+
+
+def mixed_old(vec, k: int | None = None) -> np.ndarray:
+    """Validate a vector as a mixed strategy and return it as a read-only array.
+
+    Tiny negatives (>= -1e-12) are clamped to zero and the vector is
+    renormalized to sum exactly to 1.
+    """
+    v = np.array(vec, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise GameError("mixed strategy must be a nonempty vector")
+    if k is not None and v.size != k:
+        raise GameError(f"mixed strategy has length {v.size}, expected {k}")
+    if not np.all(np.isfinite(v)):
+        raise GameError("mixed strategy has non-finite entries")
+    if v.min() < -NEG_TOL:
+        raise GameError(f"mixed strategy entry {v.min()} is negative")
+    v[v < 0] = 0.0
+    s = v.sum()
+    if abs(s - 1.0) > SUM_TOL:
+        raise GameError(f"mixed strategy sums to {s}, not 1")
+    v /= s
+    v.flags.writeable = False
+    return v
+
+
+def renormalized_old(vec) -> np.ndarray:
+    """A vector scaled to a mixed strategy: negatives clipped to 0, then
+    divided by the sum; uniform when no mass is left."""
+    v = np.clip(np.asarray(vec, dtype=float), 0.0, None)
+    total = v.sum()
+    if total <= 0:
+        v = np.ones_like(v)
+        total = v.sum()
+    return mixed_old(v / total)
+
+
+def dual_from_weights_old(game: Game, weights: np.ndarray, sup) -> DualSolution:
+    u = np.clip(weights, 0.0, None)
+    total = u.sum()
+    if total <= 0:
+        u = np.ones_like(u)
+        total = u.sum()
+    u /= total
+    # The weights list the row player's best responses first, then the
+    # column player's; each block becomes one witness strategy.
+    nw = len(sup.row_best)
+    masses, witnesses = [], []
+    for uk, best, k in ((u[:nw], sup.row_best, game.m), (u[nw:], sup.col_best, game.n)):
+        full = np.zeros(k)
+        full[best] = uk
+        mass = float(full.sum())
+        if mass > SUPPORT_TOL:
+            full /= mass
+        else:  # degenerate certificate: any best response works
+            full[best] = 1.0 / len(best)
+        masses.append(mass)
+        witnesses.append(mixed_old(full))
+    return DualSolution(rho=min(max(masses[0], 0.0), 1.0), w=witnesses[0], z=witnesses[1])
+
+
+def line_search_old(game: Game, p: Profile, dres: DirectionResult, tol: float = SUPPORT_TOL) -> float:
+    """Closed-form step size in (0,1] toward (x_new, y_new).
+
+    The two support bounds keep the best-response sets from being overtaken
+    mid-step; indices whose payoff cannot catch up along the direction
+    (nonpositive gap growth) impose no bound.  A negative quadratic cross
+    term H additionally caps the step at |V-f|/(2|H|).
+    """
+    R, C = game.R, game.C
+    x, y = p
+    xp, yp = dres.x_new, dres.y_new
+    r = regrets(game, p)
+
+    def support_bound(vals, vals_new):
+        vmax = vals.max()
+        best = vals >= vmax - tol
+        if np.all(best):
+            return np.inf
+        m_new = vals_new[best].max()
+        num = vmax - vals[~best]
+        gap = vals_new[~best] - m_new
+        den = num + gap
+        ok = (gap > 0) & (den > 1e-12)
+        if not np.any(ok):
+            return np.inf
+        return float((num[ok] / den[ok]).min())
+
+    eps1 = support_bound(R @ y, R @ yp)
+    eps2 = support_bound(C.T @ x, C.T @ xp)
+    eps = min(eps1, eps2, 1.0)
+    dx = xp - x
+    dy = yp - y
+    H = min(float(dx @ R @ dy), float(dx @ C @ dy))
+    if H < 0:
+        eps = min(eps, abs(dres.value - r.f) / (2.0 * abs(H)))
+    return min(eps, 1.0)

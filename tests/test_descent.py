@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashdescent.descent import (
     DescentBudgetError,
@@ -251,6 +253,66 @@ class TestFindStationary:
         with pytest.raises(ValueError, match="delta must be a positive finite number"):
             find_stationary(eq1.game, eq1.profile, delta=delta, max_iter=5)
 
+    @pytest.mark.parametrize("solver", ["find_stationary", "ts_solve", "dfm_solve"])
+    @pytest.mark.parametrize("x0, y0", [
+        ([0.5, 0.5, 0.5], None),
+        ([2.0, -1.0, 0.0], None),
+        ([1.0, -1e-9, 1e-9], None),
+        ([np.nan, 0.5, 0.5], None),
+        ([0.5, 0.5, np.inf], None),
+        (None, [0.4, 0.4, 0.4]),
+    ], ids=["sum-1.5", "negative", "slightly-negative", "nan", "inf", "y-sum-1.2"])
+    def test_rejects_a_start_off_the_simplex(self, eq1, solver, x0, y0):
+        from nashdescent.adjust import ts_solve
+        from nashdescent.dfm import dfm_solve
+        from nashdescent.game import GameError
+
+        fn = {"find_stationary": find_stationary, "ts_solve": ts_solve, "dfm_solve": dfm_solve}
+        p0 = Profile(eq1.profile.x if x0 is None else np.array(x0),
+                     eq1.profile.y if y0 is None else np.array(y0))
+        with pytest.raises(GameError, match="mixed strategy"):
+            fn[solver](eq1.game, p0, delta=1e-3, max_iter=5)
+
+    def test_start_is_checked_not_renormalized(self):
+        # A pure equilibrium whose x sums to 1 + 5e-10, inside mixed's
+        # tolerance: the descent stops at once and returns the start itself.
+        game = Game(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 0.0]]))
+        p0 = Profile(np.array([1.0 + 5e-10, 0.0]), np.array([1.0, 0.0]))
+        sp = find_stationary(game, p0, delta=1e-3)
+        assert sp.iterations == 0 and sp.profile.x is p0.x and sp.profile.y is p0.y
+
+    @pytest.mark.parametrize("failure", ["no-optimum", "raises"])
+    def test_equalized_dual_fallback_is_logged(self, eq1, monkeypatch, caplog, failure):
+        import logging
+
+        from nashdescent import descent
+        from nashdescent.lp import LpNumericalError
+
+        def failing(*args):
+            if failure == "raises":
+                raise LpNumericalError("budget")
+            return None
+
+        monkeypatch.setattr(descent, "_equalized_dual_weights", failing)
+        caplog.set_level(logging.DEBUG, logger="nashdescent.descent")
+        sp = find_stationary(eq1.game, eq1.profile, delta=1e-3)
+        # The fallback is the direction LP's own witness.
+        d = direction(eq1.game, sp.profile)
+        assert (sp.dual.rho, sp.dual.w.tolist(), sp.dual.z.tolist()) == (
+            d.dual.rho, d.dual.w.tolist(), d.dual.z.tolist())
+        records = [r.getMessage() for r in caplog.records if r.name == "nashdescent.descent"]
+        assert len(records) == 1, records
+        assert records[0].startswith("equalized-dual LP on ")
+        assert ("raised: budget" if failure == "raises" else "ended without an optimum") in records[0]
+        assert records[0].endswith("keeping the direction LP's witness")
+
+    def test_equalized_dual_success_is_not_logged(self, eq1, caplog):
+        import logging
+
+        caplog.set_level(logging.DEBUG, logger="nashdescent.descent")
+        find_stationary(eq1.game, eq1.profile, delta=1e-3)
+        assert not [r for r in caplog.records if r.name == "nashdescent.descent"]
+
     @pytest.mark.parametrize("seed", range(6))
     def test_stationary_point_estimates(self, seed):
         # Lemma-style bounds at tight precision: lambda*, mu* in [0,1] and
@@ -364,3 +426,144 @@ class TestLpBlocks:
                             G, row_ids, game.n, game.m, d.value))
                         counts["equalized"] += 1
         assert min(counts.values()) >= 80, counts
+
+
+class TestReferenceBits:
+    """The witness, the normalizations and the descent step against verbatim
+    copies of their former code (tests/oracles.py), bit for bit."""
+
+    @staticmethod
+    def bits(v):
+        return v.tobytes(), v.shape, v.flags.writeable
+
+    def test_witnesses_and_directions_match_the_reference(self, solver_runs, monkeypatch):
+        from nashdescent import descent
+        from nashdescent.lp import LpNumericalError
+
+        from .golden_corpus import captured_lps
+        from .oracles import dual_from_weights_old, renormalized_old
+
+        profiles = []
+        real = descent.direction
+
+        def recording(game, p, *args, **kwargs):
+            profiles.append((game, p))
+            return real(game, p, *args, **kwargs)
+
+        monkeypatch.setattr(descent, "direction", recording)
+        for solver, game, p0, delta in solver_runs:
+            try:
+                solver(game, p0, delta, max_iter=200)
+            except LpNumericalError:
+                pass
+        monkeypatch.undo()
+        equalized = 0
+        for game, p in profiles:
+            lps = []
+            try:
+                with captured_lps(lps):
+                    d = direction(game, p, canonicalize=True)
+            except LpNumericalError:  # the pinned input whose direction LP fails
+                continue
+            _, G, row_ids, sup, weights = d._program
+            x = lps[0][2].x
+            assert self.bits(d.x_new) == self.bits(renormalized_old(x[game.n:game.n + game.m]))
+            assert self.bits(d.y_new) == self.bits(renormalized_old(x[:game.n]))
+            want = dual_from_weights_old(game, weights, sup)
+            plain = direction(game, p).dual
+            assert (repr(plain.rho), self.bits(plain.w), self.bits(plain.z)) == (
+                repr(want.rho), self.bits(want.w), self.bits(want.z))
+            eq = lps[1][2] if len(lps) > 1 and not isinstance(lps[1][2], Exception) else None
+            if eq is not None and eq.status == "optimal":
+                want = dual_from_weights_old(game, eq.x[:len(row_ids)], sup)
+                equalized += 1
+            assert (repr(d.dual.rho), self.bits(d.dual.w), self.bits(d.dual.z)) == (
+                repr(want.rho), self.bits(want.w), self.bits(want.z))
+        assert len(profiles) >= 80 and equalized >= 40, (len(profiles), equalized)
+
+    def test_line_search_matches_the_reference(self, solver_runs, monkeypatch):
+        from nashdescent import descent
+
+        from .oracles import line_search_old
+
+        calls = []
+        real = descent.line_search
+
+        def recording(game, p, d, *args):
+            calls.append((game, p, d))
+            return real(game, p, d, *args)
+
+        monkeypatch.setattr(descent, "line_search", recording)
+        for solver, game, p0, delta in solver_runs[:-1]:  # the last one fails
+            solver(game, p0, delta, max_iter=200)
+        monkeypatch.undo()
+        # Unbalanced profiles and arbitrary directions on games with tied
+        # payoffs, so that best-response sets and support bounds tie.
+        rng = np.random.default_rng(5)
+        for m, n in ((2, 2), (3, 3), (4, 3), (3, 6), (6, 6)):
+            for levels in (None, 3):
+                for _ in range(20):
+                    draw = (lambda s: rng.uniform(size=s)) if levels is None else (
+                        lambda s: rng.integers(0, levels, size=s) / (levels - 1))
+                    game = Game(draw((m, n)), draw((m, n)))
+                    q = Profile(*(mixed(rng.dirichlet(np.ones(k))) for k in (m, n)))
+                    d = descent.DirectionResult(q.x, q.y, float(rng.uniform(-0.5, 0.5)))
+                    calls.append((game, random_profile(game, rng), d))
+        for game, p, d in calls:
+            assert repr(line_search(game, p, d)) == repr(line_search_old(game, p, d))
+        assert len(calls) >= 240
+
+
+@st.composite
+def near_simplex_pairs(draw):
+    """Two vectors that pass mixed's checks (normalized draws, some entries
+    nudged by up to 1e-13 or set to -0.0) and a step size in [0, 1]."""
+    k = draw(st.integers(1, 8))
+
+    def one():
+        v = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+        if v.sum() <= 0:
+            v[draw(st.integers(0, k - 1))] = 1.0
+        v = v / v.sum()
+        v += np.array(draw(st.lists(st.sampled_from([0.0, 1e-13, -1e-13, 3e-16]),
+                                    min_size=k, max_size=k)))
+        return np.where((v == 0) & np.array(draw(st.lists(st.booleans(), min_size=k,
+                                                          max_size=k))), -0.0, v)
+
+    return one(), one(), draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_simplex_pairs())
+def test_normalization_core_equals_mixed(drawn):
+    from nashdescent.game import normalize_in_place
+
+    from .oracles import mixed_old
+
+    a, b, eps = drawn
+    # A drawn vector, and the descent's step from a toward b.
+    for v in (a, np.clip(a + eps * (b - a), 0.0, None)):
+        want = mixed_old(v)
+        for got in (normalize_in_place(v.copy()), mixed(v)):
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0, np.nan, np.inf, 1e-13]),
+                min_size=1, max_size=8))
+def test_mixed_and_renormalized_match_the_reference(values):
+    from nashdescent.game import GameError, renormalized
+
+    from .oracles import mixed_old, renormalized_old
+
+    v = np.array(values)
+    outcomes = []
+    for fn in (mixed, mixed_old):
+        try:
+            outcomes.append(fn(v).tobytes())
+        except GameError as err:
+            outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1]
+    if np.isfinite(v).all():
+        got, want = renormalized(v), renormalized_old(v)
+        assert got.tobytes() == want.tobytes() and not got.flags.writeable

@@ -137,3 +137,28 @@ class TestPipeline:
             star = Profile(inst.input.x_star, inst.input.y_star)
             res = dfm_solve(inst.game, star, delta=1e-4)
             assert res.f <= 1 / 3 + 1e-4 + 1e-6
+
+
+def test_branch_b_fallback_is_logged(caplog):
+    import logging
+
+    from tests.golden_corpus import fallback_pair, mirrored_sp
+
+    caplog.set_level(logging.DEBUG, logger="nashdescent.dfm")
+    # Case 3, then the same data with the players exchanged (case 4).
+    for game, sp in (fallback_pair(), mirrored_sp(*fallback_pair())):
+        caplog.clear()
+        trace = dfm_adjust(game, sp)
+        assert trace.branch == "B" and trace.fallback and trace.output == sp.profile
+        records = [r.getMessage() for r in caplog.records if r.name == "nashdescent.dfm"]
+        assert len(records) == 1, records
+        assert records[0].startswith("branch B fallback: 1 + mu/2 - lambda - t_r = -")
+        assert records[0].endswith("returning the stationary profile")
+
+
+def test_no_record_without_a_fallback(caplog, eq3):
+    import logging
+
+    caplog.set_level(logging.DEBUG, logger="nashdescent.dfm")
+    assert not dfm_adjust(eq3.game, eq3.stationary_point()).fallback
+    assert not [r for r in caplog.records if r.name == "nashdescent.dfm"]

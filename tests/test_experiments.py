@@ -200,3 +200,24 @@ class TestCompare:
         da, db = strip_walls(a), strip_walls(b)
         da["config"]["workers"] = db["config"]["workers"] = None
         assert da == db
+
+
+def test_import_leaves_process_pools_unloaded():
+    """A serial run never needs a process pool, so importing the package
+    loads neither concurrent.futures nor multiprocessing."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nashdescent
+
+    src = str(Path(nashdescent.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = ("import sys, nashdescent; "
+              "print(sorted(m for m in sys.modules if m.partition('.')[0] in "
+              "('concurrent', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]

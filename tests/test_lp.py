@@ -356,3 +356,117 @@ def test_differential_against_highs():
         assert agrees_with_highs(lp, sol) or agrees_with_highs(lp, sol, presolve=False), (
             lp, sol, highs_outcome(lp, presolve=False))
     assert min(statuses.values()) >= 100, statuses
+
+
+# ---------------------------------------------------------------------------
+# The kernel against its verbatim former self: the same standard form, the
+# same tableaux after phase 1 and the same answers, bit for bit, under every
+# pivot policy.
+
+
+def answer_bits(out):
+    """Every bit of one policy's answer: status, x, duals and both
+    objectives with their types, or the error raised."""
+    if isinstance(out, LpNumericalError):
+        return "error", str(out)
+    return (out.status,
+            None if out.x is None else out.x.tobytes(),
+            None if out.duals is None else out.duals.tobytes(),
+            type(out.objective), repr(out.objective),
+            type(out.dual_objective), repr(out.dual_objective))
+
+
+def phase_one_bits(start):
+    if start is None or isinstance(start, LpNumericalError):
+        return repr(start)
+    T, basis, kept = start
+    return T.tobytes(), T.shape, basis.tolist(), None if kept is None else kept.tolist()
+
+
+def assert_kernel_matches_reference(lp):
+    import nashdescent.lp as lpmod
+
+    from .oracles import ConstraintFormOld, ObjectiveOld, solve_lp_old, solve_with_old
+
+    new = LinearProgram(lp.objective, lp.sense, lp.constraints, lp.relations, lp.rhs,
+                        lower=lp.lower, upper=lp.upper)
+    form, old = new._form, ConstraintFormOld(lp)
+    assert form.A.tobytes() == old.A.tobytes() and form.A.shape == old.A.shape
+    assert form.b.tobytes() == old.b.tobytes() and form.flip.tobytes() == old.flip.tobytes()
+    assert form.shift.tobytes() == old.shift.tobytes() and form.free_extra == old.free_extra
+    assert list(form.needs_artificial) == old.needs_artificial.tolist()
+    assert (repr(form.resid_tol), form.budget) == (repr(old.resid_tol), old.budget)
+    obj, old_obj = lpmod._Objective(new, form), ObjectiveOld(lp, old)
+    for policy in lpmod._ATTEMPTS:
+        assert phase_one_bits(form.phase_one(*policy)) == phase_one_bits(old.phase_one(*policy))
+        answers = []
+        for solve, f, o in ((lpmod._solve_with, form, obj), (solve_with_old, old, old_obj)):
+            try:
+                answers.append(answer_bits(solve(f, o, *policy)))
+            except LpNumericalError as err:
+                answers.append(answer_bits(err))
+        assert answers[0] == answers[1], policy
+    try:
+        want = solve_lp_old(lp)
+    except LpNumericalError as err:
+        want = err
+    assert answer_bits(outcome_or_error(new)) == answer_bits(want)
+
+
+def outcome_or_error(lp):
+    try:
+        return solve_lp(lp)
+    except LpNumericalError as err:
+        return err
+
+
+@pytest.fixture(scope="module")
+def captured_programs(solver_runs):
+    """Every LP of the solver runs and of three seeded 5x5 generate_tight
+    draws, with the balance, direction, equalized-dual and tight sites."""
+    from nashdescent.generator import generate_tight, sample_inputs
+
+    from .golden_corpus import captured_lps
+
+    out = []
+    rng = np.random.default_rng(99)
+    with captured_lps(out):
+        for solver, game, p0, delta in solver_runs:
+            try:
+                solver(game, p0, delta, max_iter=200)
+            except LpNumericalError:
+                pass
+        for _ in range(3):
+            generate_tight(sample_inputs(5, 5, "disjoint", rng, pure_duals=False), rng=rng)
+    return out
+
+
+def test_kernel_matches_reference_on_captured_programs(captured_programs):
+    sites = {}
+    for site, lp, result in captured_programs:
+        assert_kernel_matches_reference(lp)
+        sites[site] = sites.get(site, 0) + 1
+        # The reference also fails where the run failed.
+        if isinstance(result, LpNumericalError):
+            sites["failed"] = sites.get("failed", 0) + 1
+    assert sites["balance"] >= 40 and sites["direction"] >= 40, sites
+    assert sites["equalized"] >= 20 and sites["tight"] >= 5 and sites["failed"] >= 1, sites
+
+
+def test_kernel_matches_reference_on_seeded_programs():
+    from .golden_corpus import random_program
+
+    # The golden corpus's 60 programs, then 400 more from another seed.
+    for seed, count in ((131, 60), (77, 400)):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            assert_kernel_matches_reference(random_program(rng))
+
+
+@settings(max_examples=200, deadline=None)
+@given(programs())
+def test_kernel_matches_reference_on_drawn_programs(prog):
+    rows, lower, upper, objectives = prog
+    for c, sense in objectives:
+        assert_kernel_matches_reference(
+            LinearProgram(c, sense, *row_block(rows, c.size), lower=lower, upper=upper))
