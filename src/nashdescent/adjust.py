@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descent import StationaryPoint, find_stationary
-from .game import SUPPORT_TOL, Game, Profile, mixed, regrets, segment_min_f, supports
+from .game import Game, Profile, mixed, regrets, segment_min_f, supports
 
 METHOD_TS = "ts"
 METHOD_BOUNDARY = "boundary-min"
@@ -29,7 +29,7 @@ class AdjustmentOutcome:
     f: float
 
 
-def lambda_mu(game: Game, sp: StationaryPoint, tol: float = SUPPORT_TOL) -> tuple[float, float]:
+def lambda_mu(game: Game, sp: StationaryPoint) -> tuple[float, float]:
     """The classic adjustment coefficients.
 
     lambda minimizes (w*-x*)'Ry' over y' supported on the column player's
@@ -39,15 +39,15 @@ def lambda_mu(game: Game, sp: StationaryPoint, tol: float = SUPPORT_TOL) -> tupl
     """
     x, y = sp.profile
     w, z = sp.dual.w, sp.dual.z
-    sup = supports(game, sp.profile, tol)
+    sup = supports(game, sp.profile)
     lam = float(((w - x) @ game.R)[sup.col_best].min())
     mu = float((game.C @ (z - y))[sup.row_best].min())
     return lam, mu
 
 
-def adjust_ts(game: Game, sp: StationaryPoint, tol: float = SUPPORT_TOL) -> AdjustmentOutcome:
+def adjust_ts(game: Game, sp: StationaryPoint) -> AdjustmentOutcome:
     """Method 1: the original convex-combination adjustment."""
-    lam, mu = lambda_mu(game, sp, tol)
+    lam, mu = lambda_mu(game, sp)
     if lam >= mu:
         prof = _ts_move_x(sp, lam - mu)
     else:
@@ -116,14 +116,15 @@ class TsResult:
     linear_f: float
 
 
-def ts_solve(game: Game, p0: Profile, delta: float = 1e-3, **kwargs) -> TsResult:
+def ts_solve(game: Game, p0: Profile, delta: float = 1e-3,
+             max_iter: int | None = None) -> TsResult:
     """Descent to a stationary point, then adjust.
 
     The canonical answer is the better of the stationary profile and the
     Method-1 adjustment; the two analysis methods are evaluated and reported
-    alongside.
+    alongside.  ``max_iter`` is find_stationary's iteration cap.
     """
-    sp = find_stationary(game, p0, delta, **kwargs)
+    sp = find_stationary(game, p0, delta, max_iter)
     m1 = adjust_ts(game, sp)
     m2 = adjust_boundary_min(game, sp)
     m3 = adjust_linear(game, sp)

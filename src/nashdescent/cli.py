@@ -21,6 +21,7 @@ from .descent import DescentBudgetError
 from .dfm import dfm_solve
 from .game import Game, GameError, Profile, mixed
 from .generator import (
+    RESTRICTIONS,
     GeneratorInput,
     certificate_json,
     dfm_family,
@@ -36,6 +37,7 @@ from .generator import (
 )
 from .lp import LpNumericalError
 from .experiments import (
+    ALGORITHMS,
     ExperimentConfig,
     exp_compare,
     exp_outside_ball,
@@ -246,30 +248,16 @@ def cmd_verify(args) -> int:
 
 
 def _experiment_config(args, experiment: str) -> ExperimentConfig:
-    kwargs = dict(
-        experiment=experiment,
-        sizes=tuple(args.size),
-        delta=args.delta,
-        radius=args.radius,
-        rounds=args.rounds,
-        seed=args.seed,
-        restriction=args.restriction,
-        workers=args.workers,
-        lambda_intersect=args.lambda_intersect,
-    )
-    if args.count is not None:
-        kwargs["count"] = args.count
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
-    if args.samples is not None:
-        kwargs["samples"] = args.samples
-    if args.points is not None:
-        kwargs["points"] = args.points
+    """The config from the flags the subcommand binds and its user gave;
+    every other field keeps ExperimentConfig's default."""
+    given = {name: value for name, value in vars(args).items()
+             if name not in ("command", "out", "format")}
+    if "size" in given:
+        given["sizes"] = tuple(given.pop("size"))
     # The success-rate tables are stated for set-valued witness sampling;
     # everything else defaults to pure witnesses (essentially unique duals).
-    if experiment == "success-rate" or args.mixed_duals:
-        kwargs["pure_duals"] = False
-    return ExperimentConfig(**kwargs)
+    given["pure_duals"] = experiment != "success-rate" and not given.pop("mixed_duals", False)
+    return ExperimentConfig(experiment=experiment, **given)
 
 
 def _emit_report(report, args) -> int:
@@ -290,8 +278,7 @@ def main(argv=None) -> int:
     g = sub.add_parser("generate", help="generate worst-case instances")
     g.add_argument("--size", type=_parse_size, default=(3, 3))
     g.add_argument("--count", type=int, default=1)
-    g.add_argument("--restriction", default="disjoint",
-                   choices=("none", "disjoint", "intersecting", "nested"))
+    g.add_argument("--restriction", default="disjoint", choices=RESTRICTIONS)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=".")
     g.add_argument("--max-attempts", type=int, default=10_000)
@@ -303,7 +290,7 @@ def main(argv=None) -> int:
 
     s = sub.add_parser("solve", help="solve one game")
     s.add_argument("game")
-    s.add_argument("--algorithm", default="ts", choices=("ts", "dfm", "fp", "rm", "zs"))
+    s.add_argument("--algorithm", default="ts", choices=ALGORITHMS)
     s.add_argument("--delta", type=float, default=1e-3)
     s.add_argument("--rounds", type=int, default=10_000)
     s.add_argument("--init", default="uniform")
@@ -318,24 +305,31 @@ def main(argv=None) -> int:
                    help="also check f >= b - tol on the whole adjustment square, not "
                         "only on its boundary; both checks are exact")
 
+    # Each experiment binds only the flags it reads; a flag left out keeps
+    # ExperimentConfig's default, so that default is the only one.
     for name in ("exp-stability", "exp-otb", "exp-success", "exp-compare"):
-        e = sub.add_parser(name, help=f"run the {name[4:]} experiment")
-        e.add_argument("--size", type=_parse_size, nargs="+", default=[(3, 3)])
-        e.add_argument("--count", type=int, default=None)
-        e.add_argument("--trials", type=int, default=None)
-        e.add_argument("--samples", type=int, default=None)
-        e.add_argument("--points", type=int, default=None)
-        e.add_argument("--delta", type=float, default=1e-3)
-        e.add_argument("--radius", type=float, default=0.01)
-        e.add_argument("--rounds", type=int, default=10_000)
-        e.add_argument("--seed", type=int, default=0)
-        e.add_argument("--restriction", default="disjoint",
-                       choices=("none", "disjoint", "intersecting", "nested"))
-        e.add_argument("--workers", type=int, default=1)
+        e = sub.add_parser(name, help=f"run the {name[4:]} experiment",
+                           argument_default=argparse.SUPPRESS)
+        e.add_argument("--size", type=_parse_size, nargs="+")
+        e.add_argument("--seed", type=int)
         e.add_argument("--lambda-intersect", action="store_true")
-        e.add_argument("--mixed-duals", action="store_true")
         e.add_argument("--out", default=None)
         e.add_argument("--format", default="json", choices=("json", "csv"))
+        if name == "exp-success":
+            # It tables every restriction, with set-valued witnesses.
+            e.add_argument("--trials", type=int)
+            continue
+        e.add_argument("--count", type=int)
+        e.add_argument("--delta", type=float)
+        e.add_argument("--restriction", choices=RESTRICTIONS)
+        e.add_argument("--workers", type=int)
+        e.add_argument("--mixed-duals", action="store_true")
+        if name == "exp-compare":
+            e.add_argument("--points", type=int)
+            e.add_argument("--rounds", type=int)
+        else:
+            e.add_argument("--samples", type=int)
+            e.add_argument("--radius", type=float)
 
     args = top.parse_args(argv)
     try:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -48,27 +49,23 @@ class DualSolution:
 class DirectionResult:
     """Outcome of the minimax direction program at a balanced profile.
 
-    ``dual`` is the program's dual witness.  A result of ``direction``
-    builds it from the LP's weights when it is first read: the descent
-    reads it only at its stationary point, and only when the equalizing LP
-    fails there.
+    ``dual`` is the program's dual witness, built from the LP's weights
+    when it is first read: the descent reads it only at its stationary
+    point, and only when the equalizing LP fails there.
     """
 
     def __init__(self, x_new: np.ndarray, y_new: np.ndarray, value: float,
-                 dual: DualSolution | None = None, _program: tuple | None = None):
+                 _program: tuple | None = None):
         self.x_new, self.y_new, self.value = x_new, y_new, value
-        self._dual = dual
         # The program's data (the game, G, its best-response row ids, the
         # supports and the LP's weights on those rows), kept for the witness
         # and for the equalized-dual LP at the same profile.
         self._program = _program
 
-    @property
+    @cached_property
     def dual(self) -> DualSolution:
-        if self._dual is None:
-            game, _, _, sup, weights = self._program
-            self._dual = _dual_from_weights(game, weights, sup)
-        return self._dual
+        game, _, _, sup, weights = self._program
+        return _dual_from_weights(game, weights, sup)
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,7 @@ def bilinear_matrix(game: Game, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return G
 
 
-def balance(game: Game, p: Profile, tol: float = SUPPORT_TOL) -> Profile:
+def balance(game: Game, p: Profile) -> Profile:
     """Equalize fR and fC by re-optimizing the lagging player's strategy.
 
     With fR > fC the row strategy is re-solved to minimize fR subject to
@@ -159,8 +156,8 @@ def _rebalance_row(game: Game, p: Profile) -> Profile:
     return Profile(renormalized(sol.x), y)
 
 
-def _support_rows(game: Game, p: Profile, tol: float):
-    sup = supports(game, p, tol)
+def _support_rows(game: Game, p: Profile):
+    sup = supports(game, p)
     return list(sup.row_best) + [game.m + int(j) for j in sup.col_best], sup
 
 
@@ -188,25 +185,18 @@ def _dual_from_weights(game: Game, weights: np.ndarray, sup) -> DualSolution:
     return DualSolution(rho=min(max(masses[0], 0.0), 1.0), w=witnesses[0], z=witnesses[1])
 
 
-def direction(
-    game: Game,
-    p: Profile,
-    tol: float = SUPPORT_TOL,
-    canonicalize: bool = False,
-) -> DirectionResult:
+def direction(game: Game, p: Profile) -> DirectionResult:
     """Solve min over (x',y') of max over (rho,w,z) of T at a balanced profile.
 
     The max side reduces to the rows of G indexed by the two best-response
     sets, so the program is the LP  min v  s.t.  G_k (y';x') <= v  on those
     rows with (x',y') on the simplices.  The dual weights on the rows give
-    (rho, w, z).  With ``canonicalize`` a second LP picks, among all optimal
-    dual witnesses, the one minimizing the largest deviation of the induced
-    coefficient vectors from their minima; this equalized witness is the one
-    worst-case-tight instances are built around, and it is unique there.
+    (rho, w, z); ``_equalized_dual`` turns the result into the equalized
+    witness.
     """
     m, n = game.m, game.n
     G = bilinear_matrix(game, p.x, p.y)
-    row_ids, sup = _support_rows(game, p, tol)
+    row_ids, sup = _support_rows(game, p)
     k = len(row_ids)
 
     # Variables: y' (n), x' (m), v (free).
@@ -224,21 +214,20 @@ def direction(
                                  lower=lower))
     if sol.status != OPTIMAL:
         raise LpNumericalError(f"direction LP ended {sol.status}")
-    res = DirectionResult(
+    return DirectionResult(
         x_new=renormalized(sol.x[n : n + m]),
         y_new=renormalized(sol.x[:n]),
         value=float(sol.objective),
         _program=(game, G, row_ids, sup, sol.duals[:k]),
     )
-    if canonicalize:
-        res = DirectionResult(res.x_new, res.y_new, res.value, _equalized_dual(res),
-                              res._program)
-    return res
 
 
 def _equalized_dual(d: DirectionResult) -> DualSolution:
     """The equalized dual witness at the profile where ``direction``
-    returned d, from the program data d carries.
+    returned d, from the program data d carries: among all optimal dual
+    witnesses, the one minimizing the largest deviation of the induced
+    coefficient vectors from their minima.  Worst-case-tight instances are
+    built around this witness, and it is unique there.
 
     Falls back to d's own witness, with a debug record on this module's
     logger, when the equalizing LP fails.
@@ -290,7 +279,7 @@ def _equalized_dual_weights(G, row_ids, n, m, value):
     return sol.x[:k]
 
 
-def scaled_derivative(game: Game, p: Profile, q: Profile, tol: float = SUPPORT_TOL):
+def scaled_derivative(game: Game, p: Profile, q: Profile):
     """One-sided derivative of f along the unnormalized displacement q - p.
 
     Returns (Df, DfR, DfC).  The branch follows whichever regret is active;
@@ -299,7 +288,7 @@ def scaled_derivative(game: Game, p: Profile, q: Profile, tol: float = SUPPORT_T
     game.check_profile(p)
     game.check_profile(q)
     r = regrets(game, p)
-    sup = supports(game, p, tol)
+    sup = supports(game, p)
     # dfR, then dfC as the dfR of the swapped game.
     derivatives = []
     for g, (x, y), (xp, yp), fR, row_best in (
@@ -319,12 +308,12 @@ def scaled_derivative(game: Game, p: Profile, q: Profile, tol: float = SUPPORT_T
     return df, dfR, dfC
 
 
-def t_value(game: Game, p: Profile, q: Profile, d: DualSolution, tol: float = SUPPORT_TOL) -> float:
+def t_value(game: Game, p: Profile, q: Profile, d: DualSolution) -> float:
     """The smoothed derivative form T(x,y,x',y',rho,w,z) evaluated directly."""
-    sup = supports(game, p, tol)
-    if np.any(d.w[np.setdiff1d(np.arange(game.m), sup.row_best)] > tol):
+    sup = supports(game, p)
+    if np.any(d.w[np.setdiff1d(np.arange(game.m), sup.row_best)] > SUPPORT_TOL):
         raise ValueError("w is not supported on the row best-response set")
-    if np.any(d.z[np.setdiff1d(np.arange(game.n), sup.col_best)] > tol):
+    if np.any(d.z[np.setdiff1d(np.arange(game.n), sup.col_best)] > SUPPORT_TOL):
         raise ValueError("z is not supported on the column best-response set")
     R, C = game.R, game.C
     x, y = p
@@ -334,7 +323,7 @@ def t_value(game: Game, p: Profile, q: Profile, d: DualSolution, tol: float = SU
     return float(d.rho * term_r + (1.0 - d.rho) * term_c)
 
 
-def line_search(game: Game, p: Profile, dres: DirectionResult, tol: float = SUPPORT_TOL) -> float:
+def line_search(game: Game, p: Profile, dres: DirectionResult) -> float:
     """Closed-form step size in (0,1] toward (x_new, y_new).
 
     The two support bounds keep the best-response sets from being overtaken
@@ -345,14 +334,13 @@ def line_search(game: Game, p: Profile, dres: DirectionResult, tol: float = SUPP
     R, C = game.R, game.C
     x, y = p
     xp, yp = dres.x_new, dres.y_new
-    r = regrets(game, p)
 
     def support_bound(vals, vals_new):
         # On Python floats: the comparisons, differences and quotients of
         # the array form, without an array call for each of them.
         vals, vals_new = vals.tolist(), vals_new.tolist()
         vmax = max(vals)
-        best = [v >= vmax - tol for v in vals]
+        best = [v >= vmax - SUPPORT_TOL for v in vals]
         if all(best):
             return np.inf
         m_new = max([w for w, b in zip(vals_new, best) if b])
@@ -370,7 +358,7 @@ def line_search(game: Game, p: Profile, dres: DirectionResult, tol: float = SUPP
     dy = yp - y
     H = min(float(dx @ R @ dy), float(dx @ C @ dy))
     if H < 0:
-        eps = min(eps, abs(dres.value - r.f) / (2.0 * abs(H)))
+        eps = min(eps, abs(dres.value - regrets(game, p).f) / (2.0 * abs(H)))
     return min(eps, 1.0)
 
 
@@ -386,8 +374,6 @@ def find_stationary(
     p0: Profile,
     delta: float = 1e-3,
     max_iter: int | None = None,
-    tol: float = SUPPORT_TOL,
-    record_history: bool = False,
 ) -> StationaryPoint:
     """Iterate balance / direction / line search until V - f >= -delta.
 
@@ -397,6 +383,7 @@ def find_stationary(
     and DescentBudgetError (carrying the best profile) if the iteration cap
     is hit; the default cap ceil(4/delta^2) honors the quadratic
     convergence bound.  The witness is built once, at the stationary point.
+    ``f_history`` lists f at each balanced iterate.
     """
     if not 0.0 < delta < math.inf:
         raise ValueError("delta must be a positive finite number")
@@ -408,11 +395,10 @@ def find_stationary(
     history = []
     iterations = 0
     while True:
-        p = balance(game, p, tol)
+        p = balance(game, p)
         r = regrets(game, p)
-        if record_history:
-            history.append(r.f)
-        d = direction(game, p, tol)
+        history.append(r.f)
+        d = direction(game, p)
         if d.value - r.f >= -delta:
             dual = _equalized_dual(d)
             lam, mu = lambda_mu_star(game, p, dual)
@@ -428,13 +414,13 @@ def find_stationary(
             )
         if iterations >= max_iter:
             raise DescentBudgetError(p, r.f, iterations)
-        eps = line_search(game, p, d, tol)
+        eps = line_search(game, p, d)
         p = Profile(normalize_in_place(np.maximum(p.x + eps * (d.x_new - p.x), 0.0)),
                     normalize_in_place(np.maximum(p.y + eps * (d.y_new - p.y), 0.0)))
         iterations += 1
 
 
-def stationary_from(game: Game, p: Profile, d: DualSolution, iterations: int = 0) -> StationaryPoint:
+def stationary_from(game: Game, p: Profile, d: DualSolution) -> StationaryPoint:
     """Package a known profile and dual witness as a StationaryPoint.
 
     Used for canonical instances whose stationary data is specified rather
@@ -449,7 +435,7 @@ def stationary_from(game: Game, p: Profile, d: DualSolution, iterations: int = 0
         value=r.f,
         lambda_star=lam,
         mu_star=mu,
-        iterations=iterations,
+        iterations=0,
     )
 
 

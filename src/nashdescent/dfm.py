@@ -109,12 +109,14 @@ class DfmResult:
     trace: DfmTrace
 
 
-def dfm_solve(game: Game, p0: Profile, delta: float = 1e-3, **kwargs) -> DfmResult:
+def dfm_solve(game: Game, p0: Profile, delta: float = 1e-3,
+              max_iter: int | None = None) -> DfmResult:
     """Descent to a stationary point, then the four-case adjustment.
 
     Returns the better of the stationary profile and the adjusted one.
+    ``max_iter`` is find_stationary's iteration cap.
     """
-    sp = find_stationary(game, p0, delta, **kwargs)
+    sp = find_stationary(game, p0, delta, max_iter)
     trace = dfm_adjust(game, sp)
     if sp.f <= trace.f:
         return DfmResult(sp.profile, sp.f, sp, trace)

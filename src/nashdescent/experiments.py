@@ -36,10 +36,17 @@ F_THRESHOLD = 0.339
 ALGORITHMS = ("ts", "dfm", "fp", "rm", "zs")
 CSV_COLUMNS = ("experiment", "instance", "algorithm", "seed", "f", "iterations",
                "wall_ms", "detail")
+# Generator inputs sample_tight_games draws before it gives up.
+MAX_INPUT_DRAWS = 10_000
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
-    """95% confidence interval for a binomial proportion (score method)."""
+    """95% confidence interval for a binomial proportion (score method).
+
+    At 0 successes the lower end is exactly 0, and at ``trials`` successes
+    the upper end is exactly 1: the score interval's values there, which
+    the floating-point formula can miss by a rounding error.
+    """
     if trials <= 0:
         raise ValueError("trials must be positive")
     phat = successes / trials
@@ -47,7 +54,9 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2.0 * trials)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == trials else min(1.0, center + half)
+    return lo, hi
 
 
 @dataclass
@@ -154,7 +163,6 @@ def sample_tight_games(
     pure_duals: bool = True,
     groups: int = 10,
     lambda_intersect: bool = False,
-    max_input_draws: int = 10_000,
 ) -> list[TightInstance]:
     """Sample `count` tight instances from `groups` independent input draws.
 
@@ -164,7 +172,7 @@ def sample_tight_games(
     per_group = math.ceil(count / groups)
     out: list[TightInstance] = []
     draws = 0
-    while len(out) < count and draws < max_input_draws:
+    while len(out) < count and draws < MAX_INPUT_DRAWS:
         draws += 1
         inp = sample_inputs(m, n, restriction, rng, pure_duals=pure_duals)
         insts = generate_tight(
@@ -174,7 +182,7 @@ def sample_tight_games(
     if len(out) < count:
         raise RuntimeError(
             f"could not generate {count} tight {m}x{n} instances "
-            f"in {max_input_draws} input draws"
+            f"in {MAX_INPUT_DRAWS} input draws"
         )
     return out[:count]
 

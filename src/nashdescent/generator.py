@@ -14,8 +14,8 @@ from functools import lru_cache
 import numpy as np
 
 from .descent import DualSolution, stationary_from, verify_stationary
-from .game import (SUPPORT_TOL, Game, Profile, mixed, regrets, renormalized, segment_min_f,
-                   square_min_f)
+from .game import (SUPPORT_TOL, Game, Profile, mixed, pure, regrets, renormalized,
+                   segment_min_f, square_min_f)
 from .lp import (
     CHECK_TOL, EQ, GE, MINIMIZE, MAXIMIZE, OPTIMAL, LinearProgram, solve_lp,
 )
@@ -136,12 +136,12 @@ class GeneratorInput:
     def n(self) -> int:
         return self.y_star.size
 
-    def supports(self, tol: float = SUPPORT_TOL):
+    def supports(self):
         return (
-            np.nonzero(self.x_star > tol)[0],
-            np.nonzero(self.y_star > tol)[0],
-            np.nonzero(self.w_star > tol)[0],
-            np.nonzero(self.z_star > tol)[0],
+            np.nonzero(self.x_star > SUPPORT_TOL)[0],
+            np.nonzero(self.y_star > SUPPORT_TOL)[0],
+            np.nonzero(self.w_star > SUPPORT_TOL)[0],
+            np.nonzero(self.z_star > SUPPORT_TOL)[0],
         )
 
     @property
@@ -456,11 +456,13 @@ def profile_distance(p: Profile, q: Profile) -> float:
     )
 
 
-def sample_outside_ball(
-    center: Profile, radius: float, rng: np.random.Generator, max_tries: int = 1000
-) -> Profile:
+# Draws sample_outside_ball makes before it gives up.
+OUTSIDE_BALL_TRIES = 1000
+
+
+def sample_outside_ball(center: Profile, radius: float, rng: np.random.Generator) -> Profile:
     """Uniform-normalized random profile conditioned on leaving the ball."""
-    for _ in range(max_tries):
+    for _ in range(OUTSIDE_BALL_TRIES):
         x = rng.uniform(0.0, 1.0, size=center.x.size)
         y = rng.uniform(0.0, 1.0, size=center.y.size)
         if x.sum() <= 0 or y.sum() <= 0:
@@ -579,12 +581,6 @@ class StaticInstance:
         }
 
 
-def _e(k: int, i: int) -> np.ndarray:
-    v = np.zeros(k)
-    v[i] = 1.0
-    return v
-
-
 def tight_3x3() -> StaticInstance:
     """The 3x3 game attaining the 0.3393 bound at a pure stationary point."""
     cons = solve_b()
@@ -593,7 +589,7 @@ def tight_3x3() -> StaticInstance:
     C = np.array([[0.1, 0.1 + b, 0.1 + b], [0.0, 1.0, mu0], [0.0, 1.0, mu0]])
     return StaticInstance(
         "tight-3x3", Game(R, C),
-        _e(3, 0), _e(3, 0), _e(3, 2), _e(3, 2), cons.rho_star,
+        pure(3, 0), pure(3, 0), pure(3, 2), pure(3, 2), cons.rho_star,
     )
 
 
@@ -615,7 +611,7 @@ def tight_m_n(m: int, n: int) -> StaticInstance:
     C[1:, 1] = mu0
     return StaticInstance(
         f"tight-{m}x{n}", Game(R, C),
-        _e(m, 0), _e(n, 0), _e(m, 1), _e(n, 1), cons.rho_star,
+        pure(m, 0), pure(n, 0), pure(m, 1), pure(n, 1), cons.rho_star,
     )
 
 
@@ -651,7 +647,7 @@ def dfm_tight() -> StaticInstance:
     R = np.array([[0.0, 0.0, 0.0], [1 / 3, 1.0, 1.0], [1 / 3, 0.5, 0.5]])
     C = np.array([[0.0, 1 / 3, 1 / 3], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
     return StaticInstance(
-        "dfm-tight", Game(R, C), _e(3, 0), _e(3, 0), _e(3, 2), _e(3, 2), 2.0 / 3.0
+        "dfm-tight", Game(R, C), pure(3, 0), pure(3, 0), pure(3, 2), pure(3, 2), 2.0 / 3.0
     )
 
 
@@ -666,7 +662,7 @@ def dfm_family(eps: float) -> StaticInstance:
         [[0.0, 1 / 3 - eps, 1 / 3 - eps], [0.0, 1.0, 2 / 3 + eps], [0.0, 1.0, 2 / 3 + eps]]
     )
     return StaticInstance(
-        f"dfm-family-{eps}", Game(R, C), _e(3, 0), _e(3, 0), _e(3, 2), _e(3, 2), 0.5
+        f"dfm-family-{eps}", Game(R, C), pure(3, 0), pure(3, 0), pure(3, 2), pure(3, 2), 0.5
     )
 
 
@@ -675,5 +671,5 @@ def half_sp() -> StaticInstance:
     R = np.array([[0.5, 0.0], [1.0, 1.0]])
     C = np.array([[0.5, 1.0], [0.0, 1.0]])
     return StaticInstance(
-        "half-sp", Game(R, C), _e(2, 0), _e(2, 0), _e(2, 1), _e(2, 1), 0.5
+        "half-sp", Game(R, C), pure(2, 0), pure(2, 0), pure(2, 1), pure(2, 1), 0.5
     )

@@ -225,6 +225,28 @@ def test_exp_stability_csv_output(tmp_path, capsys):
     assert header.startswith("experiment,instance,algorithm")
 
 
+# The flags each exp-* subcommand once accepted but its experiment never read.
+UNREAD_FLAGS = {
+    "exp-stability": ("--trials", "--points", "--rounds"),
+    "exp-otb": ("--trials", "--points", "--rounds"),
+    "exp-success": ("--count", "--samples", "--points", "--delta", "--radius", "--rounds",
+                    "--restriction", "--workers", "--mixed-duals"),
+    "exp-compare": ("--trials", "--samples", "--radius"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNREAD_FLAGS))
+def test_exp_subcommand_rejects_flags_its_experiment_never_reads(capsys, command):
+    for flag in UNREAD_FLAGS[command]:
+        value = {"--restriction": ["nested"], "--mixed-duals": []}.get(flag, ["1"])
+        # --size 1x1 makes a parser that took the flag fail at once with
+        # exit 1, instead of running the experiment.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--size", "1x1", flag, *value])
+        assert exc.value.code == 2, flag
+        assert f"unrecognized arguments: {' '.join([flag, *value])}" in capsys.readouterr().err
+
+
 def test_runtime_imports_nothing_beyond_numpy(tmp_path):
     """numpy is the only runtime dependency: constants, generate and solve,
     run in a fresh interpreter, import only the standard library, numpy and

@@ -55,11 +55,14 @@ class TestBalance:
 
 class TestDirection:
     def test_value_and_dual_at_tight_point(self, eq1, cons):
-        d = direction(eq1.game, eq1.profile, canonicalize=True)
+        from nashdescent import descent
+
+        d = direction(eq1.game, eq1.profile)
+        dual = descent._equalized_dual(d)
         assert d.value == pytest.approx(cons.b, abs=1e-9)
-        assert d.dual.rho == pytest.approx(cons.rho_star, abs=1e-6)
-        assert np.allclose(d.dual.w, [0, 0, 1], atol=1e-6)
-        assert np.allclose(d.dual.z, [0, 0, 1], atol=1e-6)
+        assert dual.rho == pytest.approx(cons.rho_star, abs=1e-6)
+        assert np.allclose(dual.w, [0, 0, 1], atol=1e-6)
+        assert np.allclose(dual.z, [0, 0, 1], atol=1e-6)
 
     def test_dual_validity_without_canonicalization(self, eq1):
         # any optimal witness must certify the value through the inner min
@@ -71,11 +74,14 @@ class TestDirection:
         assert inner_min >= d.value - 1e-7
 
     def test_remark_dual_is_forced(self, remark):
-        d = direction(remark.game, remark.profile, canonicalize=True)
+        from nashdescent import descent
+
+        d = direction(remark.game, remark.profile)
+        dual = descent._equalized_dual(d)
         assert d.value == pytest.approx(0.5, abs=1e-9)
-        assert d.dual.rho == pytest.approx(0.5, abs=1e-7)
-        assert np.allclose(d.dual.w, [0, 1], atol=1e-9)
-        assert np.allclose(d.dual.z, [0, 1], atol=1e-9)
+        assert dual.rho == pytest.approx(0.5, abs=1e-7)
+        assert np.allclose(dual.w, [0, 1], atol=1e-9)
+        assert np.allclose(dual.z, [0, 1], atol=1e-9)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_value_matches_grid_oracle(self, seed):
@@ -184,8 +190,7 @@ class TestLineSearch:
         p = Profile(mixed([1.0, 0.0]), mixed([1.0, 0.0]))
         from nashdescent.descent import DirectionResult
 
-        q = DirectionResult(mixed([0.0, 1.0]), mixed([0.0, 1.0]), value=0.0,
-                            dual=DualSolution(0.5, mixed([1, 0]), mixed([0.5, 0.5])))
+        q = DirectionResult(mixed([0.0, 1.0]), mixed([0.0, 1.0]), value=0.0)
         f = regrets(g, p).f
         H = min((q.x_new - p.x) @ R @ (q.y_new - p.y),
                 (q.x_new - p.x) @ C @ (q.y_new - p.y))
@@ -230,10 +235,11 @@ class TestFindStationary:
     def test_from_uniform_start(self, eq1):
         p0 = Profile(uniform(3), uniform(3))
         f0 = regrets(eq1.game, p0).f
-        sp = find_stationary(eq1.game, p0, delta=1e-3, record_history=True)
+        sp = find_stationary(eq1.game, p0, delta=1e-3)
         assert sp.f <= f0 + 1e-12
         assert sp.value - sp.f >= -1e-3
         assert abs(regrets(eq1.game, sp.profile).fR - regrets(eq1.game, sp.profile).fC) <= 1e-7
+        assert len(sp.f_history) == sp.iterations + 1 and sp.f_history[-1] == sp.f
         diffs = np.diff(np.array(sp.f_history))
         assert np.all(diffs <= 1e-10)
 
@@ -415,10 +421,11 @@ class TestLpBlocks:
                 # best-response sets of both players tie.
                 for q in (p, balance(game, p)):
                     G = bilinear_matrix(game, q.x, q.y)
-                    row_ids, _ = descent._support_rows(game, q, 1e-9)
+                    row_ids, _ = descent._support_rows(game, q)
                     captured.clear()
                     with contextlib.suppress(LpNumericalError):
-                        d = direction(game, q, canonicalize=True)
+                        d = direction(game, q)
+                        descent._equalized_dual(d)
                     assert same_program(captured[0], *direction_rows_old(G, row_ids, game.n, game.m))
                     counts["direction"] += 1
                     if len(captured) > 1:
@@ -462,7 +469,8 @@ class TestReferenceBits:
             lps = []
             try:
                 with captured_lps(lps):
-                    d = direction(game, p, canonicalize=True)
+                    d = direction(game, p)
+                    dual = descent._equalized_dual(d)
             except LpNumericalError:  # the pinned input whose direction LP fails
                 continue
             _, G, row_ids, sup, weights = d._program
@@ -477,7 +485,7 @@ class TestReferenceBits:
             if eq is not None and eq.status == "optimal":
                 want = dual_from_weights_old(game, eq.x[:len(row_ids)], sup)
                 equalized += 1
-            assert (repr(d.dual.rho), self.bits(d.dual.w), self.bits(d.dual.z)) == (
+            assert (repr(dual.rho), self.bits(dual.w), self.bits(dual.z)) == (
                 repr(want.rho), self.bits(want.w), self.bits(want.z))
         assert len(profiles) >= 80 and equalized >= 40, (len(profiles), equalized)
 

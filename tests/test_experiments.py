@@ -40,6 +40,15 @@ class TestWilson:
         with pytest.raises(ValueError):
             wilson_interval(1, 0)
 
+    def test_exact_end_points_at_every_trial_count(self):
+        # The score interval is exactly [0, .] at 0 successes and [., 1] at
+        # n; the floating-point formula misses both for some n (n = 3 gives
+        # a lower end of 5.55e-17).
+        lows = [wilson_interval(0, n)[0] for n in range(1, 2001)]
+        highs = [wilson_interval(n, n)[1] for n in range(1, 2001)]
+        assert [n for n, lo in enumerate(lows, 1) if lo != 0.0] == []
+        assert [n for n, hi in enumerate(highs, 1) if hi != 1.0] == []
+
 
 class TestConfig:
     def test_validation(self):
