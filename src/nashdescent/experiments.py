@@ -31,6 +31,12 @@ from .generator import (
 )
 
 F_THRESHOLD = 0.339
+# Descent precision of the outside-the-ball restarts.
+OTB_DELTA = 1e-2
+# Share of an instance's outside-the-ball restarts that must be effective.
+EFFECTIVENESS = 0.95
+# Lattice resolution of exp-compare's initial-point cells.
+RESOLUTION = 10
 # The algorithms exp-compare runs: the descent pipelines ts and dfm from `points`
 # lattice starts each, then fictitious play, regret matching and zero-sum once.
 ALGORITHMS = ("ts", "dfm", "fp", "rm", "zs")
@@ -66,31 +72,26 @@ class ExperimentConfig:
     count: int = 100           # tight instances per size
     trials: int = 200          # generator-input draws per success-rate cell
     delta: float = 1e-3        # descent precision inside the ball experiments
-    otb_delta: float = 1e-2    # descent precision for outside-the-ball runs
     radius: float = 0.01       # perturbation-ball radius
     samples: int | None = None  # restarts per instance; default 16(m-1)(n-1)
     rounds: int = 10_000       # learning-dynamics rounds
     points: int = 500          # descent initial points per instance (compare)
-    resolution: int = 10       # lattice resolution for initial-point cells
     restriction: str = "disjoint"
     restrictions: tuple = RESTRICTIONS
     pure_duals: bool = True
     lambda_intersect: bool = False
     algorithms: tuple = ALGORITHMS
-    effectiveness: float = 0.95
     seed: int = 0
     workers: int = 1
 
     def __post_init__(self):
         counts = {"count": self.count, "trials": self.trials, "rounds": self.rounds,
-                  "points": self.points, "resolution": self.resolution, "samples": self.samples}
+                  "points": self.points, "samples": self.samples}
         low = [name for name, v in counts.items() if v is not None and v < 1]
         if low:
             raise ValueError(f"counts must be positive: {', '.join(low)}")
-        if not all(0.0 < v < math.inf for v in (self.radius, self.delta, self.otb_delta)):
+        if not all(0.0 < v < math.inf for v in (self.radius, self.delta)):
             raise ValueError("radius and precisions must be positive finite numbers")
-        if not 0.0 < self.effectiveness <= 1.0:
-            raise ValueError("effectiveness must lie in (0, 1]")
         named = [("algorithm", v, ALGORITHMS) for v in self.algorithms] + [
             ("restriction", v, RESTRICTIONS) for v in (self.restriction, *self.restrictions)]
         for name, v, known in named:
@@ -250,7 +251,7 @@ def _stability_task(payload):
 
 
 def _otb_task(payload):
-    (key, R, C, x_star, y_star, radius, delta, samples, seed, f_threshold, eff) = payload
+    (key, R, C, x_star, y_star, radius, delta, samples, seed) = payload
     star, descents = _restarts(payload, sample_outside_ball)
     t0 = time.perf_counter()
     effective_trials = 0
@@ -259,7 +260,7 @@ def _otb_task(payload):
     for sp in descents:
         iters += sp.iterations
         last_f = sp.f
-        if profile_distance(sp.profile, star) >= radius and sp.f < f_threshold:
+        if profile_distance(sp.profile, star) >= radius and sp.f < F_THRESHOLD:
             effective_trials += 1
     wall = (time.perf_counter() - t0) * 1000.0
     return TrialRecord(
@@ -267,20 +268,20 @@ def _otb_task(payload):
         {
             "effective_trials": effective_trials,
             "samples": samples,
-            "effective": effective_trials >= eff * samples,
+            "effective": effective_trials >= EFFECTIVENESS * samples,
         },
     )
 
 
 def _compare_task(payload):
-    (key, R, C, algorithm, seed, delta, rounds, points, resolution) = payload
+    (key, R, C, algorithm, seed, delta, rounds, points) = payload
     game = Game(np.asarray(R), np.asarray(C))
     if algorithm in ALGORITHMS[:2]:  # the descent pipelines
         solver = ts_solve if algorithm == "ts" else dfm_solve
         records = []
         for t in range(points):
             rng = _rng(seed, t)
-            p0 = lattice_profile(game.m, game.n, resolution, rng)
+            p0 = lattice_profile(game.m, game.n, RESOLUTION, rng)
             t0 = time.perf_counter()
             try:
                 res = solver(game, p0, delta)
@@ -396,15 +397,14 @@ def exp_outside_ball(cfg: ExperimentConfig) -> ExperimentReport:
 
     A trial is effective when descent ends outside the ball with a ratio
     below the 0.339 threshold; an instance is effective when at least the
-    configured share (default 95%) of its trials are.
+    share EFFECTIVENESS (95%) of its trials are.
     """
     records = []
     for si, m, n, games in _tight_games(cfg):
         stab = _pmap(_stability_task, _restart_payloads(cfg, si, m, n, games, cfg.delta),
                      cfg.workers)
-        restarts = _restart_payloads(cfg, si, m, n, games, cfg.otb_delta, 1)
-        payloads = [p + (F_THRESHOLD, cfg.effectiveness)
-                    for p, srec in zip(restarts, stab) if srec.detail["stable"]]
+        restarts = _restart_payloads(cfg, si, m, n, games, OTB_DELTA, 1)
+        payloads = [p for p, srec in zip(restarts, stab) if srec.detail["stable"]]
         records.extend(_pmap(_otb_task, payloads, cfg.workers))
     cfg_dict = _config_dict(cfg)
     return ExperimentReport(cfg_dict, records, aggregate_otb(records, cfg_dict))
@@ -478,7 +478,7 @@ def exp_compare(cfg: ExperimentConfig) -> ExperimentReport:
                 payloads.append((
                     f"{m}x{n}#{gi}", inst.game.R, inst.game.C, alg,
                     int(_rng(cfg.seed, si, gi, ai).integers(2**31)),
-                    cfg.delta, cfg.rounds, cfg.points, cfg.resolution,
+                    cfg.delta, cfg.rounds, cfg.points,
                 ))
         for recs in _pmap(_compare_task, payloads, cfg.workers):
             records.extend(recs)

@@ -115,7 +115,7 @@ class Regrets(NamedTuple):
 
 
 class Supports(NamedTuple):
-    """Best-response index sets and strategy supports at a profile.
+    """Best-response index sets at a profile.
 
     row_best is the set of row-player pure best responses to y (argmax of Ry),
     col_best the column-player pure best responses to x (argmax of C'x).
@@ -123,8 +123,6 @@ class Supports(NamedTuple):
 
     row_best: np.ndarray
     col_best: np.ndarray
-    x_supp: np.ndarray
-    y_supp: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -358,10 +356,10 @@ def square_min_f(game: Game, a: Profile, b: Profile) -> tuple[float, float, Prof
 
 
 def supports(game: Game, p: Profile, tol: float = SUPPORT_TOL) -> Supports:
-    """Best-response sets S_R(y), S_C(x) and the supports of x and y.
+    """Best-response sets S_R(y) and S_C(x).
 
     An index is a best response when its payoff is within ``tol`` (absolute)
-    of the maximum; an index is in the support when its weight exceeds ``tol``.
+    of the maximum.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -372,8 +370,6 @@ def supports(game: Game, p: Profile, tol: float = SUPPORT_TOL) -> Supports:
     return Supports(
         row_best=np.nonzero(Ry >= Ry.max() - tol)[0],
         col_best=np.nonzero(Cx >= Cx.max() - tol)[0],
-        x_supp=np.nonzero(x > tol)[0],
-        y_supp=np.nonzero(y > tol)[0],
     )
 
 

@@ -638,7 +638,7 @@ def tight_no_dominated() -> StaticInstance:
     half = np.array([0.5, 0.5, 0.0, 0.0])
     dual = np.array([0.0, 0.0, 0.5, 0.5])
     return StaticInstance(
-        "tight-no-dominated", Game(R, C), half, half, dual, dual, cons.rho_star
+        "no-dominated", Game(R, C), half, half, dual, dual, cons.rho_star
     )
 
 
@@ -662,7 +662,7 @@ def dfm_family(eps: float) -> StaticInstance:
         [[0.0, 1 / 3 - eps, 1 / 3 - eps], [0.0, 1.0, 2 / 3 + eps], [0.0, 1.0, 2 / 3 + eps]]
     )
     return StaticInstance(
-        f"dfm-family-{eps}", Game(R, C), pure(3, 0), pure(3, 0), pure(3, 2), pure(3, 2), 0.5
+        f"dfm-family:{eps}", Game(R, C), pure(3, 0), pure(3, 0), pure(3, 2), pure(3, 2), 0.5
     )
 
 

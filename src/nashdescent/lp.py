@@ -442,43 +442,39 @@ def _solve_with(form: _ConstraintForm, obj: _Objective, window: float, entering:
 
 
 def solve_zero_sum(A) -> tuple[np.ndarray, np.ndarray, float]:
-    """Maximin strategies and value of the zero-sum game with payoff matrix A.
+    """Minimax strategies and value of the zero-sum game with payoff matrix A.
 
-    The row player maximizes x'Ay, the column player minimizes it.  Returns
-    (x, y, value) with min(A'x) >= value - 1e-8 and max(Ay) <= value + 1e-8.
-    Optimal strategies are the deterministic vertex solutions of the two
-    value LPs (ties inherit the simplex's pivoting policy).
+    The row player maximizes x'Ay, the column player minimizes it.  One LP
+    gives both: max v subject to (A'x)_j >= v for every column j, with x on
+    the simplex.  By LP duality its multipliers on those n rows, negated and
+    normalized, are a minimax strategy y of the column player.  Returns
+    (x, y, value), certified on A itself: min(A'x) >= value - tol and
+    max(Ay) <= value + tol with tol = 1e-8 (1 + |value|), else
+    LpNumericalError, since the kernel certifies the primal answer only.
+    x is the LP's vertex solution and y its basis's multipliers, so ties
+    inherit the simplex's pivoting policy.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.size == 0 or not np.all(np.isfinite(A)):
         raise LpError("payoff matrix must be a nonempty finite matrix")
     m, n = A.shape
-
-    def value_program(P, rel, sense):
-        # max v s.t. (P'x)_j >= v, or min u s.t. (P'x)_j <= u, over the
-        # simplex: variables x then the free value.
-        k, nv = P.shape[1], P.shape[0] + 1
-        rows = np.zeros((k + 1, nv))
-        rows[:k, :-1] = P.T
-        rows[:k, -1] = -1.0
-        rows[k, :-1] = 1.0
-        c = np.zeros(nv)
-        c[-1] = 1.0
-        return LinearProgram(c, sense, rows, (rel,) * k + (EQ,), [0.0] * k + [1.0],
-                             lower=[0.0] * (nv - 1) + [None])
-
-    # Row side: max v subject to (A'x)_j >= v for every column j.
-    solx = solve_lp(value_program(A, GE, MAXIMIZE))
-    if solx.status != OPTIMAL:
-        raise LpNumericalError(f"zero-sum row LP ended {solx.status}")
-    # Column side: min u subject to (Ay)_i <= u for every row i.
-    soly = solve_lp(value_program(A.T, LE, MINIMIZE))
-    if soly.status != OPTIMAL:
-        raise LpNumericalError(f"zero-sum column LP ended {soly.status}")
-
-    value = float(solx.objective)
-    if abs(value - soly.objective) > 1e-7 * (1.0 + abs(value)):
+    # Variables x, then the free value v.
+    rows = np.zeros((n + 1, m + 1))
+    rows[:n, :m] = A.T
+    rows[:n, m] = -1.0
+    rows[n, :m] = 1.0
+    c = np.zeros(m + 1)
+    c[m] = 1.0
+    sol = solve_lp(LinearProgram(c, MAXIMIZE, rows, (GE,) * n + (EQ,), [0.0] * n + [1.0],
+                                 lower=[0.0] * m + [None]))
+    if sol.status != OPTIMAL:
+        raise LpNumericalError(f"zero-sum LP ended {sol.status}")
+    x, y, value = renormalized(sol.x[:m]), renormalized(-sol.duals[:n]), float(sol.objective)
+    tol = 1e-8 * (1.0 + abs(value))
+    low, high = (A.T @ x).min(), (A @ y).max()
+    if low < value - tol or high > value + tol:
         raise LpNumericalError(
-            f"zero-sum values disagree: {value} vs {soly.objective}"
+            f"zero-sum strategies fail the saddle check: min(A'x) = {low}, "
+            f"max(Ay) = {high}, value {value}"
         )
-    return renormalized(solx.x[:m]), renormalized(soly.x[:n]), value
+    return x, y, value

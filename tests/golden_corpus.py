@@ -21,7 +21,11 @@ Python sets.  The ``rectangle_scan_f`` entries and the verify entries'
 ``grid_min`` and ``grid_above_b`` were renamed ``square_min_f``,
 ``square_min`` and ``square_above_b`` with their stored values kept, when
 the lattice scans gave way to the exact square minimizer; it reproduces
-them within 3.4e-16.  Regenerate with
+them within 3.4e-16.  The baselines' ``zs`` entries, and only those, were
+rewritten when ``solve_zero_sum`` began to take the column player's
+strategy from the row LP's multipliers instead of a second LP; 16 of the 47
+moved beyond 1e-12, where the two LPs had picked different minimax
+strategies.  Regenerate with
 
     PYTHONPATH=src python tests/golden_corpus.py
 

@@ -120,3 +120,12 @@ class TestZeroSumBaseline:
         b = zero_sum_baseline(eq1.game)
         assert a.f == b.f
         assert np.array_equal(a.profile.x, b.profile.x)
+
+    def test_two_lps_per_game(self, eq1, monkeypatch):
+        # One LP per embedded zero-sum game, on R and on C'.
+        import nashdescent.lp as lpmod
+
+        seen, real = [], lpmod.solve_lp
+        monkeypatch.setattr(lpmod, "solve_lp", lambda lp: seen.append(lp) or real(lp))
+        zero_sum_baseline(eq1.game)
+        assert len(seen) == 2

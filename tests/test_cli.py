@@ -205,6 +205,18 @@ def test_malformed_static_size_is_io_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: static instance 'tight-3'")
 
 
+@pytest.mark.parametrize("spec", ["tight-3x3", "tight-4x5", "no-dominated", "dfm-tight",
+                                  "dfm-family:0.1", "half-sp"])
+def test_static_file_stem_is_its_spec(tmp_path, capsys, spec):
+    code, out = run(capsys, "generate", "--static", spec, "--out", str(tmp_path / "a"))
+    assert code == 0
+    first = Path(json.loads(out)["written"][0])
+    assert first.stem == spec
+    code, out = run(capsys, "generate", "--static", first.stem, "--out", str(tmp_path / "b"))
+    assert code == 0
+    assert Path(json.loads(out)["written"][0]).read_text() == first.read_text()
+
+
 def test_exp_success_subcommand(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, text = run(capsys, "exp-success", "--size", "3x3", "--trials", "10",

@@ -92,8 +92,6 @@ def test_supports_on_tight_instance(eq1):
     sup = supports(eq1.game, eq1.profile)
     assert list(sup.row_best) == [1, 2]
     assert list(sup.col_best) == [1, 2]
-    assert list(sup.x_supp) == [0]
-    assert list(sup.y_supp) == [0]
 
 
 def test_supports_dominated_column_matches_argmax_scan():

@@ -149,6 +149,30 @@ def test_zero_sum_scaling_property():
     assert np.array_equal(np.nonzero(y1 > 1e-9)[0], np.nonzero(y2 > 1e-9)[0])
 
 
+def test_zero_sum_is_one_lp(monkeypatch):
+    import nashdescent.lp as lpmod
+
+    seen, real = [], lpmod.solve_lp
+    monkeypatch.setattr(lpmod, "solve_lp", lambda lp: seen.append(lp) or real(lp))
+    solve_zero_sum(np.array([[3.0, 0.0, 1.0], [0.0, 2.0, 1.5]]))
+    assert len(seen) == 1
+
+
+def test_zero_sum_rejects_duals_that_fail_the_saddle_check(monkeypatch):
+    import nashdescent.lp as lpmod
+
+    real = lpmod.solve_lp
+
+    def doctored(lp):
+        sol = real(lp)
+        sol.duals[:2] = [-1.0, 0.0]  # all of y on column 0, which pays the row player 1
+        return sol
+
+    monkeypatch.setattr(lpmod, "solve_lp", doctored)
+    with pytest.raises(LpNumericalError, match="saddle check"):
+        solve_zero_sum(np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+
 def test_iteration_budget_error_is_distinct():
     from nashdescent.lp import LpNumericalError
 
