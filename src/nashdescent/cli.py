@@ -128,14 +128,12 @@ def _initial_profile(game: Game, spec: str, doc: dict) -> Profile:
 
 
 def cmd_constants(args) -> int:
-    t0 = time.perf_counter()
     cons = solve_b()
     print(json.dumps({
         "b": cons.b,
         "lambda0": cons.lambda0,
         "mu0": cons.mu0,
         "rhoStar": cons.rho_star,
-        "wall_ms": (time.perf_counter() - t0) * 1000.0,
     }))
     return EXIT_OK
 

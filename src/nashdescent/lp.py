@@ -73,11 +73,11 @@ class LinearProgram:
     for each row i, and box bounds on x.
 
     ``constraints`` is a (k, nv) array, ``relations`` k of LE, EQ and GE,
-    and ``rhs`` k finite numbers.  Bounds default to x >= 0.  A lower bound
-    of None makes the variable free; finite lower bounds are shifted out
-    internally and upper bounds become internal rows, so callers never see
-    either transformation.  The constraints and bounds are fixed at
-    construction, when the standard form is built from them.
+    and ``rhs`` k finite numbers.  Bounds are finite or None and default to
+    x >= 0.  A lower bound of None makes the variable free; finite lower
+    bounds are shifted out internally and upper bounds become internal
+    rows, so callers never see either transformation.  The constraints and
+    bounds are fixed at construction, when the standard form is built.
     """
 
     objective: np.ndarray
@@ -96,6 +96,8 @@ class LinearProgram:
         self.upper = (None,) * nv if self.upper is None else tuple(self.upper)
         if len(self.lower) != nv or len(self.upper) != nv:
             raise LpError("bound lists must match the variable count")
+        if not all(math.isfinite(v) for v in self.lower + self.upper if v is not None):
+            raise LpError("bounds must be finite; None marks a free or unbounded variable")
         A = np.asarray(self.constraints, dtype=float)
         self.constraints = A.reshape(0, nv) if A.size == 0 else A
         self.relations = tuple(self.relations)

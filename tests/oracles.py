@@ -5,6 +5,7 @@ differences) and never calls the code paths under test.
 """
 
 import logging
+from decimal import Decimal, localcontext
 from itertools import chain, combinations
 
 import numpy as np
@@ -33,6 +34,44 @@ from nashdescent.lp import (
 
 def nonempty_subsets(k):
     return chain.from_iterable(combinations(range(k), r) for r in range(1, k + 1))
+
+
+def bound_constants_decimal():
+    """The true (b, lambda0, mu0) in 60-digit Decimal, independent of the library.
+
+    Along the ridge where st/(s+t) = (1-s)/(1+t-s), s(t) is the positive
+    root of (1-t)s^2 + (t^2+2t-1)s - t = 0; golden-section search maximizes
+    v(t) = s(t)t/(s(t)+t) over [0.5, 0.99] in 250 rounds.  lambda0 and mu0
+    are accurate to about 30 digits (the argmax of a smooth maximum), b to
+    about 60.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        one = Decimal(1)
+
+        def s_of(t):
+            a, b = one - t, t * t + 2 * t - one
+            return (-b + (b * b + 4 * a * t).sqrt()) / (2 * a)
+
+        def v(t):
+            s = s_of(t)
+            return s * t / (s + t)
+
+        g = (Decimal(5).sqrt() - one) / 2
+        lo, hi = Decimal("0.5"), Decimal("0.99")
+        c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+        fc, fd = v(c), v(d)
+        for _ in range(250):
+            if fc >= fd:
+                hi, d, fd = d, c, fc
+                c = hi - g * (hi - lo)
+                fc = v(c)
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + g * (hi - lo)
+                fd = v(d)
+        lam = (lo + hi) / 2
+        return +v(lam), +lam, +s_of(lam)
 
 
 def support_enum_ne(R, C, tol=1e-9):

@@ -1,5 +1,5 @@
 import json
-import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -11,8 +11,6 @@ from nashdescent.generator import (
     GeneratorInput,
     _TightLpBuilder,
     _pair_candidates,
-    _bound_curve,
-    _bound_point,
     certificate_json,
     dfm_family,
     dfm_tight,
@@ -31,7 +29,8 @@ from nashdescent.generator import (
 )
 from nashdescent.lp import INFEASIBLE, solve_lp
 
-from .oracles import TightLpBuilderOld, pair_candidates_unscreened, same_program
+from .oracles import (TightLpBuilderOld, bound_constants_decimal, pair_candidates_unscreened,
+                      same_program)
 
 
 class TestConstants:
@@ -52,38 +51,29 @@ class TestConstants:
         assert cons.rho_star == pytest.approx(cons.mu0 / (cons.lambda0 + cons.mu0))
 
     def test_bit_identical_to_full_grid_derivation(self):
-        # The values a whole 1001x1001 meshgrid scan gave; the row-block scan
-        # must pick the same grid cell and so reproduce them to the last bit.
+        # The doubles the former lattice scan and golden-section search
+        # returned; every stored output rests on these bits.
         cons = solve_b()
         assert cons.b == 0.339332122592393
         assert cons.lambda0 == 0.8128147733676225
         assert cons.mu0 == 0.5825222146359572
 
-    def test_scalar_twin_equals_array_curve(self):
-        # The golden-section refinement evaluates _bound_point; it must give
-        # the very double the array form gives at the same point.
-        corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
-        tiny = [(5e-324, 5e-324), (1e-310, 2e-310), (0.0, 5e-324), (1.0, 5e-324)]
-        seeded = np.random.default_rng(9).random((2000, 2)).tolist()
-        for s, t in corners + tiny + seeded:
-            assert _bound_point(s, t) == float(_bound_curve(s, t)), (s, t)
-
-    def test_cold_derivation_allocates_little(self):
-        # numpy reports its buffers to tracemalloc; a whole-grid evaluation
-        # peaks near 47 MB.
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        solve_b.cache_clear()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            solve_b()
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
-        assert peak < 4e6
+    def test_pinned_doubles_against_decimal_oracle(self):
+        # The pinned doubles sit a fixed, one-sided distance from the true
+        # maximizer; moving any of them (to the nearest doubles of the true
+        # roots, say) must fail here and be declared.
+        cons = solve_b()
+        b, lam, mu = bound_constants_decimal()
+        assert 0 < b - Decimal(cons.b) <= Decimal("2.3e-16")
+        assert Decimal("1.32e-8") < lam - Decimal(cons.lambda0) < Decimal("1.34e-8")
+        assert Decimal("6.8e-9") < Decimal(cons.mu0) - mu < Decimal("6.9e-9")
+        # The true values are roots of three integer quartics.
+        with localcontext() as ctx:
+            ctx.prec = 60
+            residuals = (4 * b**4 - 4 * b**3 + 4 * b**2 - 4 * b + 1,
+                         2 * lam**4 + 2 * lam**3 - 2 * lam**2 - 2 * lam + 1,
+                         -2 * mu**4 + 2 * mu**3 - 2 * mu + 1)
+        assert all(abs(r) <= Decimal("1e-28") for r in residuals), residuals
 
 
 def assert_satisfies_feasibility_program(game, inp, k, l, cons, tol=1e-7):

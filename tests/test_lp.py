@@ -70,6 +70,16 @@ def test_malformed_bounds_rejected():
         LinearProgram(np.array([1.0]), "min", [], [], [], lower=[None], upper=[1.0])
 
 
+@pytest.mark.parametrize("bounds", [
+    {"lower": [np.nan]}, {"lower": [np.inf]}, {"lower": [-np.inf]},
+    {"upper": [np.nan]}, {"upper": [np.inf]}, {"upper": [-np.inf]},
+], ids=["lower-nan", "lower-inf", "lower-neg-inf", "upper-nan", "upper-inf", "upper-neg-inf"])
+def test_non_finite_bounds_rejected(bounds):
+    # None is the only way to say free or unbounded.
+    with pytest.raises(LpError):
+        LinearProgram(np.array([1.0]), "min", [[1.0]], [LE], [1.0], **bounds)
+
+
 def test_bounds_and_free_variables():
     # min x - t  s.t.  t <= 3, 0 <= x <= 2: optimum x=0, t=3
     lp = LinearProgram(
