@@ -53,9 +53,11 @@ from .game import (
 from .generator import (
     Constants,
     GeneratorInput,
+    SamplingError,
     StaticInstance,
     TightCertificate,
     TightInstance,
+    canonical_block,
     dfm_family,
     dfm_tight,
     generate_tight,

@@ -35,14 +35,16 @@ def lambda_mu(game: Game, sp: StationaryPoint) -> tuple[float, float]:
     lambda minimizes (w*-x*)'Ry' over y' supported on the column player's
     best responses; mu minimizes x''C(z*-y*) over x' supported on the row
     player's best responses.  Linear objectives over a restricted simplex
-    bottom out at vertices, so both are column/row minima.
+    bottom out at vertices, so both are column/row minima.  mu is the
+    swapped game's lambda.
     """
-    x, y = sp.profile
-    w, z = sp.dual.w, sp.dual.z
-    sup = supports(game, sp.profile)
-    lam = float(((w - x) @ game.R)[sup.col_best].min())
-    mu = float((game.C @ (z - y))[sup.row_best].min())
-    return lam, mu
+    p, d = sp.profile, sp.dual
+    return _lambda(game, p, d.w), _lambda(game.swapped(), p.swapped(), d.z)
+
+
+def _lambda(game: Game, p: Profile, w: np.ndarray) -> float:
+    """lambda of ``lambda_mu``, for the row player with witness w."""
+    return float(((w - p.x) @ game.R)[supports(game, p).col_best].min())
 
 
 def adjust_ts(game: Game, sp: StationaryPoint) -> AdjustmentOutcome:

@@ -4,7 +4,7 @@ zero-sum-based approximation with its convex-combination fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ class RunTrace:
     profile: Profile
     f: float
     f_history: tuple = ()  # (round, f) pairs of the running average profile
-    seed: int | None = None
 
 
 def _history_stride(rounds: int) -> int:
@@ -69,8 +68,7 @@ def _pick(p: np.ndarray, u: float) -> int:
     return int(cdf.searchsorted(u, side="right"))
 
 
-def regret_matching(game: Game, rounds: int, rng: np.random.Generator | None = None,
-                    seed: int | None = None) -> RunTrace:
+def regret_matching(game: Game, rounds: int, rng: np.random.Generator) -> RunTrace:
     """Regret matching with external regrets.
 
     Players randomize proportionally to positive cumulative regrets (uniform
@@ -81,8 +79,6 @@ def regret_matching(game: Game, rounds: int, rng: np.random.Generator | None = N
     """
     if rounds < 1:
         raise ValueError("rounds must be positive")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     R, C = game.R, game.C
     m, n = game.m, game.n
     regret_x = np.zeros(m)
@@ -109,7 +105,7 @@ def regret_matching(game: Game, rounds: int, rng: np.random.Generator | None = N
             avg = Profile(mixed(counts_x / t), mixed(counts_y / t))
             history.append((t, regrets(game, avg).f))
     profile = Profile(mixed(counts_x / rounds), mixed(counts_y / rounds))
-    return RunTrace("rm", rounds, profile, regrets(game, profile).f, tuple(history), seed)
+    return RunTrace("rm", rounds, profile, regrets(game, profile).f, tuple(history))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ from .game import Game, GameError, Profile, mixed
 from .generator import (
     RESTRICTIONS,
     GeneratorInput,
+    SamplingError,
+    canonical_block,
     certificate_json,
     dfm_family,
     dfm_tight,
@@ -144,7 +146,7 @@ def cmd_generate(args) -> int:
         inst = _static_instance(args.static)
         path = os.path.join(args.out, f"{inst.name}.json")
         with open(path, "w") as fh:
-            fh.write(inst.game.to_json(canonical=inst.canonical_dict()))
+            fh.write(inst.game.to_json(canonical=canonical_block(inst.input, inst.rho_star)))
         print(json.dumps({"written": [path]}))
         return EXIT_OK
 
@@ -164,17 +166,11 @@ def cmd_generate(args) -> int:
         feasible_inputs += 1
         inst = insts[0]
         cert = verify_tight(inst.game, inst.input, full_square=args.lambda_intersect)
-        inst = type(inst)(inst.game, inst.input, inst.rho_star, inst.k, inst.l, cert)
         stem = os.path.join(args.out, f"game_{len(written):04d}")
         with open(stem + ".json", "w") as fh:
-            canonical = {
-                "x": inst.input.x_star, "y": inst.input.y_star,
-                "w": inst.input.w_star, "z": inst.input.z_star,
-                "rho": inst.rho_star,
-            }
-            fh.write(inst.game.to_json(canonical=canonical))
+            fh.write(inst.game.to_json(canonical=canonical_block(inst.input, inst.rho_star)))
         with open(stem + ".cert.json", "w") as fh:
-            fh.write(certificate_json(inst))
+            fh.write(certificate_json(inst, cert))
         written.append(stem + ".json")
     summary = {
         "written": len(written),
@@ -348,9 +344,10 @@ def main(argv=None) -> int:
         if args.command == "exp-compare":
             return _emit_report(exp_compare(_experiment_config(args, "compare")), args)
         raise GameError(f"unknown command {args.command!r}")
-    except (OSError, json.JSONDecodeError, GameError, ValueError) as err:
+    except (OSError, json.JSONDecodeError, GameError, ValueError, SamplingError) as err:
+        # A sampler that gave up is an empty result.
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_EMPTY if isinstance(err, SamplingError) else EXIT_IO
     except (LpNumericalError, DescentBudgetError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC

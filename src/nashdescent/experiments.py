@@ -18,9 +18,10 @@ from .adjust import ts_solve
 from .descent import DescentBudgetError, find_stationary
 from .baselines import fictitious_play, regret_matching, zero_sum_baseline
 from .dfm import dfm_solve
-from .game import Game, Profile, mixed
+from .game import Profile, mixed
 from .generator import (
     RESTRICTIONS,
+    SamplingError,
     TightInstance,
     generate_tight,
     perturb_profile,
@@ -181,7 +182,7 @@ def sample_tight_games(
         )
         out.extend(insts)
     if len(out) < count:
-        raise RuntimeError(
+        raise SamplingError(
             f"could not generate {count} tight {m}x{n} instances "
             f"in {MAX_INPUT_DRAWS} input draws"
         )
@@ -220,16 +221,15 @@ def lattice_profile(m: int, n: int, resolution: int, rng: np.random.Generator) -
 def _restarts(payload, start):
     """The prescribed profile and a lazy stream of descents, restart t from
     start(star, radius, rng(seed, t)); each task applies its own stop rule."""
-    _, R, C, x_star, y_star, radius, delta, samples, seed = payload[:9]
-    game = Game(np.asarray(R), np.asarray(C))
-    star = Profile(mixed(np.asarray(x_star)), mixed(np.asarray(y_star)))
-    descents = (find_stationary(game, start(star, radius, _rng(seed, t)), delta)
+    _, inst, radius, delta, samples, seed = payload
+    star = Profile(mixed(inst.input.x_star), mixed(inst.input.y_star))
+    descents = (find_stationary(inst.game, start(star, radius, _rng(seed, t)), delta)
                 for t in range(samples))
     return star, descents
 
 
 def _stability_task(payload):
-    (key, R, C, x_star, y_star, radius, delta, samples, seed) = payload
+    key, _, radius, _, samples, seed = payload
     star, descents = _restarts(payload, perturb_profile)
     t0 = time.perf_counter()
     trials_run = 0
@@ -251,7 +251,7 @@ def _stability_task(payload):
 
 
 def _otb_task(payload):
-    (key, R, C, x_star, y_star, radius, delta, samples, seed) = payload
+    key, _, radius, _, samples, seed = payload
     star, descents = _restarts(payload, sample_outside_ball)
     t0 = time.perf_counter()
     effective_trials = 0
@@ -274,8 +274,7 @@ def _otb_task(payload):
 
 
 def _compare_task(payload):
-    (key, R, C, algorithm, seed, delta, rounds, points) = payload
-    game = Game(np.asarray(R), np.asarray(C))
+    key, game, algorithm, seed, delta, rounds, points = payload
     if algorithm in ALGORITHMS[:2]:  # the descent pipelines
         solver = ts_solve if algorithm == "ts" else dfm_solve
         records = []
@@ -339,8 +338,7 @@ def _restart_payloads(cfg: ExperimentConfig, si: int, m: int, n: int, games, del
                       *seed_key) -> list:
     """One restart-task payload per instance; seeds derive from (seed, si, gi, *seed_key)."""
     return [
-        (f"{m}x{n}#{gi}", inst.game.R, inst.game.C, inst.input.x_star, inst.input.y_star,
-         cfg.radius, delta, cfg.ball_samples(m, n),
+        (f"{m}x{n}#{gi}", inst, cfg.radius, delta, cfg.ball_samples(m, n),
          int(_rng(cfg.seed, si, gi, *seed_key).integers(2**31)))
         for gi, inst in enumerate(games)
     ]
@@ -476,7 +474,7 @@ def exp_compare(cfg: ExperimentConfig) -> ExperimentReport:
         for gi, inst in enumerate(games):
             for ai, alg in enumerate(cfg.algorithms):
                 payloads.append((
-                    f"{m}x{n}#{gi}", inst.game.R, inst.game.C, alg,
+                    f"{m}x{n}#{gi}", inst.game, alg,
                     int(_rng(cfg.seed, si, gi, ai).integers(2**31)),
                     cfg.delta, cfg.rounds, cfg.points,
                 ))

@@ -194,10 +194,6 @@ class Game:
         return json.dumps(doc)
 
     @classmethod
-    def from_json(cls, text: str, normalize: bool = False) -> "Game":
-        return cls.from_doc(json.loads(text), normalize)
-
-    @classmethod
     def from_doc(cls, doc: dict, normalize: bool = False) -> "Game":
         """The game of a parsed JSON document (the format of ``to_json``)."""
         if not isinstance(doc, dict):

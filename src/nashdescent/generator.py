@@ -98,7 +98,6 @@ class TightInstance:
     rho_star: float
     k: int
     l: int
-    certificate: "TightCertificate | None" = None
 
 
 @dataclass
@@ -269,7 +268,6 @@ def _feasible_programs(inp: GeneratorInput, lambda_intersect: bool):
 def generate_tight(
     inp: GeneratorInput,
     count: int = 1,
-    objectives: int | None = None,
     rng: np.random.Generator | None = None,
     all_pairs: bool = False,
     lambda_intersect: bool = False,
@@ -278,20 +276,19 @@ def generate_tight(
 
     Enumerates candidate best-response strategies (k, l) outside the supports
     of x* and y*, less the pairs ``_pair_candidates`` shows infeasible without
-    an LP; for each feasible pair, solves ``objectives`` random linear
-    objectives over the feasible polytope (coin-flipping min against max) and
-    emits ``count`` random convex combinations of the vertices found.  ``rng``
-    is drawn from only after a feasible probe, so skipping an infeasible pair
+    an LP; for each feasible pair, solves m random linear objectives over
+    the feasible polytope (coin-flipping min against max) and emits
+    ``count`` random convex combinations of the vertices found.  ``rng`` is
+    drawn from only after a feasible probe, so skipping an infeasible pair
     changes no game and no generator state.  The empty list means no game
     exists for this input.
     """
     rng = np.random.default_rng() if rng is None else rng
-    n_obj = inp.m if objectives is None else objectives
     out: list[TightInstance] = []
     cons = solve_b()
     for k, l, builder, probe in _feasible_programs(inp, lambda_intersect):
         vertices = [probe.x]
-        for _ in range(n_obj):
+        for _ in range(inp.m):
             c = rng.uniform(0.0, 1.0, size=builder.nv)
             sense = MINIMIZE if rng.uniform() < 0.5 else MAXIMIZE
             sol = builder.solve(c, sense)
@@ -401,6 +398,10 @@ def profile_distance(p: Profile, q: Profile) -> float:
 OUTSIDE_BALL_TRIES = 1000
 
 
+class SamplingError(RuntimeError):
+    """A rejection sampler used up its draws without an accepted sample."""
+
+
 def sample_outside_ball(center: Profile, radius: float, rng: np.random.Generator) -> Profile:
     """Uniform-normalized random profile conditioned on leaving the ball."""
     for _ in range(OUTSIDE_BALL_TRIES):
@@ -411,7 +412,7 @@ def sample_outside_ball(center: Profile, radius: float, rng: np.random.Generator
         cand = Profile(mixed(x / x.sum()), mixed(y / y.sum()))
         if profile_distance(cand, center) >= radius:
             return cand
-    raise RuntimeError("could not sample a point outside the ball")
+    raise SamplingError(f"could not sample a profile at distance >= {radius} from the center")
 
 
 def verify_tight(
@@ -462,8 +463,7 @@ def verify_tight(
     return cert
 
 
-def certificate_json(inst: TightInstance) -> str:
-    cert = inst.certificate
+def certificate_json(inst: TightInstance, cert: TightCertificate) -> str:
     doc = {
         "xStar": inst.input.x_star.tolist(),
         "yStar": inst.input.y_star.tolist(),
@@ -472,11 +472,17 @@ def certificate_json(inst: TightInstance) -> str:
         "rhoStar": inst.rho_star,
         "k": inst.k,
         "l": inst.l,
-        "checks": cert.checks if cert else {},
-        "values": cert.values if cert else {},
-        "mixedDuals": cert.mixed_duals if cert else not inst.input.pure_duals,
+        "checks": cert.checks,
+        "values": cert.values,
+        "mixedDuals": cert.mixed_duals,
     }
     return json.dumps(doc)
+
+
+def canonical_block(inp: GeneratorInput, rho_star: float) -> dict:
+    """The canonical block of a game file: the witness (x*, y*, w*, z*) and rho*."""
+    return {"x": inp.x_star, "y": inp.y_star, "w": inp.w_star, "z": inp.z_star,
+            "rho": rho_star}
 
 
 # ---------------------------------------------------------------------------
@@ -487,39 +493,24 @@ def certificate_json(inst: TightInstance) -> str:
 class StaticInstance:
     name: str
     game: Game
-    x_star: np.ndarray
-    y_star: np.ndarray
-    w_star: np.ndarray
-    z_star: np.ndarray
+    input: GeneratorInput
     rho_star: float
-
-    def __post_init__(self):
-        for attr in ("x_star", "y_star", "w_star", "z_star"):
-            object.__setattr__(self, attr, mixed(getattr(self, attr)))
 
     @property
     def profile(self) -> Profile:
-        return Profile(self.x_star, self.y_star)
+        return Profile(self.input.x_star, self.input.y_star)
 
     @property
     def dual(self) -> DualSolution:
-        return DualSolution(self.rho_star, self.w_star, self.z_star)
+        return DualSolution(self.rho_star, self.input.w_star, self.input.z_star)
 
-    @property
-    def generator_input(self) -> GeneratorInput:
-        return GeneratorInput(self.x_star, self.y_star, self.w_star, self.z_star)
+    def stationary_point(self):
+        return stationary_from(self.game, self.profile, self.dual)
 
-    def stationary_point(self, game: Game | None = None):
-        return stationary_from(game or self.game, self.profile, self.dual)
 
-    def canonical_dict(self) -> dict:
-        return {
-            "x": self.x_star,
-            "y": self.y_star,
-            "w": self.w_star,
-            "z": self.z_star,
-            "rho": self.rho_star,
-        }
+def _pure_witness(m: int, n: int, base: int, dual: int) -> GeneratorInput:
+    """x* and y* on strategy ``base``, w* and z* on strategy ``dual``."""
+    return GeneratorInput(pure(m, base), pure(n, base), pure(m, dual), pure(n, dual))
 
 
 def tight_3x3() -> StaticInstance:
@@ -528,10 +519,7 @@ def tight_3x3() -> StaticInstance:
     b, lam0, mu0 = cons.b, cons.lambda0, cons.mu0
     R = np.array([[0.1, 0.0, 0.0], [0.1 + b, 1.0, 1.0], [0.1 + b, lam0, lam0]])
     C = np.array([[0.1, 0.1 + b, 0.1 + b], [0.0, 1.0, mu0], [0.0, 1.0, mu0]])
-    return StaticInstance(
-        "tight-3x3", Game(R, C),
-        pure(3, 0), pure(3, 0), pure(3, 2), pure(3, 2), cons.rho_star,
-    )
+    return StaticInstance("tight-3x3", Game(R, C), _pure_witness(3, 3, 0, 2), cons.rho_star)
 
 
 def tight_m_n(m: int, n: int) -> StaticInstance:
@@ -550,10 +538,7 @@ def tight_m_n(m: int, n: int) -> StaticInstance:
     C[0, 0] = 0.1
     C[1:, 0] = 0.0
     C[1:, 1] = mu0
-    return StaticInstance(
-        f"tight-{m}x{n}", Game(R, C),
-        pure(m, 0), pure(n, 0), pure(m, 1), pure(n, 1), cons.rho_star,
-    )
+    return StaticInstance(f"tight-{m}x{n}", Game(R, C), _pure_witness(m, n, 0, 1), cons.rho_star)
 
 
 def tight_no_dominated() -> StaticInstance:
@@ -578,18 +563,15 @@ def tight_no_dominated() -> StaticInstance:
     )
     half = np.array([0.5, 0.5, 0.0, 0.0])
     dual = np.array([0.0, 0.0, 0.5, 0.5])
-    return StaticInstance(
-        "no-dominated", Game(R, C), half, half, dual, dual, cons.rho_star
-    )
+    return StaticInstance("no-dominated", Game(R, C), GeneratorInput(half, half, dual, dual),
+                          cons.rho_star)
 
 
 def dfm_tight() -> StaticInstance:
     """The 3x3 game on which the four-case adjustment attains exactly 1/3."""
     R = np.array([[0.0, 0.0, 0.0], [1 / 3, 1.0, 1.0], [1 / 3, 0.5, 0.5]])
     C = np.array([[0.0, 1 / 3, 1 / 3], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
-    return StaticInstance(
-        "dfm-tight", Game(R, C), pure(3, 0), pure(3, 0), pure(3, 2), pure(3, 2), 2.0 / 3.0
-    )
+    return StaticInstance("dfm-tight", Game(R, C), _pure_witness(3, 3, 0, 2), 2.0 / 3.0)
 
 
 def dfm_family(eps: float) -> StaticInstance:
@@ -602,15 +584,11 @@ def dfm_family(eps: float) -> StaticInstance:
     C = np.array(
         [[0.0, 1 / 3 - eps, 1 / 3 - eps], [0.0, 1.0, 2 / 3 + eps], [0.0, 1.0, 2 / 3 + eps]]
     )
-    return StaticInstance(
-        f"dfm-family:{eps}", Game(R, C), pure(3, 0), pure(3, 0), pure(3, 2), pure(3, 2), 0.5
-    )
+    return StaticInstance(f"dfm-family:{eps}", Game(R, C), _pure_witness(3, 3, 0, 2), 0.5)
 
 
 def half_sp() -> StaticInstance:
     """The 2x2 game whose stationary point is only a 1/2-approximation."""
     R = np.array([[0.5, 0.0], [1.0, 1.0]])
     C = np.array([[0.5, 1.0], [0.0, 1.0]])
-    return StaticInstance(
-        "half-sp", Game(R, C), pure(2, 0), pure(2, 0), pure(2, 1), pure(2, 1), 0.5
-    )
+    return StaticInstance("half-sp", Game(R, C), _pure_witness(2, 2, 0, 1), 0.5)

@@ -221,14 +221,11 @@ def has_pure_ne(R, C, tol=1e-12):
     )
 
 
-def regret_matching_choice(game: Game, rounds: int, rng: np.random.Generator | None = None,
-                           seed: int | None = None) -> RunTrace:
+def regret_matching_choice(game: Game, rounds: int, rng: np.random.Generator) -> RunTrace:
     """baselines.regret_matching as it was with one Generator.choice call
     per player and round; the library draws the same uniforms in chunks."""
     if rounds < 1:
         raise ValueError("rounds must be positive")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     R, C = game.R, game.C
     m, n = game.m, game.n
     regret_x = np.zeros(m)
@@ -252,7 +249,7 @@ def regret_matching_choice(game: Game, rounds: int, rng: np.random.Generator | N
             avg = Profile(mixed(counts_x / t), mixed(counts_y / t))
             history.append((t, regrets(game, avg).f))
     profile = Profile(mixed(counts_x / rounds), mixed(counts_y / rounds))
-    return RunTrace("rm", rounds, profile, regrets(game, profile).f, tuple(history), seed)
+    return RunTrace("rm", rounds, profile, regrets(game, profile).f, tuple(history))
 
 
 def pair_candidates_unscreened(inp):

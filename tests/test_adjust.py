@@ -28,8 +28,8 @@ class TestLambdaMu:
         sp = eq1.stationary_point()
         lam, mu = lambda_mu(g, sp)
         # oracle: restrict the payoff difference rows to the best-response sets
-        row_diff = (eq1.w_star - eq1.x_star) @ g.R
-        col_diff = g.C @ (eq1.z_star - eq1.y_star)
+        row_diff = (eq1.input.w_star - eq1.input.x_star) @ g.R
+        col_diff = g.C @ (eq1.input.z_star - eq1.input.y_star)
         assert lam == pytest.approx(row_diff[[1, 2]].min(), abs=1e-12)
         assert mu == pytest.approx(col_diff[[1, 2]].min(), abs=1e-12)
         assert lam == pytest.approx(cons.lambda0, abs=1e-9)

@@ -199,6 +199,30 @@ def test_stability_without_restarts_is_io_error(capsys, samples):
     assert captured.err == "error: counts must be positive: samples\n"
 
 
+def test_stability_whose_game_sampler_gives_up_exits_empty(capsys):
+    # On 2x2, disjoint pure witnesses sit on the one strategy outside supp x*
+    # (supp y*), whose far-corner floor 1 exceeds lambda0 (mu0): no pair has
+    # a feasible tight LP, and sample_tight_games uses up its draws.
+    code = main(["exp-stability", "--size", "2x2", "--count", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: could not generate 1 tight 2x2 instances "
+                            "in 10000 input draws\n")
+
+
+def test_otb_whose_ball_sampler_gives_up_exits_empty(capsys):
+    # No two profiles lie at max-norm distance 2, so sample_outside_ball
+    # uses up its draws on the first stable instance.
+    code = main(["exp-otb", "--size", "3x3", "--count", "2", "--samples", "2",
+                 "--radius", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: could not sample a profile at distance >= 2.0 "
+                            "from the center\n")
+
+
 def test_malformed_static_size_is_io_error(tmp_path, capsys):
     code = main(["generate", "--static", "tight-3", "--out", str(tmp_path)])
     assert code == 1

@@ -359,11 +359,12 @@ class TestVerifyStationary:
 
     def test_perturbed_rho_breaks_the_inclusion(self, eq1):
         bad = stationary_from(eq1.game, eq1.profile,
-                              DualSolution(0.9, eq1.w_star, eq1.z_star))
+                              DualSolution(0.9, eq1.input.w_star, eq1.input.z_star))
         rep = verify_stationary(eq1.game, bad)
         assert not rep.ok
         # entrywise recomputation of the certificate vector
-        A = -0.9 * (eq1.game.R @ eq1.y_star) + 0.1 * (eq1.game.C @ (eq1.z_star - eq1.y_star))
+        y, z = eq1.input.y_star, eq1.input.z_star
+        A = -0.9 * (eq1.game.R @ y) + 0.1 * (eq1.game.C @ (z - y))
         assert np.allclose(rep.A, A, atol=1e-12)
         assert A[0] > A.min() + 1e-6
 

@@ -28,13 +28,13 @@ class TestRouting:
         trace = dfm_adjust(eq3.game, eq3.stationary_point())
         assert trace.case == 1
         assert trace.f == pytest.approx(1 / 3, abs=1e-12)
-        assert np.allclose(trace.output.x, eq3.x_star)
+        assert np.allclose(trace.output.x, eq3.input.x_star)
 
     def test_high_heights_route_to_far_corner(self, eq1):
         trace = dfm_adjust(eq1.game, fabricated_sp(eq1, 0.7, 0.7))
         assert trace.case == 2
-        assert np.allclose(trace.output.x, eq1.w_star)
-        assert np.allclose(trace.output.y, eq1.z_star)
+        assert np.allclose(trace.output.x, eq1.input.w_star)
+        assert np.allclose(trace.output.y, eq1.input.z_star)
 
     def test_tight_instance_routes_to_mirror_case(self, eq1, cons):
         trace = dfm_adjust(eq1.game, eq1.stationary_point())

@@ -19,6 +19,7 @@ from nashdescent.game import (
     supports,
     uniform,
 )
+from nashdescent.generator import canonical_block
 
 from .oracles import segment_f_min_grid, square_f_min_grid, support_enum_ne
 
@@ -178,8 +179,8 @@ def test_immutability(eq1):
 
 
 def test_json_round_trip(eq1):
-    text = eq1.game.to_json(canonical=eq1.canonical_dict())
-    g2 = Game.from_json(text)
+    text = eq1.game.to_json(canonical=canonical_block(eq1.input, eq1.rho_star))
+    g2 = Game.from_doc(json.loads(text))
     assert np.array_equal(g2.R, eq1.game.R)
     doc = json.loads(text)
     assert doc["m"] == 3 and doc["n"] == 3
@@ -187,10 +188,10 @@ def test_json_round_trip(eq1):
 
 
 def test_json_rejects_out_of_range_unless_normalized():
-    doc = json.dumps({"m": 1, "n": 2, "R": [[0, 2.0]], "C": [[0, 1.0]]})
+    doc = {"m": 1, "n": 2, "R": [[0, 2.0]], "C": [[0, 1.0]]}
     with pytest.raises(GameError):
-        Game.from_json(doc)
-    g = Game.from_json(doc, normalize=True)
+        Game.from_doc(doc)
+    g = Game.from_doc(doc, normalize=True)
     assert g.R.max() == 1.0
 
 

@@ -44,9 +44,6 @@ class TestConstants:
         assert abs(first - second) <= 1e-6
         assert abs(min(first, second) - cons.b) <= 1e-9
 
-    def test_cached(self):
-        assert solve_b() is solve_b()
-
     def test_rho_star(self, cons):
         assert cons.rho_star == pytest.approx(cons.mu0 / (cons.lambda0 + cons.mu0))
 
@@ -114,7 +111,7 @@ class TestGenerate:
     def test_static_tight_instance_is_in_the_feasible_set(self, eq1, cons):
         # the canonical game satisfies every constraint of its own program
         assert_satisfies_feasibility_program(
-            eq1.game, eq1.generator_input, k=1, l=1, cons=cons
+            eq1.game, eq1.input, k=1, l=1, cons=cons
         )
 
     def test_canonical_input_is_feasible(self):
@@ -192,7 +189,7 @@ class TestPairScreen:
             rng = np.random.default_rng(5)
             out = []
             for inp in inputs:
-                insts = generate_tight(inp, count=2, objectives=2, rng=rng,
+                insts = generate_tight(inp, count=2, rng=rng,
                                        all_pairs=all_pairs, lambda_intersect=intersect)
                 out.append(([(inst.k, inst.l, inst.game.R, inst.game.C) for inst in insts],
                             tight_feasible(inp, lambda_intersect=intersect),
@@ -300,12 +297,12 @@ class TestSampleInputs:
 class TestVerifyTight:
     def test_static_instances_pass(self, eq1):
         for inst in (eq1, tight_m_n(4, 5), tight_no_dominated()):
-            cert = verify_tight(inst.game, inst.generator_input)
+            cert = verify_tight(inst.game, inst.input)
             assert cert.passed, cert.failures
 
     def test_mixed_dual_flag(self):
         cert = verify_tight(tight_no_dominated().game,
-                            tight_no_dominated().generator_input)
+                            tight_no_dominated().input)
         assert cert.mixed_duals
 
     def test_perturbed_entry_breaks_the_certificate(self, eq1):
@@ -313,7 +310,7 @@ class TestVerifyTight:
         # regret stays at b, so the equal-regret half of stationarity fails
         R = eq1.game.R.copy()
         R[0, 0] = 0.2
-        cert = verify_tight(Game(R, eq1.game.C), eq1.generator_input)
+        cert = verify_tight(Game(R, eq1.game.C), eq1.input)
         assert not cert.passed
         assert "stationary" in cert.failures
         r = regrets(Game(R, eq1.game.C), eq1.profile)
@@ -325,10 +322,10 @@ class TestVerifyTight:
         C = eq1.game.C.copy()
         C[0, 1] -= 1e-4
         game = Game(eq1.game.R, C)
-        gap = cons.b - verify_tight(game, eq1.generator_input).values["boundary_min"]
+        gap = cons.b - verify_tight(game, eq1.input).values["boundary_min"]
         assert 1e-6 < gap < 1e-4
-        below = verify_tight(game, eq1.generator_input, tol=gap / 2)
-        above = verify_tight(game, eq1.generator_input, tol=2 * gap)
+        below = verify_tight(game, eq1.input, tol=gap / 2)
+        above = verify_tight(game, eq1.input, tol=2 * gap)
         assert below.failures == ["boundary_above_b"]
         assert above.passed
 
@@ -386,7 +383,7 @@ class TestStaticInstances:
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 5), (6, 4), (7, 7)])
     def test_family_members_verify(self, m, n):
         inst = tight_m_n(m, n)
-        assert verify_tight(inst.game, inst.generator_input).passed
+        assert verify_tight(inst.game, inst.input).passed
 
     def test_no_dominated_strategies(self):
         g = tight_no_dominated().game
@@ -407,6 +404,6 @@ class TestStaticInstances:
 
     def test_certificate_json_schema(self, generated_3x3):
         inst = generated_3x3[0]
-        doc = json.loads(certificate_json(inst))
+        doc = json.loads(certificate_json(inst, verify_tight(inst.game, inst.input)))
         for key in ("xStar", "yStar", "wStar", "zStar", "k", "l", "checks"):
             assert key in doc
