@@ -35,16 +35,19 @@ def lambda_mu(game: Game, sp: StationaryPoint) -> tuple[float, float]:
     lambda minimizes (w*-x*)'Ry' over y' supported on the column player's
     best responses; mu minimizes x''C(z*-y*) over x' supported on the row
     player's best responses.  Linear objectives over a restricted simplex
-    bottom out at vertices, so both are column/row minima.  mu is the
-    swapped game's lambda.
+    bottom out at vertices, so both are column/row minima.  mu is lambda
+    of the swapped game (C', R'); one ``supports`` call gives both players'
+    best responses.
     """
     p, d = sp.profile, sp.dual
-    return _lambda(game, p, d.w), _lambda(game.swapped(), p.swapped(), d.z)
+    s = supports(game, p)
+    return _lambda(game.R, p.x, d.w, s.col_best), _lambda(game.C.T, p.y, d.z, s.row_best)
 
 
-def _lambda(game: Game, p: Profile, w: np.ndarray) -> float:
-    """lambda of ``lambda_mu``, for the row player with witness w."""
-    return float(((w - p.x) @ game.R)[supports(game, p).col_best].min())
+def _lambda(R: np.ndarray, x: np.ndarray, w: np.ndarray, best: np.ndarray) -> float:
+    """lambda of ``lambda_mu`` for the player with payoff R, strategy x and
+    witness w, over the opponent's best responses ``best``."""
+    return float(((w - x) @ R)[best].min())
 
 
 def adjust_ts(game: Game, sp: StationaryPoint) -> AdjustmentOutcome:

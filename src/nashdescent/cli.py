@@ -15,10 +15,7 @@ import time
 
 import numpy as np
 
-from .adjust import ts_solve
-from .baselines import fictitious_play, regret_matching, zero_sum_baseline
 from .descent import DescentBudgetError
-from .dfm import dfm_solve
 from .game import Game, GameError, Profile, mixed
 from .generator import (
     RESTRICTIONS,
@@ -28,9 +25,7 @@ from .generator import (
     certificate_json,
     dfm_family,
     dfm_tight,
-    generate_tight,
     half_sp,
-    sample_inputs,
     solve_b,
     tight_3x3,
     tight_m_n,
@@ -40,11 +35,14 @@ from .generator import (
 from .lp import LpNumericalError
 from .experiments import (
     ALGORITHMS,
+    MAX_INPUT_DRAWS,
     ExperimentConfig,
+    _tight_draws,
     exp_compare,
     exp_outside_ball,
     exp_stability,
     exp_success_rate,
+    run_algorithm,
 )
 
 EXIT_OK = 0
@@ -151,16 +149,14 @@ def cmd_generate(args) -> int:
         return EXIT_OK
 
     m, n = args.size
-    rng = np.random.default_rng(args.seed)
+    draws = _tight_draws(m, n, args.restriction, np.random.default_rng(args.seed),
+                         pure_duals=not args.mixed_duals, per_draw=1,
+                         lambda_intersect=args.lambda_intersect, max_draws=args.max_attempts)
     written = []
     attempts = 0
     feasible_inputs = 0
-    while len(written) < args.count and attempts < args.max_attempts:
+    while len(written) < args.count and (insts := next(draws, None)) is not None:
         attempts += 1
-        inp = sample_inputs(m, n, args.restriction, rng,
-                            pure_duals=not args.mixed_duals)
-        insts = generate_tight(inp, count=1, rng=rng,
-                               lambda_intersect=args.lambda_intersect)
         if not insts:
             continue
         feasible_inputs += 1
@@ -186,33 +182,8 @@ def cmd_solve(args) -> int:
     game, doc = _load_game(args.game, normalize=args.normalize)
     p0 = _initial_profile(game, args.init, doc)
     t0 = time.perf_counter()
-    detail: dict = {}
-    iterations = 0
-    if args.algorithm == "ts":
-        res = ts_solve(game, p0, args.delta)
-        f, profile, iterations = res.best.f, res.best.profile, res.sp.iterations
-        detail = {
-            "stationary_f": res.stationary_f, "ts_f": res.ts_f,
-            "boundary_f": res.boundary_f, "linear_f": res.linear_f,
-            "best_method": res.best.method,
-        }
-    elif args.algorithm == "dfm":
-        res = dfm_solve(game, p0, args.delta)
-        f, profile, iterations = res.f, res.profile, res.sp.iterations
-        detail = {"case": res.trace.case, "branch": res.trace.branch,
-                  "stationary_f": res.sp.f}
-    elif args.algorithm == "fp":
-        trace = fictitious_play(game, args.rounds)
-        f, profile, iterations = trace.f, trace.profile, args.rounds
-    elif args.algorithm == "rm":
-        trace = regret_matching(game, args.rounds, np.random.default_rng(args.seed))
-        f, profile, iterations = trace.f, trace.profile, args.rounds
-    elif args.algorithm == "zs":
-        res = zero_sum_baseline(game)
-        f, profile = res.f, res.profile
-        detail = {"candidate": res.candidate, "adjusted": res.adjusted}
-    else:
-        raise GameError(f"unknown algorithm {args.algorithm!r}")
+    f, profile, iterations, detail = run_algorithm(
+        game, args.algorithm, p0, args.delta, args.rounds, np.random.default_rng(args.seed))
     print(json.dumps({
         "f": f,
         "profile": {"x": profile.x.tolist(), "y": profile.y.tolist()},
@@ -241,20 +212,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if cert.passed else EXIT_EMPTY
 
 
-def _experiment_config(args, experiment: str) -> ExperimentConfig:
-    """The config from the flags the subcommand binds and its user gave;
-    every other field keeps ExperimentConfig's default."""
+def cmd_experiment(args) -> int:
+    # The config takes the flags the subcommand binds and its user gave;
+    # every other field keeps ExperimentConfig's default.
     given = {name: value for name, value in vars(args).items()
-             if name not in ("command", "out", "format")}
+             if name not in ("command", "run", "experiment", "out", "format")}
     if "size" in given:
         given["sizes"] = tuple(given.pop("size"))
-    # The success-rate tables are stated for set-valued witness sampling;
-    # everything else defaults to pure witnesses (essentially unique duals).
-    given["pure_duals"] = experiment != "success-rate" and not given.pop("mixed_duals", False)
-    return ExperimentConfig(experiment=experiment, **given)
-
-
-def _emit_report(report, args) -> int:
+    report = args.experiment(ExperimentConfig(**given))
     if args.out:
         report.write(args.out, args.format)
         print(json.dumps({"out": args.out, "aggregates": report.aggregates}))
@@ -267,15 +232,17 @@ def main(argv=None) -> int:
     top = argparse.ArgumentParser(prog="nashdescent", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("constants", help="print the worst-case bound constants")
+    c = sub.add_parser("constants", help="print the worst-case bound constants")
+    c.set_defaults(run=cmd_constants)
 
     g = sub.add_parser("generate", help="generate worst-case instances")
+    g.set_defaults(run=cmd_generate)
     g.add_argument("--size", type=_parse_size, default=(3, 3))
     g.add_argument("--count", type=int, default=1)
     g.add_argument("--restriction", default="disjoint", choices=RESTRICTIONS)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=".")
-    g.add_argument("--max-attempts", type=int, default=10_000)
+    g.add_argument("--max-attempts", type=int, default=MAX_INPUT_DRAWS)
     g.add_argument("--lambda-intersect", action="store_true",
                    help="also make k best-respond to y*, and certify the whole square")
     g.add_argument("--mixed-duals", action="store_true")
@@ -283,6 +250,7 @@ def main(argv=None) -> int:
                    help="write a named instance instead of sampling")
 
     s = sub.add_parser("solve", help="solve one game")
+    s.set_defaults(run=cmd_solve)
     s.add_argument("game")
     s.add_argument("--algorithm", default="ts", choices=ALGORITHMS)
     s.add_argument("--delta", type=float, default=1e-3)
@@ -293,6 +261,7 @@ def main(argv=None) -> int:
                    help="affinely rescale out-of-range payoff matrices on load")
 
     v = sub.add_parser("verify", help="verify a worst-case certificate")
+    v.set_defaults(run=cmd_verify)
     v.add_argument("game")
     v.add_argument("--cert", default=None)
     v.add_argument("--full-square", action="store_true",
@@ -301,23 +270,28 @@ def main(argv=None) -> int:
 
     # Each experiment binds only the flags it reads; a flag left out keeps
     # ExperimentConfig's default, so that default is the only one.
-    for name in ("exp-stability", "exp-otb", "exp-success", "exp-compare"):
+    experiments = {"exp-stability": exp_stability, "exp-otb": exp_outside_ball,
+                   "exp-success": exp_success_rate, "exp-compare": exp_compare}
+    for name, experiment in experiments.items():
         e = sub.add_parser(name, help=f"run the {name[4:]} experiment",
                            argument_default=argparse.SUPPRESS)
+        e.set_defaults(run=cmd_experiment, experiment=experiment)
         e.add_argument("--size", type=_parse_size, nargs="+")
         e.add_argument("--seed", type=int)
         e.add_argument("--lambda-intersect", action="store_true")
         e.add_argument("--out", default=None)
         e.add_argument("--format", default="json", choices=("json", "csv"))
         if name == "exp-success":
-            # It tables every restriction, with set-valued witnesses.
+            # It tables every restriction, with set-valued witnesses: the
+            # distribution the success tables are stated for.
+            e.set_defaults(pure_duals=False)
             e.add_argument("--trials", type=int)
             continue
         e.add_argument("--count", type=int)
         e.add_argument("--delta", type=float)
         e.add_argument("--restriction", choices=RESTRICTIONS)
         e.add_argument("--workers", type=int)
-        e.add_argument("--mixed-duals", action="store_true")
+        e.add_argument("--mixed-duals", dest="pure_duals", action="store_false")
         if name == "exp-compare":
             e.add_argument("--points", type=int)
             e.add_argument("--rounds", type=int)
@@ -327,23 +301,7 @@ def main(argv=None) -> int:
 
     args = top.parse_args(argv)
     try:
-        if args.command == "constants":
-            return cmd_constants(args)
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "exp-stability":
-            return _emit_report(exp_stability(_experiment_config(args, "stability")), args)
-        if args.command == "exp-otb":
-            return _emit_report(exp_outside_ball(_experiment_config(args, "outside-the-ball")), args)
-        if args.command == "exp-success":
-            return _emit_report(exp_success_rate(_experiment_config(args, "success-rate")), args)
-        if args.command == "exp-compare":
-            return _emit_report(exp_compare(_experiment_config(args, "compare")), args)
-        raise GameError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (OSError, json.JSONDecodeError, GameError, ValueError, SamplingError) as err:
         # A sampler that gave up is an empty result.
         print(f"error: {err}", file=sys.stderr)

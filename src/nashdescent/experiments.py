@@ -18,12 +18,13 @@ from .adjust import ts_solve
 from .descent import DescentBudgetError, find_stationary
 from .baselines import fictitious_play, regret_matching, zero_sum_baseline
 from .dfm import dfm_solve
-from .game import Profile, mixed
+from .game import Game, Profile, mixed
 from .generator import (
     RESTRICTIONS,
     SamplingError,
     TightInstance,
     generate_tight,
+    has_no_candidates,
     perturb_profile,
     profile_distance,
     sample_inputs,
@@ -43,7 +44,7 @@ RESOLUTION = 10
 ALGORITHMS = ("ts", "dfm", "fp", "rm", "zs")
 CSV_COLUMNS = ("experiment", "instance", "algorithm", "seed", "f", "iterations",
                "wall_ms", "detail")
-# Generator inputs sample_tight_games draws before it gives up.
+# Generator inputs a tight-game draw loop makes before it gives up.
 MAX_INPUT_DRAWS = 10_000
 
 
@@ -68,7 +69,6 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 
 @dataclass
 class ExperimentConfig:
-    experiment: str = ""
     sizes: tuple = ((3, 3),)
     count: int = 100           # tight instances per size
     trials: int = 200          # generator-input draws per success-rate cell
@@ -156,6 +156,23 @@ def _rng(*key) -> np.random.Generator:
     return np.random.default_rng(list(key))
 
 
+def _tight_draws(m: int, n: int, restriction: str, rng: np.random.Generator,
+                 pure_duals: bool, per_draw: int, lambda_intersect: bool,
+                 max_draws: int = MAX_INPUT_DRAWS):
+    """Per generator-input draw, the up to ``per_draw`` tight instances
+    ``generate_tight`` makes from it, for at most ``max_draws`` draws.
+
+    Raises SamplingError before the first draw when no input of this size
+    and restriction can have a candidate best-response pair.
+    """
+    if has_no_candidates(m, n, restriction):
+        raise SamplingError(f"no {restriction} input at {m}x{n} has a candidate "
+                            "best-response pair, so no tight game exists")
+    for _ in range(max_draws):
+        inp = sample_inputs(m, n, restriction, rng, pure_duals=pure_duals)
+        yield generate_tight(inp, count=per_draw, rng=rng, lambda_intersect=lambda_intersect)
+
+
 def sample_tight_games(
     m: int,
     n: int,
@@ -171,22 +188,14 @@ def sample_tight_games(
     Inputs are rejection-sampled until the feasibility program admits a
     game; each feasible input contributes an equal share of instances.
     """
-    per_group = math.ceil(count / groups)
     out: list[TightInstance] = []
-    draws = 0
-    while len(out) < count and draws < MAX_INPUT_DRAWS:
-        draws += 1
-        inp = sample_inputs(m, n, restriction, rng, pure_duals=pure_duals)
-        insts = generate_tight(
-            inp, count=per_group, rng=rng, lambda_intersect=lambda_intersect
-        )
+    for insts in _tight_draws(m, n, restriction, rng, pure_duals,
+                              math.ceil(count / groups), lambda_intersect):
         out.extend(insts)
-    if len(out) < count:
-        raise SamplingError(
-            f"could not generate {count} tight {m}x{n} instances "
-            f"in {MAX_INPUT_DRAWS} input draws"
-        )
-    return out[:count]
+        if len(out) >= count:
+            return out[:count]
+    raise SamplingError(f"could not generate {count} tight {m}x{n} instances "
+                        f"in {MAX_INPUT_DRAWS} input draws")
 
 
 def _random_composition(rng: np.random.Generator, total: int, parts: int) -> np.ndarray:
@@ -273,35 +282,55 @@ def _otb_task(payload):
     )
 
 
-def _compare_task(payload):
-    key, game, algorithm, seed, delta, rounds, points = payload
-    if algorithm in ALGORITHMS[:2]:  # the descent pipelines
-        solver = ts_solve if algorithm == "ts" else dfm_solve
-        records = []
-        for t in range(points):
-            rng = _rng(seed, t)
-            p0 = lattice_profile(game.m, game.n, RESOLUTION, rng)
-            t0 = time.perf_counter()
-            try:
-                res = solver(game, p0, delta)
-                f = res.best.f if algorithm == "ts" else res.f
-                iters = res.sp.iterations
-            except DescentBudgetError as err:
-                f, iters = err.f, err.iterations
-            wall = (time.perf_counter() - t0) * 1000.0
-            records.append(TrialRecord("compare", key, algorithm, seed, f, iters, wall,
-                                       {"trial": t}))
-        return records
-    t0 = time.perf_counter()
+def run_algorithm(game: Game, algorithm: str, p0: Profile | None, delta: float,
+                  rounds: int, rng: np.random.Generator | None):
+    """One run of ``algorithm`` on ``game``, as (f, profile, iterations, detail).
+
+    The descent pipelines ts and dfm start from p0 with precision delta;
+    fictitious play and regret matching play ``rounds`` rounds, regret
+    matching drawing from rng; the zero-sum baseline reads only the game.
+    """
+    if algorithm == "ts":
+        res = ts_solve(game, p0, delta)
+        return res.best.f, res.best.profile, res.sp.iterations, {
+            "stationary_f": res.stationary_f, "ts_f": res.ts_f,
+            "boundary_f": res.boundary_f, "linear_f": res.linear_f,
+            "best_method": res.best.method,
+        }
+    if algorithm == "dfm":
+        res = dfm_solve(game, p0, delta)
+        return res.f, res.profile, res.sp.iterations, {
+            "case": res.trace.case, "branch": res.trace.branch, "stationary_f": res.sp.f}
     if algorithm == "fp":
-        f, iters, detail = fictitious_play(game, rounds).f, rounds, {}
-    elif algorithm == "rm":
-        f, iters, detail = regret_matching(game, rounds, _rng(seed)).f, rounds, {}
-    else:
+        trace = fictitious_play(game, rounds)
+        return trace.f, trace.profile, rounds, {}
+    if algorithm == "rm":
+        trace = regret_matching(game, rounds, rng)
+        return trace.f, trace.profile, rounds, {}
+    if algorithm == "zs":
         res = zero_sum_baseline(game)
-        f, iters, detail = res.f, 0, {"candidate": res.candidate, "adjusted": res.adjusted}
-    wall = (time.perf_counter() - t0) * 1000.0
-    return [TrialRecord("compare", key, algorithm, seed, f, iters, wall, detail)]
+        return res.f, res.profile, 0, {"candidate": res.candidate, "adjusted": res.adjusted}
+    raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHMS)}")
+
+
+def _compare_task(payload):
+    """The descent pipelines run once per lattice start, trial t from
+    rng(seed, t); the other algorithms run once, from rng(seed)."""
+    key, game, algorithm, seed, delta, rounds, points = payload
+    descent = algorithm in ("ts", "dfm")
+    records = []
+    for t in range(points if descent else 1):
+        rng = _rng(seed, t) if descent else _rng(seed)
+        p0 = lattice_profile(game.m, game.n, RESOLUTION, rng) if descent else None
+        t0 = time.perf_counter()
+        try:
+            f, _, iters, detail = run_algorithm(game, algorithm, p0, delta, rounds, rng)
+        except DescentBudgetError as err:
+            f, iters = err.f, err.iterations
+        wall = (time.perf_counter() - t0) * 1000.0
+        records.append(TrialRecord("compare", key, algorithm, seed, f, iters, wall,
+                                   {"trial": t} if descent else detail))
+    return records
 
 
 def _pmap(fn, payloads, workers: int):
@@ -319,10 +348,11 @@ def _pmap(fn, payloads, workers: int):
 # Experiments.
 
 
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    d = asdict(cfg)
-    d["sizes"] = [list(s) for s in cfg.sizes]
-    return d
+def _report(name: str, cfg: ExperimentConfig, records: list) -> ExperimentReport:
+    """The report of experiment ``name``: its config, which names it, its
+    records and their aggregates."""
+    cfg_dict = {"experiment": name, **asdict(cfg), "sizes": [list(s) for s in cfg.sizes]}
+    return ExperimentReport(cfg_dict, records, AGGREGATORS[name](records, cfg_dict))
 
 
 def _tight_games(cfg: ExperimentConfig):
@@ -373,8 +403,7 @@ def exp_stability(cfg: ExperimentConfig) -> ExperimentReport:
     for si, m, n, games in _tight_games(cfg):
         payloads = _restart_payloads(cfg, si, m, n, games, cfg.delta)
         records.extend(_pmap(_stability_task, payloads, cfg.workers))
-    cfg_dict = _config_dict(cfg)
-    return ExperimentReport(cfg_dict, records, aggregate_stability(records, cfg_dict))
+    return _report("stability", cfg, records)
 
 
 def aggregate_otb(records, cfg_dict) -> dict:
@@ -404,8 +433,7 @@ def exp_outside_ball(cfg: ExperimentConfig) -> ExperimentReport:
         restarts = _restart_payloads(cfg, si, m, n, games, OTB_DELTA, 1)
         payloads = [p for p, srec in zip(restarts, stab) if srec.detail["stable"]]
         records.extend(_pmap(_otb_task, payloads, cfg.workers))
-    cfg_dict = _config_dict(cfg)
-    return ExperimentReport(cfg_dict, records, aggregate_otb(records, cfg_dict))
+    return _report("outside-the-ball", cfg, records)
 
 
 def aggregate_success(records, cfg_dict) -> dict:
@@ -446,8 +474,7 @@ def exp_success_rate(cfg: ExperimentConfig) -> ExperimentReport:
                     "success-rate", key, "generator", t, float(ok), 0, wall,
                     {"feasible": bool(ok)},
                 ))
-    cfg_dict = _config_dict(cfg)
-    return ExperimentReport(cfg_dict, records, aggregate_success(records, cfg_dict))
+    return _report("success-rate", cfg, records)
 
 
 def aggregate_compare(records, cfg_dict) -> dict:
@@ -480,8 +507,7 @@ def exp_compare(cfg: ExperimentConfig) -> ExperimentReport:
                 ))
         for recs in _pmap(_compare_task, payloads, cfg.workers):
             records.extend(recs)
-    cfg_dict = _config_dict(cfg)
-    return ExperimentReport(cfg_dict, records, aggregate_compare(records, cfg_dict))
+    return _report("compare", cfg, records)
 
 
 AGGREGATORS = {

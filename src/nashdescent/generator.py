@@ -255,6 +255,15 @@ def _pair_candidates(inp: GeneratorInput):
     return [(k, l) for k in ks for l in ls]
 
 
+def has_no_candidates(m: int, n: int, restriction: str) -> bool:
+    """Whether ``_pair_candidates`` is empty for every input ``sample_inputs``
+    draws at this size and restriction.  With disjoint supports, a side of
+    two strategies puts supp x* on one and w* wholly on the other, k, the
+    only candidate; its floor w*_k = 1 beats lambda0 (or mu0) by more than
+    CHECK_TOL."""
+    return restriction == "disjoint" and 2 in (m, n)
+
+
 def _feasible_programs(inp: GeneratorInput, lambda_intersect: bool):
     """Lazily, each candidate pair whose tight LP is feasible, as
     (k, l, builder, feasibility probe)."""

@@ -449,11 +449,11 @@ def report_entry(report) -> dict:
 
 
 def experiment_entries() -> dict:
-    stab = ExperimentConfig(experiment="stability", sizes=((3, 3),), count=3,
+    stab = ExperimentConfig(sizes=((3, 3),), count=3,
                             samples=4, seed=5)
-    otb = ExperimentConfig(experiment="outside-the-ball", sizes=((3, 3),), count=2,
+    otb = ExperimentConfig(sizes=((3, 3),), count=2,
                            radius=1e-30, samples=3, seed=6)
-    cmp = ExperimentConfig(experiment="compare", sizes=((3, 3),), count=1, points=3,
+    cmp = ExperimentConfig(sizes=((3, 3),), count=1, points=3,
                            rounds=200, seed=7)
     return {
         "stability": report_entry(exp_stability(stab)),

@@ -153,12 +153,11 @@ def test_criterion_6_generator_soundness(cons):
 
 
 def test_criterion_7_success_rates():
-    cfg = ExperimentConfig(experiment="success-rate", sizes=((3, 3), (5, 5)),
+    cfg = ExperimentConfig(sizes=((3, 3), (5, 5)),
                            trials=200, restrictions=("disjoint",),
                            pure_duals=False, seed=4)
     rates = {k: v["rate"] for k, v in exp_success_rate(cfg).aggregates.items()}
     cfg = ExperimentConfig(
-        experiment="success-rate",
         sizes=((3, 3), (4, 4), (5, 5), (6, 6), (7, 7)),
         trials=100, restrictions=("nested",), pure_duals=False, seed=4,
     )
@@ -176,7 +175,7 @@ def test_criterion_7_success_rates():
 
 
 def test_criterion_8_descent_rarely_stays_tight():
-    cfg = ExperimentConfig(experiment="compare", sizes=((3, 3),), count=20,
+    cfg = ExperimentConfig(sizes=((3, 3),), count=20,
                            points=500, algorithms=("ts",), delta=1e-3, seed=8)
     agg = exp_compare(cfg).aggregates["ts"]
     ok = agg["runs"] == 10_000 and agg["pr_f_above_339"] <= 1e-3
@@ -188,7 +187,7 @@ def test_criterion_8_descent_rarely_stays_tight():
 
 
 def test_criterion_9_stability_large_size():
-    cfg = ExperimentConfig(experiment="stability", sizes=((7, 7),), count=30, seed=9)
+    cfg = ExperimentConfig(sizes=((7, 7),), count=30, seed=9)
     agg = exp_stability(cfg).aggregates["7x7"]
     ok = agg["rate"] <= 0.25
     assert report("9b (7x7 stability)", ok,
@@ -205,7 +204,7 @@ def test_criterion_9_stability_large_size():
     strict=False,
 )
 def test_criterion_9_stability_3x3_band():
-    cfg = ExperimentConfig(experiment="stability", sizes=((3, 3),), count=100, seed=9)
+    cfg = ExperimentConfig(sizes=((3, 3),), count=100, seed=9)
     agg = exp_stability(cfg).aggregates["3x3"]
     ok = 0.65 <= agg["rate"] <= 0.85
     assert report("9a (3x3 stability band)", ok,

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import nashdescent
+from nashdescent import experiments
 from nashdescent.cli import main
+from nashdescent.experiments import ExperimentConfig, _tight_games, exp_compare
 from nashdescent.generator import solve_b
 
 
@@ -200,15 +202,52 @@ def test_stability_without_restarts_is_io_error(capsys, samples):
 
 
 def test_stability_whose_game_sampler_gives_up_exits_empty(capsys):
-    # On 2x2, disjoint pure witnesses sit on the one strategy outside supp x*
-    # (supp y*), whose far-corner floor 1 exceeds lambda0 (mu0): no pair has
-    # a feasible tight LP, and sample_tight_games uses up its draws.
+    # On 2x2, disjoint witnesses sit on the one strategy outside supp x*
+    # (supp y*), whose far-corner floor 1 exceeds lambda0 (mu0): no input
+    # has a candidate pair, and the draw loop gives up before its first draw.
     code = main(["exp-stability", "--size", "2x2", "--count", "1"])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: could not generate 1 tight 2x2 instances "
-                            "in 10000 input draws\n")
+    assert captured.err == ("error: no disjoint input at 2x2 has a candidate "
+                            "best-response pair, so no tight game exists\n")
+
+
+@pytest.mark.parametrize("argv", [["generate", "--size", "2x3", "--count", "2"],
+                                  ["exp-compare", "--size", "3x2", "--count", "1"],
+                                  ["exp-otb", "--size", "5x2", "--mixed-duals"]])
+def test_draws_without_candidates_exit_empty_without_generating(tmp_path, capsys,
+                                                                  monkeypatch, argv):
+    def no_generate(*args, **kwargs):
+        raise AssertionError("generate_tight was called")
+
+    monkeypatch.setattr(experiments, "generate_tight", no_generate)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    size = argv[2]
+    assert captured.err == (f"error: no disjoint input at {size} has a candidate "
+                            "best-response pair, so no tight game exists\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_agrees_with_exp_compare(tmp_path, capsys):
+    # Both entry points run one algorithm runner: on exp-compare's game, solve
+    # with a record's seed gives that record's f, iterations and detail
+    # (default_rng(s) and exp-compare's default_rng([s]) give one stream).
+    cfg = ExperimentConfig(count=1, rounds=300, seed=2, algorithms=("fp", "rm", "zs"))
+    records = exp_compare(cfg).records
+    (_, _, _, games), = _tight_games(cfg)
+    path = tmp_path / "game.json"
+    path.write_text(games[0].game.to_json())
+    assert [r.algorithm for r in records] == ["fp", "rm", "zs"]
+    for r in records:
+        code, out = run(capsys, "solve", str(path), "--algorithm", r.algorithm,
+                        "--rounds", "300", "--seed", str(r.seed))
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["f"], doc["iterations"], doc["detail"]) == (r.f, r.iterations, r.detail)
 
 
 def test_otb_whose_ball_sampler_gives_up_exits_empty(capsys):

@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from nashdescent import experiments
 from nashdescent.experiments import (
     ALGORITHMS,
     EFFECTIVENESS,
+    MAX_INPUT_DRAWS,
     ExperimentConfig,
     exp_compare,
     exp_outside_ball,
@@ -17,7 +19,7 @@ from nashdescent.experiments import (
     sample_tight_games,
     wilson_interval,
 )
-from nashdescent.generator import RESTRICTIONS
+from nashdescent.generator import RESTRICTIONS, SamplingError
 
 
 def strip_walls(report):
@@ -102,6 +104,29 @@ class TestSamplingHelpers:
         for inst_a, inst_b in zip(a, b):
             assert np.array_equal(inst_a.game.R, inst_b.game.R)
 
+    @pytest.mark.parametrize("m, n, pure_duals", [(2, 2, True), (2, 3, False), (3, 2, True),
+                                                  (2, 5, False)])
+    def test_draws_without_candidates_fail_before_generating(self, monkeypatch, m, n,
+                                                             pure_duals):
+        def no_generate(*args, **kwargs):
+            raise AssertionError("generate_tight was called")
+
+        monkeypatch.setattr(experiments, "generate_tight", no_generate)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(SamplingError, match=f"no disjoint input at {m}x{n} has a candidate"):
+            sample_tight_games(m, n, 1, rng, pure_duals=pure_duals)
+        assert rng.bit_generator.state == state
+
+    def test_sample_tight_games_gives_up_after_its_draws(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(experiments, "generate_tight",
+                            lambda inp, **kwargs: draws.append(inp) or [])
+        with pytest.raises(SamplingError, match="could not generate 2 tight 3x3 instances "
+                                                "in 10000 input draws"):
+            sample_tight_games(3, 3, 2, np.random.default_rng(0))
+        assert len(draws) == MAX_INPUT_DRAWS
+
     def test_lattice_profile_is_valid(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -115,20 +140,20 @@ class TestStability:
     def test_vanishing_radius_is_always_stable(self):
         # far below the support tolerance the perturbation cannot move the
         # best-response structure, so every restart stops where it began
-        cfg = ExperimentConfig(experiment="stability", sizes=((3, 3),), count=3,
+        cfg = ExperimentConfig(sizes=((3, 3),), count=3,
                                radius=1e-30, samples=5, seed=1)
         rep = exp_stability(cfg)
         assert rep.aggregates["3x3"]["rate"] == 1.0
 
     def test_report_reproducible_modulo_timing(self):
-        cfg = ExperimentConfig(experiment="stability", sizes=((3, 3),), count=3,
+        cfg = ExperimentConfig(sizes=((3, 3),), count=3,
                                samples=8, seed=2)
         a = exp_stability(cfg)
         b = exp_stability(cfg)
         assert strip_walls(a) == strip_walls(b)
 
     def test_aggregates_recomputable(self):
-        cfg = ExperimentConfig(experiment="stability", sizes=((3, 3),), count=4,
+        cfg = ExperimentConfig(sizes=((3, 3),), count=4,
                                samples=6, seed=3)
         rep = exp_stability(cfg)
         assert recompute_aggregates(rep) == rep.aggregates
@@ -136,7 +161,7 @@ class TestStability:
 
 class TestOutsideBall:
     def test_definition_and_threshold_monotonicity(self):
-        cfg = ExperimentConfig(experiment="outside-the-ball", sizes=((3, 3),),
+        cfg = ExperimentConfig(sizes=((3, 3),),
                                count=4, samples=6, seed=4)
         rep = exp_outside_ball(cfg)
         for rec in rep.records:
@@ -150,10 +175,9 @@ class TestOutsideBall:
         assert eff90 >= eff95
 
     def test_runs_only_on_stable_instances(self):
-        stab = exp_stability(ExperimentConfig(experiment="stability", sizes=((3, 3),),
+        stab = exp_stability(ExperimentConfig(sizes=((3, 3),),
                                               count=4, samples=6, seed=4))
-        otb = exp_outside_ball(ExperimentConfig(experiment="outside-the-ball",
-                                                sizes=((3, 3),), count=4, samples=6,
+        otb = exp_outside_ball(ExperimentConfig(sizes=((3, 3),), count=4, samples=6,
                                                 seed=4))
         stable_keys = {r.instance for r in stab.records if r.detail["stable"]}
         assert {r.instance for r in otb.records} == stable_keys
@@ -161,7 +185,7 @@ class TestOutsideBall:
 
 class TestSuccessRate:
     def test_cells_and_reaggregation(self):
-        cfg = ExperimentConfig(experiment="success-rate", sizes=((3, 3),), trials=20,
+        cfg = ExperimentConfig(sizes=((3, 3),), trials=20,
                                restrictions=("disjoint", "nested"), pure_duals=False,
                                seed=5)
         rep = exp_success_rate(cfg)
@@ -170,14 +194,14 @@ class TestSuccessRate:
         assert recompute_aggregates(rep) == rep.aggregates
 
     def test_reproducible(self):
-        cfg = ExperimentConfig(experiment="success-rate", sizes=((3, 3),), trials=10,
+        cfg = ExperimentConfig(sizes=((3, 3),), trials=10,
                                restrictions=("disjoint",), seed=6)
         assert strip_walls(exp_success_rate(cfg)) == strip_walls(exp_success_rate(cfg))
 
 
 class TestCompare:
     def test_small_run_structure(self):
-        cfg = ExperimentConfig(experiment="compare", sizes=((3, 3),), count=2,
+        cfg = ExperimentConfig(sizes=((3, 3),), count=2,
                                points=10, rounds=2000, seed=7)
         rep = exp_compare(cfg)
         assert rep.aggregates["ts"]["runs"] == 20
@@ -189,7 +213,7 @@ class TestCompare:
         assert agg["pr_f_above_01"] == pytest.approx(float(np.mean(np.array(fs) > 0.01)))
 
     def test_csv_round_trip_columns(self):
-        cfg = ExperimentConfig(experiment="compare", sizes=((3, 3),), count=1,
+        cfg = ExperimentConfig(sizes=((3, 3),), count=1,
                                points=3, rounds=500, seed=8)
         rep = exp_compare(cfg)
         lines = rep.to_csv().strip().splitlines()
@@ -197,13 +221,26 @@ class TestCompare:
         assert len(lines) == 1 + len(rep.records)
 
     def test_workers_do_not_change_results(self):
-        cfg1 = ExperimentConfig(experiment="compare", sizes=((3, 3),), count=2,
+        cfg1 = ExperimentConfig(sizes=((3, 3),), count=2,
                                 points=5, rounds=500, seed=9, workers=1)
         cfg2 = dataclasses.replace(cfg1, workers=2)
         a, b = exp_compare(cfg1), exp_compare(cfg2)
         da, db = strip_walls(a), strip_walls(b)
         da["config"]["workers"] = db["config"]["workers"] = None
         assert da == db
+
+
+@pytest.mark.parametrize("run, cfg, name", [
+    (exp_stability, ExperimentConfig(count=1, samples=2), "stability"),
+    (exp_outside_ball, ExperimentConfig(count=1, samples=2, radius=1e-30), "outside-the-ball"),
+    (exp_success_rate, ExperimentConfig(trials=1), "success-rate"),
+    (exp_compare, ExperimentConfig(count=1, points=1, rounds=10), "compare"),
+])
+def test_report_names_its_experiment(run, cfg, name):
+    # The name leads the config, as in every report file written so far.
+    rep = run(cfg)
+    assert next(iter(rep.config.items())) == ("experiment", name)
+    assert recompute_aggregates(rep) == rep.aggregates
 
 
 def test_import_leaves_process_pools_unloaded():

@@ -16,6 +16,7 @@ from nashdescent.generator import (
     dfm_tight,
     generate_tight,
     half_sp,
+    has_no_candidates,
     perturb_profile,
     profile_distance,
     sample_inputs,
@@ -230,6 +231,20 @@ class TestPairScreen:
         monkeypatch.setattr(generator, "_TightLpBuilder", no_lp)
         assert generate_tight(inp, rng=np.random.default_rng(0)) == []
         assert not tight_feasible(inp)
+
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (2, 5), (3, 3)])
+    def test_has_no_candidates_matches_the_screen(self, m, n):
+        # Every sampled input has an empty screen where the predicate says
+        # so, and some input has a candidate where it does not.
+        for r, restriction in enumerate(RESTRICTIONS):
+            rng = np.random.default_rng([m, n, r])
+            screens = [_pair_candidates(sample_inputs(m, n, restriction, rng, pure_duals=p))
+                       for p in (True, False) for _ in range(40)]
+            if has_no_candidates(m, n, restriction):
+                assert not any(screens), restriction
+            else:
+                assert any(screens), restriction
 
 
 class TestTightLpRows:
