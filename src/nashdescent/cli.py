@@ -60,6 +60,8 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 
 def _static_instance(name: str):
+    # One name, one game: tight-3X3 is tight_3x3(), not tight_m_n(3, 3).
+    name = name.lower()
     if name == "tight-3x3":
         return tight_3x3()
     if name.startswith("tight-"):
@@ -139,6 +141,10 @@ def cmd_constants(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    low = [flag for flag, v in (("--count", args.count), ("--max-attempts", args.max_attempts))
+           if v < 1]
+    if low:
+        raise ValueError(f"counts must be positive: {', '.join(low)}")
     os.makedirs(args.out, exist_ok=True)
     if args.static:
         inst = _static_instance(args.static)
@@ -282,9 +288,6 @@ def main(argv=None) -> int:
         e.add_argument("--out", default=None)
         e.add_argument("--format", default="json", choices=("json", "csv"))
         if name == "exp-success":
-            # It tables every restriction, with set-valued witnesses: the
-            # distribution the success tables are stated for.
-            e.set_defaults(pure_duals=False)
             e.add_argument("--trials", type=int)
             continue
         e.add_argument("--count", type=int)

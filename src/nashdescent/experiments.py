@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from io import StringIO
 
 import numpy as np
@@ -457,9 +457,11 @@ def aggregate_success(records, cfg_dict) -> dict:
 def exp_success_rate(cfg: ExperimentConfig) -> ExperimentReport:
     """Feasibility rate of the tight-instance program over random inputs.
 
-    Inputs are drawn with set-valued witnesses (the distribution the success
-    tables are stated for) unless the config says otherwise.
+    Inputs are always drawn with set-valued witnesses, the distribution the
+    success tables are stated for; the report's config records
+    ``pure_duals`` false.
     """
+    cfg = replace(cfg, pure_duals=False)
     records = []
     for si, (m, n) in enumerate(cfg.sizes):
         for ri, restriction in enumerate(cfg.restrictions):
@@ -467,7 +469,7 @@ def exp_success_rate(cfg: ExperimentConfig) -> ExperimentReport:
             for t in range(cfg.trials):
                 rng = _rng(cfg.seed, si, ri, t)
                 t0 = time.perf_counter()
-                inp = sample_inputs(m, n, restriction, rng, pure_duals=cfg.pure_duals)
+                inp = sample_inputs(m, n, restriction, rng, pure_duals=False)
                 ok = tight_feasible(inp, lambda_intersect=cfg.lambda_intersect)
                 wall = (time.perf_counter() - t0) * 1000.0
                 records.append(TrialRecord(

@@ -179,8 +179,8 @@ def _swap_back(blocks: np.ndarray) -> np.ndarray:
     return blocks[..., ::-1, :, :].swapaxes(-1, -2)
 
 
-class _TightLpBuilder:
-    """Assemble the feasibility program over the 2mn payoff entries.
+def _tight_program(inp: GeneratorInput, k: int, l: int, lambda_intersect: bool) -> LinearProgram:
+    """The feasibility program over the 2mn payoff entries, with a zero objective.
 
     Variables are the entries of R then C, row-major.  Every structural
     condition of the characterization is linear once the stationary profile
@@ -195,38 +195,26 @@ class _TightLpBuilder:
     supp w*, which makes k best-respond to y* too (notes/decisions.md
     section 11).
     """
-
-    def __init__(self, inp: GeneratorInput, k: int, l: int, lambda_intersect: bool):
-        cons = solve_b()
-        x, y, w, z = inp.x_star, inp.y_star, inp.w_star, inp.z_star
-        # Both weight pairs hold the same two doubles: 1 - (1 - rho) may
-        # round away from rho.
-        rho, rho_c = cons.rho_star, 1.0 - cons.rho_star
-        row, k_row, lower_r = _player_conditions(x, y, w, z, (rho, rho_c), k, cons.lambda0,
-                                                 cons.b)
-        col, l_row, lower_c = _player_conditions(y, x, z, w, (rho_c, rho), l, cons.mu0, cons.b)
-        groups = []
-        for mine, (blocks, rels, rhs) in zip(row, col):
-            groups += [mine, (_swap_back(blocks), rels, rhs)]
-        groups.append((_swap_back(l_row)[None], [EQ], 0.0))
-        if lambda_intersect:
-            groups.append((k_row[None], [EQ], 0.0))
-        self.nv = 2 * inp.m * inp.n
-        coeffs = np.concatenate([blocks for blocks, _, _ in groups]).reshape(-1, self.nv)
-        rels = [rel for _, group_rels, _ in groups for rel in group_rels]
-        rhs = [value for _, group_rels, value in groups for _ in group_rels]
-        lower = (lower_r + _swap_back(lower_c)).ravel().tolist()
-        self.lp = LinearProgram(np.zeros(self.nv), MINIMIZE, coeffs, rels, rhs,
-                                lower=lower, upper=(1.0,) * self.nv)
-
-    def solve(self, objective: np.ndarray | None, sense: str = MINIMIZE):
-        """Optimize over the program; None asks for feasibility only.
-
-        Every objective shares ``self.lp``'s standard form, so the program's
-        phase 1 runs once however many objectives are solved.
-        """
-        c = np.zeros(self.nv) if objective is None else objective
-        return solve_lp(self.lp.with_objective(c, sense))
+    cons = solve_b()
+    x, y, w, z = inp.x_star, inp.y_star, inp.w_star, inp.z_star
+    # Both weight pairs hold the same two doubles: 1 - (1 - rho) may
+    # round away from rho.
+    rho, rho_c = cons.rho_star, 1.0 - cons.rho_star
+    row, k_row, lower_r = _player_conditions(x, y, w, z, (rho, rho_c), k, cons.lambda0, cons.b)
+    col, l_row, lower_c = _player_conditions(y, x, z, w, (rho_c, rho), l, cons.mu0, cons.b)
+    groups = []
+    for mine, (blocks, rels, rhs) in zip(row, col):
+        groups += [mine, (_swap_back(blocks), rels, rhs)]
+    groups.append((_swap_back(l_row)[None], [EQ], 0.0))
+    if lambda_intersect:
+        groups.append((k_row[None], [EQ], 0.0))
+    nv = 2 * inp.m * inp.n
+    coeffs = np.concatenate([blocks for blocks, _, _ in groups]).reshape(-1, nv)
+    rels = [rel for _, group_rels, _ in groups for rel in group_rels]
+    rhs = [value for _, group_rels, value in groups for _ in group_rels]
+    lower = (lower_r + _swap_back(lower_c)).ravel().tolist()
+    return LinearProgram(np.zeros(nv), MINIMIZE, coeffs, rels, rhs,
+                         lower=lower, upper=(1.0,) * nv)
 
 
 def _best_responses(x, w, z, height: float) -> list[int]:
@@ -264,59 +252,60 @@ def has_no_candidates(m: int, n: int, restriction: str) -> bool:
     return restriction == "disjoint" and 2 in (m, n)
 
 
-def _feasible_programs(inp: GeneratorInput, lambda_intersect: bool):
-    """Lazily, each candidate pair whose tight LP is feasible, as
-    (k, l, builder, feasibility probe)."""
+def _first_feasible(inp: GeneratorInput, lambda_intersect: bool):
+    """The first candidate pair whose tight LP is feasible, as (k, l,
+    program, feasibility probe), or None when no pair is."""
     for k, l in _pair_candidates(inp):
-        builder = _TightLpBuilder(inp, k, l, lambda_intersect)
-        probe = builder.solve(None)
+        lp = _tight_program(inp, k, l, lambda_intersect)
+        probe = solve_lp(lp)
         if probe.status == OPTIMAL:
-            yield k, l, builder, probe
+            return k, l, lp, probe
+    return None
 
 
 def generate_tight(
     inp: GeneratorInput,
     count: int = 1,
-    rng: np.random.Generator | None = None,
-    all_pairs: bool = False,
+    *,
+    rng: np.random.Generator,
     lambda_intersect: bool = False,
 ) -> list[TightInstance]:
     """Sample games for which the prescribed stationary data is worst-case tight.
 
-    Enumerates candidate best-response strategies (k, l) outside the supports
-    of x* and y*, less the pairs ``_pair_candidates`` shows infeasible without
-    an LP; for each feasible pair, solves m random linear objectives over
-    the feasible polytope (coin-flipping min against max) and emits
-    ``count`` random convex combinations of the vertices found.  ``rng`` is
-    drawn from only after a feasible probe, so skipping an infeasible pair
+    Takes the first candidate best-response pair (k, l) outside the supports
+    of x* and y* whose program is feasible, skipping the pairs
+    ``_pair_candidates`` shows infeasible without an LP; solves m random
+    linear objectives over its feasible polytope (coin-flipping min against
+    max) and emits ``count`` random convex combinations of the vertices
+    found; every objective reuses the program's phase 1.  ``rng`` is drawn
+    from only after a feasible probe, so skipping an infeasible pair
     changes no game and no generator state.  The empty list means no game
     exists for this input.
     """
-    rng = np.random.default_rng() if rng is None else rng
-    out: list[TightInstance] = []
-    cons = solve_b()
-    for k, l, builder, probe in _feasible_programs(inp, lambda_intersect):
-        vertices = [probe.x]
-        for _ in range(inp.m):
-            c = rng.uniform(0.0, 1.0, size=builder.nv)
-            sense = MINIMIZE if rng.uniform() < 0.5 else MAXIMIZE
-            sol = builder.solve(c, sense)
-            if sol.status == OPTIMAL:
-                vertices.append(sol.x)
-        V = np.array(vertices)
-        for _ in range(count):
-            weights = rng.uniform(0.0, 1.0, size=len(vertices))
-            weights /= weights.sum()
-            R, C = np.clip((weights @ V).reshape(2, inp.m, inp.n), 0.0, 1.0)
-            out.append(TightInstance(Game(R, C), inp, cons.rho_star, k, l))
-        if not all_pairs:
-            break
+    found = _first_feasible(inp, lambda_intersect)
+    if found is None:
+        return []
+    k, l, lp, probe = found
+    vertices = [probe.x]
+    for _ in range(inp.m):
+        c = rng.uniform(0.0, 1.0, size=lp.objective.size)
+        sense = MINIMIZE if rng.uniform() < 0.5 else MAXIMIZE
+        sol = solve_lp(lp.with_objective(c, sense))
+        if sol.status == OPTIMAL:
+            vertices.append(sol.x)
+    V = np.array(vertices)
+    out = []
+    for _ in range(count):
+        weights = rng.uniform(0.0, 1.0, size=len(vertices))
+        weights /= weights.sum()
+        R, C = np.clip((weights @ V).reshape(2, inp.m, inp.n), 0.0, 1.0)
+        out.append(TightInstance(Game(R, C), inp, solve_b().rho_star, k, l))
     return out
 
 
 def tight_feasible(inp: GeneratorInput, lambda_intersect: bool = False) -> bool:
     """Whether any game realizes the prescribed tight stationary data."""
-    return next(_feasible_programs(inp, lambda_intersect), None) is not None
+    return _first_feasible(inp, lambda_intersect) is not None
 
 
 RESTRICTIONS = ("none", "disjoint", "intersecting", "nested")
@@ -341,8 +330,8 @@ def _fill(rng, k: int, support) -> np.ndarray:
 def sample_inputs(
     m: int,
     n: int,
-    restriction: str = "disjoint",
-    rng: np.random.Generator | None = None,
+    restriction: str,
+    rng: np.random.Generator,
     pure_duals: bool = True,
 ) -> GeneratorInput:
     """Draw generator inputs with the requested support relation.
@@ -356,7 +345,6 @@ def sample_inputs(
         raise ValueError("need at least two strategies per player")
     if restriction not in RESTRICTIONS:
         raise ValueError(f"unknown restriction {restriction!r}")
-    rng = np.random.default_rng() if rng is None else rng
 
     def draw_side(k: int):
         # Joint rejection keeps the tuple distribution uniform over all

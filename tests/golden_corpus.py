@@ -32,7 +32,13 @@ left: 349 stored values moved, none by more than 1.4e-15 (314 in
 ``scaled_derivative`` and 4 in ``experiments``), and ``ts_solve[21]``'s
 ``best.method``, a 1e-16 tie the test sets aside, went from "ts" to
 "stationary".  Since then a plain regeneration rewrites only the entries a
-change moves, and a second run rewrites nothing.  Regenerate with
+change moves, and a second run rewrites nothing.  When ``generate_tight``
+lost its option to sample every feasible best-response pair, the entries
+of the two specs that had set it and had an input with more than one
+feasible pair, and only those, were rewritten: ``generate_tight[3]`` and
+``[13]`` kept the games of their first pair and lost the rest, and
+``[4]`` and ``[14]``, the next draws of the same specs, moved with the
+RNG that the dropped pairs no longer use.  Regenerate with
 
     PYTHONPATH=src python tests/golden_corpus.py
 
@@ -294,34 +300,33 @@ def verify_entries() -> list:
     return out
 
 
-# (m, n, support restriction, pure duals, lambda_intersect, all_pairs); the
+# (m, n, support restriction, pure duals, lambda_intersect); the
 # nested and intersecting inputs are never feasible, so their phase 1 ends
 # infeasible.  Together the specs reach every restriction sample_inputs
 # branches on, and the recorded inputs pin its draws.
 GENERATOR_SPECS = (
-    (3, 3, "disjoint", True, False, False),
-    (3, 3, "disjoint", False, False, True),
-    (4, 4, "disjoint", True, True, False),
-    (4, 4, "none", False, False, True),
-    (5, 5, "disjoint", True, False, True),
-    (5, 5, "disjoint", False, True, False),
-    (3, 3, "nested", False, False, False),
-    (3, 3, "intersecting", True, False, False),
+    (3, 3, "disjoint", True, False),
+    (3, 3, "disjoint", False, False),
+    (4, 4, "disjoint", True, True),
+    (4, 4, "none", False, False),
+    (5, 5, "disjoint", True, False),
+    (5, 5, "disjoint", False, True),
+    (3, 3, "nested", False, False),
+    (3, 3, "intersecting", True, False),
 )
 
 
 def generator_entries() -> list:
     """generate_tight and tight_feasible on seeded inputs; compared exactly."""
     out = []
-    for si, (m, n, restriction, pure, intersect, all_pairs) in enumerate(GENERATOR_SPECS):
+    for si, (m, n, restriction, pure, intersect) in enumerate(GENERATOR_SPECS):
         rng = np.random.default_rng([111, si])
         feasible = 0
         for _ in range(6):
             if feasible == 2:
                 break
             inp = sample_inputs(m, n, restriction, rng, pure_duals=pure)
-            insts = generate_tight(inp, count=2, rng=rng, all_pairs=all_pairs,
-                                   lambda_intersect=intersect)
+            insts = generate_tight(inp, count=2, rng=rng, lambda_intersect=intersect)
             feasible += bool(insts)
             out.append({
                 "input": plain(inp),
@@ -362,7 +367,8 @@ def row_block(rows, nv: int):
 
 # The functions that call solve_lp, by the LP they state.
 LP_SITES = {"_rebalance_row": "balance", "direction": "direction",
-            "_equalized_dual_weights": "equalized", "solve": "tight"}
+            "_equalized_dual_weights": "equalized", "_first_feasible": "tight",
+            "generate_tight": "tight"}
 
 
 @contextlib.contextmanager

@@ -154,12 +154,11 @@ def test_criterion_6_generator_soundness(cons):
 
 def test_criterion_7_success_rates():
     cfg = ExperimentConfig(sizes=((3, 3), (5, 5)),
-                           trials=200, restrictions=("disjoint",),
-                           pure_duals=False, seed=4)
+                           trials=200, restrictions=("disjoint",), seed=4)
     rates = {k: v["rate"] for k, v in exp_success_rate(cfg).aggregates.items()}
     cfg = ExperimentConfig(
         sizes=((3, 3), (4, 4), (5, 5), (6, 6), (7, 7)),
-        trials=100, restrictions=("nested",), pure_duals=False, seed=4,
+        trials=100, restrictions=("nested",), seed=4,
     )
     nested = {k: v["feasible"] for k, v in exp_success_rate(cfg).aggregates.items()}
     ok = (

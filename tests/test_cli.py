@@ -11,7 +11,8 @@ import pytest
 import nashdescent
 from nashdescent import experiments
 from nashdescent.cli import main
-from nashdescent.experiments import ExperimentConfig, _tight_games, exp_compare
+from nashdescent.experiments import (ExperimentConfig, _tight_games, exp_compare,
+                                     exp_success_rate)
 from nashdescent.generator import solve_b
 
 
@@ -248,6 +249,47 @@ def test_solve_agrees_with_exp_compare(tmp_path, capsys):
         assert code == 0
         doc = json.loads(out)
         assert (doc["f"], doc["iterations"], doc["detail"]) == (r.f, r.iterations, r.detail)
+
+
+@pytest.mark.parametrize("argv, flags", [(["--count", "0"], "--count"),
+                                         (["--max-attempts", "-3"], "--max-attempts"),
+                                         (["--count", "-1", "--max-attempts", "0"],
+                                          "--count, --max-attempts")])
+def test_generate_rejects_counts_below_one(tmp_path, capsys, argv, flags):
+    code = main(["generate", "--out", str(tmp_path / "out"), *argv])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: counts must be positive: {flags}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_static_name_is_case_blind(tmp_path, capsys):
+    # tight-3X3 names tight_3x3(), not tight_m_n(3, 3), which exchanges
+    # strategies 1 and 2 and would write another game under the same stem.
+    files = []
+    for spec, out in (("tight-3x3", "a"), ("tight-3X3", "b"), ("TIGHT-3x3", "c")):
+        code, text = run(capsys, "generate", "--static", spec, "--out", str(tmp_path / out))
+        assert code == 0
+        files.append(Path(json.loads(text)["written"][0]))
+    assert {f.name for f in files} == {"tight-3x3.json"}
+    assert len({f.read_bytes() for f in files}) == 1
+
+
+def test_exp_success_library_and_cli_draw_alike(tmp_path, capsys):
+    # Both draw set-valued witnesses, whatever the config's pure_duals says.
+    out = tmp_path / "report.json"
+    code, _ = run(capsys, "exp-success", "--size", "3x3", "4x4", "--trials", "6",
+                  "--seed", "2", "--out", str(out))
+    assert code == 0
+    cli = json.loads(out.read_text())
+    lib = json.loads(exp_success_rate(
+        ExperimentConfig(sizes=((3, 3), (4, 4)), trials=6, seed=2)).to_json())
+    for report in (lib, cli):
+        for rec in report["records"]:
+            del rec["wall_ms"]
+    assert lib["config"]["pure_duals"] is False
+    assert lib == cli
 
 
 def test_otb_whose_ball_sampler_gives_up_exits_empty(capsys):

@@ -9,8 +9,8 @@ from nashdescent.game import Game, Profile, pure, regrets
 from nashdescent.generator import (
     RESTRICTIONS,
     GeneratorInput,
-    _TightLpBuilder,
     _pair_candidates,
+    _tight_program,
     certificate_json,
     dfm_family,
     dfm_tight,
@@ -177,21 +177,19 @@ class TestPairScreen:
             for k, l in set(every) - set(screened):
                 dropped += 1
                 for intersect in (False, True):
-                    builder = _TightLpBuilder(inp, k, l, intersect)
-                    assert solve_lp(builder.lp).status == INFEASIBLE, (inp, k, l, intersect)
+                    lp = _tight_program(inp, k, l, intersect)
+                    assert solve_lp(lp).status == INFEASIBLE, (inp, k, l, intersect)
         assert dropped >= 100 and kept >= 100
 
-    @pytest.mark.parametrize("all_pairs", [False, True])
     @pytest.mark.parametrize("intersect", [False, True])
-    def test_same_games_and_rng_state_as_unscreened(self, monkeypatch, all_pairs, intersect):
+    def test_same_games_and_rng_state_as_unscreened(self, monkeypatch, intersect):
         inputs = list(_sweep_inputs([(3, 3), (4, 4), (5, 3)], per_cell=1))
 
         def run():
             rng = np.random.default_rng(5)
             out = []
             for inp in inputs:
-                insts = generate_tight(inp, count=2, rng=rng,
-                                       all_pairs=all_pairs, lambda_intersect=intersect)
+                insts = generate_tight(inp, count=2, rng=rng, lambda_intersect=intersect)
                 out.append(([(inst.k, inst.l, inst.game.R, inst.game.C) for inst in insts],
                             tight_feasible(inp, lambda_intersect=intersect),
                             rng.bit_generator.state))
@@ -228,7 +226,7 @@ class TestPairScreen:
         def no_lp(*args, **kwargs):
             raise AssertionError("a tight LP was built")
 
-        monkeypatch.setattr(generator, "_TightLpBuilder", no_lp)
+        monkeypatch.setattr(generator, "_tight_program", no_lp)
         assert generate_tight(inp, rng=np.random.default_rng(0)) == []
         assert not tight_feasible(inp)
 
@@ -248,7 +246,7 @@ class TestPairScreen:
 
 
 class TestTightLpRows:
-    """_TightLpBuilder states exactly the program of the hand-mirrored
+    """_tight_program states exactly the program of the hand-mirrored
     builder it replaced (oracles.TightLpBuilderOld)."""
 
     def test_same_program_as_mirrored_loops(self):
@@ -257,7 +255,7 @@ class TestTightLpRows:
         for inp in _sweep_inputs(sizes, per_cell=2):
             for k, l in pair_candidates_unscreened(inp):
                 for intersect in (False, True):
-                    got = _TightLpBuilder(inp, k, l, intersect).lp
+                    got = _tight_program(inp, k, l, intersect)
                     want = TightLpBuilderOld(inp, k, l, intersect)
                     assert same_program(got, np.zeros(want.nv), want.rows, want.lower,
                                         (1.0,) * want.nv), (inp, k, l, intersect)
