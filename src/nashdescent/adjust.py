@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descent import StationaryPoint, find_stationary
-from .game import Game, Profile, mixed, regrets, segment_min_f, supports
+from .game import Game, Profile, Regrets, mixed, regrets, segment_min_f, supports
 
 METHOD_TS = "ts"
 METHOD_BOUNDARY = "boundary-min"
@@ -67,32 +67,37 @@ def _ts_move_x(sp: StationaryPoint, gap: float) -> Profile:
 
 
 def _far_edge(game: Game, sp: StationaryPoint, on_x_edge) -> tuple[Profile, float]:
-    """Run on_x_edge(game, sp) -> (profile, f), written for the edge from
-    (x*, z*) to (w*, z*), on the far edge that the corner (w*, z*) picks.
+    """Run on_x_edge(game, sp, f_wz) -> (profile, f), written for the edge
+    from (x*, z*) to (w*, z*) with f_wz the regrets at (w*, z*), on the far
+    edge that the corner (w*, z*) picks.
 
     With fC >= fR there (ties within BRANCH_TIE_TOL included) that is the
-    x edge; otherwise it is the y edge, the x edge of the swapped game.
+    x edge; otherwise it is the y edge, the x edge of the swapped game,
+    whose regrets at its corner (z*, w*) are (fC, fR): the same products
+    and sums.
     """
     f_wz = regrets(game, Profile(sp.dual.w, sp.dual.z))
     if f_wz.fC >= f_wz.fR - BRANCH_TIE_TOL:
-        return on_x_edge(game, sp)
-    prof, f = on_x_edge(game.swapped(), sp.swapped())
+        return on_x_edge(game, sp, f_wz)
+    f_zw = Regrets(f_wz.fC, f_wz.fR, max(f_wz.fC, f_wz.fR))
+    prof, f = on_x_edge(game.swapped(), sp.swapped(), f_zw)
     return prof.swapped(), f
 
 
-def _x_edge_min(game: Game, sp: StationaryPoint) -> tuple[Profile, float]:
-    """The exact minimum of f on the edge from (x*, z*) to (w*, z*)."""
+def _x_edge_min(game: Game, sp: StationaryPoint, f_wz: Regrets) -> tuple[Profile, float]:
+    """The exact minimum of f on the edge from (x*, z*) to (w*, z*); the
+    corner's regrets f_wz are not needed for it."""
     z = sp.dual.z
     _, prof, f = segment_min_f(game, Profile(sp.profile.x, z), Profile(sp.dual.w, z))
     return prof, f
 
 
-def _linear_intersection(game: Game, sp: StationaryPoint) -> tuple[Profile, float]:
+def _linear_intersection(game: Game, sp: StationaryPoint,
+                         f_wz: Regrets) -> tuple[Profile, float]:
     """Where fR's chord from (x*, z*) to (w*, z*) meets fC's chord on that edge."""
     x = sp.profile.x
     w, z = sp.dual.w, sp.dual.z
     f_xz = regrets(game, Profile(x, z))
-    f_wz = regrets(game, Profile(w, z))
     den = f_xz.fR + f_wz.fC - f_wz.fR
     p = 0.0 if abs(den) <= 1e-12 else f_xz.fR / den
     prof = Profile(mixed(np.clip(p * w + (1.0 - p) * x, 0.0, None)), z)

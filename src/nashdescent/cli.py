@@ -75,7 +75,11 @@ def _static_instance(name: str):
     if name == "dfm-tight":
         return dfm_tight()
     if name.startswith("dfm-family:"):
-        return dfm_family(float(name.split(":", 1)[1]))
+        try:
+            return dfm_family(float(name.split(":", 1)[1]))
+        except ValueError as err:  # not a number, or outside (0, 1/3]
+            raise GameError(f"static instance {name!r}: expected dfm-family:EPS with EPS "
+                            "in (0, 1/3]") from err
     if name == "half-sp":
         return half_sp()
     raise GameError(
@@ -140,7 +144,22 @@ def cmd_constants(args) -> int:
     return EXIT_OK
 
 
+# generate's sampling flags and their defaults.  The parser leaves each of
+# them out of the namespace unless it is given, so that --static, which
+# samples nothing, can reject them.
+SAMPLING_DEFAULTS = {"size": (3, 3), "restriction": "disjoint", "seed": 0,
+                     "max_attempts": MAX_INPUT_DRAWS, "lambda_intersect": False,
+                     "mixed_duals": False}
+
+
 def cmd_generate(args) -> int:
+    given = [dest for dest in SAMPLING_DEFAULTS if hasattr(args, dest)]
+    if args.static and given:
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
+        raise ValueError(f"--static writes a named instance and reads no sampling flag: {flags}")
+    for dest, value in SAMPLING_DEFAULTS.items():
+        if dest not in given:
+            setattr(args, dest, value)
     low = [flag for flag, v in (("--count", args.count), ("--max-attempts", args.max_attempts))
            if v < 1]
     if low:
@@ -243,15 +262,16 @@ def main(argv=None) -> int:
 
     g = sub.add_parser("generate", help="generate worst-case instances")
     g.set_defaults(run=cmd_generate)
-    g.add_argument("--size", type=_parse_size, default=(3, 3))
+    unset = argparse.SUPPRESS  # see SAMPLING_DEFAULTS
+    g.add_argument("--size", type=_parse_size, default=unset)
     g.add_argument("--count", type=int, default=1)
-    g.add_argument("--restriction", default="disjoint", choices=RESTRICTIONS)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--restriction", choices=RESTRICTIONS, default=unset)
+    g.add_argument("--seed", type=int, default=unset)
     g.add_argument("--out", default=".")
-    g.add_argument("--max-attempts", type=int, default=MAX_INPUT_DRAWS)
-    g.add_argument("--lambda-intersect", action="store_true",
+    g.add_argument("--max-attempts", type=int, default=unset)
+    g.add_argument("--lambda-intersect", action="store_true", default=unset,
                    help="also make k best-respond to y*, and certify the whole square")
-    g.add_argument("--mixed-duals", action="store_true")
+    g.add_argument("--mixed-duals", action="store_true", default=unset)
     g.add_argument("--static", default=None,
                    help="write a named instance instead of sampling")
 

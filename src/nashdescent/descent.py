@@ -323,8 +323,9 @@ def t_value(game: Game, p: Profile, q: Profile, d: DualSolution) -> float:
     return float(d.rho * term_r + (1.0 - d.rho) * term_c)
 
 
-def line_search(game: Game, p: Profile, dres: DirectionResult) -> float:
-    """Closed-form step size in (0,1] toward (x_new, y_new).
+def line_search(game: Game, p: Profile, dres: DirectionResult, f: float) -> float:
+    """Closed-form step size in (0,1] toward (x_new, y_new), where f is
+    the regret f at p (``regrets(game, p).f``).
 
     The two support bounds keep the best-response sets from being overtaken
     mid-step; indices whose payoff cannot catch up along the direction
@@ -358,7 +359,7 @@ def line_search(game: Game, p: Profile, dres: DirectionResult) -> float:
     dy = yp - y
     H = min(float(dx @ R @ dy), float(dx @ C @ dy))
     if H < 0:
-        eps = min(eps, abs(dres.value - regrets(game, p).f) / (2.0 * abs(H)))
+        eps = min(eps, abs(dres.value - f) / (2.0 * abs(H)))
     return min(eps, 1.0)
 
 
@@ -414,7 +415,7 @@ def find_stationary(
             )
         if iterations >= max_iter:
             raise DescentBudgetError(p, r.f, iterations)
-        eps = line_search(game, p, d)
+        eps = line_search(game, p, d, r.f)
         p = Profile(normalize_in_place(np.maximum(p.x + eps * (d.x_new - p.x), 0.0)),
                     normalize_in_place(np.maximum(p.y + eps * (d.y_new - p.y), 0.0)))
         iterations += 1

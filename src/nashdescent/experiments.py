@@ -31,6 +31,7 @@ from .generator import (
     sample_outside_ball,
     tight_feasible,
 )
+from .lp import LpNumericalError
 
 F_THRESHOLD = 0.339
 # Descent precision of the outside-the-ball restarts.
@@ -323,13 +324,19 @@ def _compare_task(payload):
         rng = _rng(seed, t) if descent else _rng(seed)
         p0 = lattice_profile(game.m, game.n, RESOLUTION, rng) if descent else None
         t0 = time.perf_counter()
+        error = None
         try:
             f, _, iters, detail = run_algorithm(game, algorithm, p0, delta, rounds, rng)
         except DescentBudgetError as err:
             f, iters = err.f, err.iterations
+        except LpNumericalError as err:
+            # A failed run is a record with no f, not an aborted experiment.
+            f, iters, detail, error = math.nan, 0, {}, str(err)
         wall = (time.perf_counter() - t0) * 1000.0
-        records.append(TrialRecord("compare", key, algorithm, seed, f, iters, wall,
-                                   {"trial": t} if descent else detail))
+        detail = {"trial": t} if descent else detail
+        if error is not None:
+            detail = {**detail, "error": error}
+        records.append(TrialRecord("compare", key, algorithm, seed, f, iters, wall, detail))
     return records
 
 
@@ -480,17 +487,24 @@ def exp_success_rate(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def aggregate_compare(records, cfg_dict) -> dict:
+    """Per algorithm: its runs, how many of them failed (a record whose
+    detail holds an ``error``), and the statistics of f over the others,
+    None when every run failed."""
     agg = {}
     for alg in cfg_dict["algorithms"]:
-        fs = np.array([r.f for r in records if r.algorithm == alg])
+        runs = [r for r in records if r.algorithm == alg]
+        if not runs:
+            continue
+        fs = np.array([r.f for r in runs if "error" not in r.detail])
+        stats = dict.fromkeys(("pr_f_above_339", "pr_f_above_01", "median_f", "max_f"))
         if fs.size:
-            agg[alg] = {
-                "runs": int(fs.size),
+            stats = {
                 "pr_f_above_339": float((fs > F_THRESHOLD).mean()),
                 "pr_f_above_01": float((fs > 0.01).mean()),
                 "median_f": float(np.median(fs)),
                 "max_f": float(fs.max()),
             }
+        agg[alg] = {"runs": len(runs), "failed": len(runs) - int(fs.size), **stats}
     return agg
 
 

@@ -16,6 +16,8 @@ and the standard form is filled by whole-block assignments.  Work that is
 one number per row runs on Python floats, with the same arithmetic as on
 arrays: the standard form's relation signs, slacks and artificial rows,
 the ratio test's ties, and the finiteness checks of a recovered solution.
+The recovery's two linear solves, with B and with B', go to LAPACK as one
+stacked call.
 
 A program states its constraints as one block: a (k, nv) coefficient
 array, k relations and k right-hand sides, fixed when the program is made.
@@ -52,6 +54,10 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 LE, EQ, GE = "<=", "=", ">="
+_RELATIONS = frozenset((LE, EQ, GE))
+
+# What c_user @ shift is when nothing is shifted.
+_ZERO = np.float64(0.0)
 
 # (ratio-tie window, entering rule) fallbacks, tried in order.
 _ATTEMPTS = ((TOL, "bland"), (1e-7, "bland"), (1e-7, "dantzig"), (1e-5, "dantzig"))
@@ -73,7 +79,8 @@ class LinearProgram:
     for each row i, and box bounds on x.
 
     ``constraints`` is a (k, nv) array, ``relations`` k of LE, EQ and GE,
-    and ``rhs`` k finite numbers.  Bounds are finite or None and default to
+    and ``rhs`` k numbers; every coefficient and rhs, like every entry of
+    the objective, must be finite.  Bounds are finite or None and default to
     x >= 0.  A lower bound of None makes the variable free; finite lower
     bounds are shifted out internally and upper bounds become internal
     rows, so callers never see either transformation.  The constraints and
@@ -92,11 +99,12 @@ class LinearProgram:
     def __post_init__(self):
         self._check_objective(None)
         nv = self.objective.size
+        given = self.lower is not None or self.upper is not None
         self.lower = (0.0,) * nv if self.lower is None else tuple(self.lower)
         self.upper = (None,) * nv if self.upper is None else tuple(self.upper)
         if len(self.lower) != nv or len(self.upper) != nv:
             raise LpError("bound lists must match the variable count")
-        if not all(math.isfinite(v) for v in self.lower + self.upper if v is not None):
+        if given and not all(math.isfinite(v) for v in self.lower + self.upper if v is not None):
             raise LpError("bounds must be finite; None marks a free or unbounded variable")
         A = np.asarray(self.constraints, dtype=float)
         self.constraints = A.reshape(0, nv) if A.size == 0 else A
@@ -106,9 +114,11 @@ class LinearProgram:
         if self.constraints.shape != (k, nv) or self.rhs.shape != (k,):
             raise LpError("constraints must be a (rows, variables) block with one "
                           "relation and one rhs per row")
-        if not set(self.relations) <= {LE, EQ, GE}:
+        if not _RELATIONS.issuperset(self.relations):
             raise LpError(f"unknown relation among {self.relations}")
-        if not np.isfinite(self.rhs).all():
+        if not np.logical_and.reduce(np.isfinite(self.constraints), axis=None):
+            raise LpError("constraint coefficients must be finite")
+        if not all(map(math.isfinite, self.rhs.tolist())):
             raise LpError("constraint rhs must be finite")
         self._form = _ConstraintForm(self)
 
@@ -118,6 +128,8 @@ class LinearProgram:
             raise LpError("objective must be a nonempty vector")
         if nv is not None and self.objective.size != nv:
             raise LpError("objective length does not match the variable count")
+        if not all(map(math.isfinite, self.objective.tolist())):
+            raise LpError("objective coefficients must be finite")
         if self.sense not in (MINIMIZE, MAXIMIZE):
             raise LpError(f"unknown sense {self.sense!r}")
 
@@ -183,18 +195,19 @@ def _run_simplex(T, basis, budget, window, entering, bounded_objective=False):
             return OPTIMAL
         colv = T[:-1, col]
         pos = (colv > TOL).nonzero()[0]
-        if pos.size == 0:
+        pl = pos.tolist()
+        if not pl:
             if not bounded_objective:
                 return UNBOUNDED
             if allowed is None:
                 allowed = np.ones(reduced.size, dtype=bool)
             allowed[col] = False
             continue
-        row = pos[0]
-        if pos.size > 1:
+        row = pl[0]
+        if len(pl) > 1:
             # The ratio test on Python floats: the same divisions and
             # comparisons as on arrays, without an array call for each.
-            cl, pl = colv[pos].tolist(), pos.tolist()
+            cl = colv[pos].tolist()
             ratios = [b / c for b, c in zip(rhs[pos].tolist(), cl)]
             best = min(ratios)
             limit = best + window * (1.0 + abs(best))
@@ -203,7 +216,7 @@ def _run_simplex(T, basis, budget, window, entering, bounded_objective=False):
             if len(ties) > 1:
                 floor = 0.1 * max([cl[k] for k in ties])
                 row = min([pl[k] for k in ties if cl[k] >= floor], key=basis.__getitem__)
-        _pivot(T, int(row), col, basis)
+        _pivot(T, row, col, basis)
     raise LpNumericalError(
         f"no optimal basis within {budget} pivots ({nrows} rows)"
     )
@@ -216,11 +229,13 @@ class _ConstraintForm:
     def __init__(self, lp: LinearProgram):
         nv = self.nv = lp.objective.size
         n_user = self.n_user = len(lp.relations)
-        self.free_extra = [j for j, lo in enumerate(lp.lower) if lo is None]
-        shift = [0.0 if lo is None else float(lo) for lo in lp.lower]
-        self.shift = np.array(shift)
-        ub = [j for j, up in enumerate(lp.upper) if up is not None]
-        if any(lp.lower[j] is None for j in ub):
+        lower, upper = lp.lower, lp.upper
+        # Each index scan runs only when its tuple holds what it looks for.
+        self.free_extra = [j for j, lo in enumerate(lower) if lo is None] if None in lower else []
+        shift = [0.0 if lo is None else float(lo) for lo in lower]
+        self.shift, self.shifted = np.array(shift), any(shift)
+        ub = [j for j, up in enumerate(upper) if up is not None] if upper.count(None) < nv else []
+        if ub and any(lower[j] is None for j in ub):
             raise LpError("upper bound on a free variable is not supported")
         ncols_struct = self.ncols_struct = nv + len(self.free_extra)
         nrows = self.nrows = n_user + len(ub)
@@ -232,13 +247,15 @@ class _ConstraintForm:
         # one product per row, since A @ shift sums in another order and can
         # move a last bit; with nothing shifted every product is +0.0.  The
         # per-row bookkeeping runs on Python floats, with the same values.
-        rhs = lp.rhs
-        if any(shift):
+        rhs, rels = lp.rhs, lp.relations
+        if self.shifted:
             rhs = np.array([bi - a @ self.shift for a, bi in zip(lp.constraints, rhs)])
-        rhs = rhs.tolist() + [float(lp.upper[j]) - shift[j] for j in ub]
+        rhs = rhs.tolist()
+        if ub:
+            rhs += [float(lp.upper[j]) - shift[j] for j in ub]
+            rels += (LE,) * len(ub)
         flip = [-1.0 if bi < 0 else 1.0 for bi in rhs]
-        slack = [0.0 if rel == EQ else f if rel == LE else -f
-                 for rel, f in zip(lp.relations + (LE,) * len(ub), flip)]
+        slack = [0.0 if rel == EQ else f if rel == LE else -f for rel, f in zip(rels, flip)]
         self.flip = np.array(flip)
         A = np.zeros((nrows, ncols))
         S = A[:, :ncols_struct]
@@ -251,19 +268,25 @@ class _ConstraintForm:
         if -1.0 in flip:
             S *= self.flip[:, None]
         A.ravel()[ncols_struct::ncols + 1] = slack  # the slack block's diagonal
-        self.A, self.b = A, np.array([bi * f for bi, f in zip(rhs, flip)])
+        b = [bi * f for bi, f in zip(rhs, flip)]
+        self.A, self.b = A, np.array(b)
         # Phase 1's starting basis: the slack of each row, or an artificial
         # (a column past ncols) for a row whose slack cannot start at b_i.
-        # Also the flat positions of the artificials' unit entries in phase
-        # 1's tableau, and the rows its cost row is made of.
+        # Also the flat positions in phase 1's tableau of the artificials'
+        # unit entries and of their 1s in the last row, and the rows its
+        # cost row is made of.
         art = self.needs_artificial = [i for i, sl in enumerate(slack) if sl <= 0.0]
-        self.start_basis = list(range(ncols_struct, ncols))
+        start_basis = list(range(ncols_struct, ncols))
         width = ncols + len(art) + 1
         for j, i in enumerate(art, ncols):
-            self.start_basis[i] = j
-        self.art_cells = np.array([i * width + j for j, i in enumerate(art, ncols)], dtype=np.intp)
+            start_basis[i] = j
+        self.start_basis = np.array(start_basis, dtype=np.intp)
+        cost_ones = range(nrows * width + ncols, nrows * width + ncols + len(art))
+        self.art_cells = np.array([i * width + j for j, i in enumerate(art, ncols)]
+                                  + list(cost_ones), dtype=np.intp)
         self.cost_rows = np.array([nrows] + art, dtype=np.intp)
-        self.resid_tol = CHECK_TOL * (1.0 + np.abs(self.b).max(initial=0.0))
+        # Every b_i is >= 0 or -0.0, so max(b) is max|b_i| once 1.0 is added.
+        self.resid_tol = CHECK_TOL * (1.0 + max(b, default=0.0))
         self.budget = 50 * (ncols + nrows)
         self._phase_one = {}
 
@@ -287,12 +310,19 @@ class _Objective:
     """The per-objective part of the standard form: sign and costs."""
 
     def __init__(self, lp: LinearProgram, form: _ConstraintForm):
+        # -c is the product -1.0 * c, and 1.0 * c is c.
         self.sign = 1.0 if lp.sense == MINIMIZE else -1.0
-        self.c_user = self.sign * lp.objective
-        self.c_full = np.zeros(form.ncols)
-        self.c_full[: form.nv] = self.c_user
-        self.c_full[form.nv : form.ncols_struct] = -self.c_user.take(form.free_extra)
-        self.c_std = self.c_full[: form.ncols_struct]
+        self.c_user = lp.objective if lp.sense == MINIMIZE else -lp.objective
+        # Phase 2's first objective row: the cost of every standard-form
+        # column, then 0.0 in the rhs column.
+        self.c_row = np.zeros(form.ncols + 1)
+        self.c_row[: form.nv] = self.c_user
+        if form.free_extra:
+            self.c_row[form.nv : form.ncols_struct] = -self.c_user.take(form.free_extra)
+        self.c_std = self.c_row[: form.ncols_struct]
+        # The product sign * flip of each user row, which orients its dual.
+        user_flip = form.flip[: form.n_user]
+        self.dual_sign = user_flip if lp.sense == MINIMIZE else -user_flip
 
 
 def _phase_one(form: _ConstraintForm, window: float, entering: str):
@@ -306,32 +336,34 @@ def _phase_one(form: _ConstraintForm, window: float, entering: str):
     on the objective.
     """
     nrows, ncols, art = form.nrows, form.ncols, form.needs_artificial
-    basis = np.array(form.start_basis, dtype=np.intp)
+    basis = form.start_basis.copy()
     T = np.zeros((nrows + 1, ncols + len(art) + 1))
     T[:nrows, :ncols] = form.A
     T[:nrows, -1] = form.b
     if not art:
         return T, basis, None
+    # The artificials' unit entries, and a 1 at each in the last row; then
+    # phase 1's costs: that row minus every artificial row, subtracted one
+    # row at a time in row order.
     T.ravel()[form.art_cells] = 1.0
-    # Phase-1 costs: 1 on each artificial, minus every artificial row,
-    # subtracted one row at a time in row order.
-    T[-1, ncols:-1] = 1.0
-    T[-1] = np.subtract.reduce(T[form.cost_rows])
+    np.subtract.reduce(T.take(form.cost_rows, axis=0), out=T[-1])
     _run_simplex(T, basis, form.budget, window, entering, bounded_objective=True)
     if -T[-1, -1] > CHECK_TOL:
         return None
     # Drive leftover artificials out of the basis; an artificial stuck in
     # an all-zero row marks a redundant constraint, which is dropped.
     dropped = []
-    for i in (basis >= ncols).nonzero()[0]:
-        row = np.abs(T[i, :ncols])
-        cand = (row > 1e-7).nonzero()[0]
-        if cand.size == 0:
-            cand = (row > TOL).nonzero()[0]
-        if cand.size:
-            _pivot(T, i, int(cand[0]), basis)
-        else:
-            dropped.append(i)
+    in_basis = basis.tolist()
+    if max(in_basis) >= ncols:
+        for i in [i for i, j in enumerate(in_basis) if j >= ncols]:
+            row = np.abs(T[i, :ncols])
+            cand = (row > 1e-7).nonzero()[0]
+            if cand.size == 0:
+                cand = (row > TOL).nonzero()[0]
+            if cand.size:
+                _pivot(T, i, int(cand[0]), basis)
+            else:
+                dropped.append(i)
     T = np.concatenate([T[:, :ncols], T[:, -1:]], axis=1)
     if not dropped:
         return T, basis, None
@@ -347,8 +379,8 @@ def _phase_two(form: _ConstraintForm, obj: _Objective, start, window: float, ent
     """
     T, basis = start[0].copy(), start[1].copy()
     z = T[-1]
-    z[:-1], z[-1] = obj.c_full, 0.0
-    z -= obj.c_full[basis] @ T[:-1]
+    z[:] = obj.c_row
+    z -= obj.c_row[basis] @ T[:-1]
     status = _run_simplex(T, basis, form.budget, window, entering)
     return None if status == UNBOUNDED else basis
 
@@ -362,20 +394,23 @@ def _extract(form: _ConstraintForm, obj: _Objective, basis, kept):
     """
     A, b = form.A, form.b
     if kept is None:
-        Bmat, bk = A[:, basis], b
+        Bmat, bk = A.take(basis, axis=1), b
     else:
         Bmat, bk = A[np.ix_(kept, basis)], b[kept]
+    # B x = b and B' y = c_B as one stacked call: LAPACK solves each
+    # matrix of the stack on its own, as two calls would.
     try:
-        xb = np.linalg.solve(Bmat, bk)
-        yk = np.linalg.solve(Bmat.T, obj.c_full[basis])
+        xy = np.linalg.solve(np.array((Bmat, Bmat.T)),
+                             np.array((bk, obj.c_row.take(basis)))[:, :, None])
     except np.linalg.LinAlgError:
         return None
-    xl = xb.tolist()
-    if not all(map(math.isfinite, xl + yk.tolist())) or min(xl, default=0.0) < -CHECK_TOL:
+    xl, yl = xy.reshape(2, -1).tolist()
+    if not all(map(math.isfinite, xl + yl)) or min(xl, default=0.0) < -CHECK_TOL:
         return None
+    xb, yk = xy[:, :, 0]
     x_std = np.zeros(form.ncols)
     x_std[basis] = np.maximum(xb, 0.0)
-    resid = np.abs(A @ x_std - b).max(initial=0.0)
+    resid = np.maximum.reduce(np.abs(A @ x_std - b), initial=0.0)
     if resid > form.resid_tol:
         return None
     y_std = yk
@@ -384,13 +419,18 @@ def _extract(form: _ConstraintForm, obj: _Objective, basis, kept):
         y_std[kept] = yk
 
     x = x_std[: form.nv].copy()
-    if form.free_extra:
-        x[form.free_extra] -= x_std[form.nv : form.ncols_struct]
-    x += form.shift
+    for k, j in enumerate(form.free_extra, form.nv):  # the same subtraction per entry
+        x[j] -= x_std[k]
+    # With nothing shifted, x += shift would add +0.0 to entries that are
+    # never -0.0 (np.maximum returns +0.0 for -0.0, and a - a is +0.0), and
+    # c_user @ shift of a finite c_user is +0.0.
+    c_shift = _ZERO
+    if form.shifted:
+        x += form.shift
+        c_shift = obj.c_user @ form.shift
     primal_obj_std = float(obj.c_std @ x_std[: form.ncols_struct])
     dual_obj_std = float(y_std @ b)
-    duals = obj.sign * form.flip[: form.n_user] * y_std[: form.n_user]
-    c_shift = obj.c_user @ form.shift
+    duals = obj.dual_sign * y_std[: form.n_user]
     objective = obj.sign * (primal_obj_std + c_shift)
     dual_objective = obj.sign * (dual_obj_std + c_shift)
     return LpSolution(

@@ -310,6 +310,33 @@ def test_malformed_static_size_is_io_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: static instance 'tight-3'")
 
 
+@pytest.mark.parametrize("spec", ["dfm-family:abc", "dfm-family:0.5", "dfm-family:0",
+                                  "dfm-family:nan", "dfm-family:"])
+def test_malformed_dfm_family_names_the_form(tmp_path, capsys, spec):
+    code = main(["generate", "--static", spec, "--out", str(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: static instance {spec!r}: expected dfm-family:EPS "
+                            "with EPS in (0, 1/3]\n")
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["--size", "5x5", "--seed", "3", "--lambda-intersect"],
+     "--size, --seed, --lambda-intersect"),
+    (["--restriction", "none", "--mixed-duals", "--max-attempts", "3"],
+     "--restriction, --max-attempts, --mixed-duals"),
+    (["--seed", "0"], "--seed"),  # a default value, given, is still given
+])
+def test_static_rejects_sampling_flags(tmp_path, capsys, argv, flags):
+    code = main(["generate", "--static", "tight-3x3", *argv, "--out", str(tmp_path / "out")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --static writes a named instance and reads no sampling flag: {flags}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("spec", ["tight-3x3", "tight-4x5", "no-dominated", "dfm-tight",
                                   "dfm-family:0.1", "half-sp"])
 def test_static_file_stem_is_its_spec(tmp_path, capsys, spec):

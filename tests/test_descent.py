@@ -194,7 +194,7 @@ class TestLineSearch:
         f = regrets(g, p).f
         H = min((q.x_new - p.x) @ R @ (q.y_new - p.y),
                 (q.x_new - p.x) @ C @ (q.y_new - p.y))
-        eps = line_search(g, p, q)
+        eps = line_search(g, p, q, f)
         if H < 0:
             assert eps == pytest.approx(min(1.0, abs(q.value - f) / (2 * abs(H))))
         else:
@@ -209,7 +209,7 @@ class TestLineSearch:
         d = direction(g, p)
         if d.value >= r.f - 1e-6:
             pytest.skip("start already stationary")
-        eps = line_search(g, p, d)
+        eps = line_search(g, p, d, r.f)
         assert 0.0 < eps <= 1.0
         stepped = Profile(
             mixed(np.clip(p.x + eps * (d.x_new - p.x), 0, None)),
@@ -519,7 +519,8 @@ class TestReferenceBits:
                     d = descent.DirectionResult(q.x, q.y, float(rng.uniform(-0.5, 0.5)))
                     calls.append((game, random_profile(game, rng), d))
         for game, p, d in calls:
-            assert repr(line_search(game, p, d)) == repr(line_search_old(game, p, d))
+            f = regrets(game, p).f
+            assert repr(line_search(game, p, d, f)) == repr(line_search_old(game, p, d))
         assert len(calls) >= 240
 
 

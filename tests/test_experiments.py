@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from nashdescent.experiments import (
     wilson_interval,
 )
 from nashdescent.generator import RESTRICTIONS, SamplingError
+from nashdescent.lp import LpNumericalError
 
 
 def strip_walls(report):
@@ -211,6 +213,45 @@ class TestCompare:
         agg = rep.aggregates["ts"]
         assert agg["median_f"] == pytest.approx(float(np.median(fs)))
         assert agg["pr_f_above_01"] == pytest.approx(float(np.mean(np.array(fs) > 0.01)))
+
+    def test_a_failed_run_is_a_record(self, monkeypatch):
+        cfg = ExperimentConfig(sizes=((3, 3),), count=1, points=4, rounds=200, seed=7)
+        want = exp_compare(cfg)
+        real = experiments.run_algorithm
+        ts_calls = []
+
+        def third_ts_run_fails(game, algorithm, *args):
+            if algorithm == "ts":
+                ts_calls.append(None)
+                if len(ts_calls) == 3:
+                    raise LpNumericalError("terminal basis failed feasibility checks")
+            return real(game, algorithm, *args)
+
+        monkeypatch.setattr(experiments, "run_algorithm", third_ts_run_fails)
+        got = exp_compare(cfg)
+        assert len(got.records) == len(want.records)
+        failed = [r for r in got.records if "error" in r.detail]
+        assert len(failed) == 1
+        bad = failed[0]
+        assert (bad.algorithm, bad.iterations) == ("ts", 0) and math.isnan(bad.f)
+        assert bad.detail == {"trial": 2, "error": "terminal basis failed feasibility checks"}
+        # Every other record is unchanged, wall times aside.
+        others = [(g, w) for g, w in zip(got.records, want.records) if g is not bad]
+        assert all(dataclasses.replace(g, wall_ms=0.0) == dataclasses.replace(w, wall_ms=0.0)
+                   for g, w in others)
+        fs = [r.f for r in got.records if r.algorithm == "ts" and r is not bad]
+        agg = got.aggregates["ts"]
+        assert (agg["runs"], agg["failed"], agg["max_f"]) == (4, 1, max(fs))
+        assert agg["median_f"] == float(np.median(fs))
+        assert got.aggregates["fp"] == {**want.aggregates["fp"], "failed": 0}
+        assert recompute_aggregates(got) == got.aggregates
+
+    def test_every_run_failed(self):
+        rec = experiments.TrialRecord("compare", "3x3#0", "zs", 1, math.nan, 0, 0.0,
+                                      {"error": "zero-sum LP ended infeasible"})
+        agg = experiments.aggregate_compare([rec], {"algorithms": ["zs"]})
+        assert agg == {"zs": {"runs": 1, "failed": 1, "pr_f_above_339": None,
+                              "pr_f_above_01": None, "median_f": None, "max_f": None}}
 
     def test_csv_round_trip_columns(self):
         cfg = ExperimentConfig(sizes=((3, 3),), count=1,

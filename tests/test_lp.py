@@ -80,6 +80,26 @@ def test_non_finite_bounds_rejected(bounds):
         LinearProgram(np.array([1.0]), "min", [[1.0]], [LE], [1.0], **bounds)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg-inf"])
+def test_non_finite_coefficients_rejected(bad):
+    # A NaN objective once solved to "optimal" with objective NaN, and a NaN
+    # coefficient to an "optimal" x: a NaN residual passes no check.
+    with pytest.raises(LpError):
+        LinearProgram(np.array([1.0, bad]), "min", [[1.0, 1.0]], (EQ,), [1.0])
+    with pytest.raises(LpError):
+        LinearProgram(np.array([1.0, 1.0]), "min", [[1.0, bad]], (EQ,), [1.0])
+    base = LinearProgram(np.array([1.0, 1.0]), "min", [[1.0, 1.0]], (EQ,), [1.0])
+    with pytest.raises(LpError):
+        base.with_objective(np.array([bad, 1.0]), "max")
+
+
+def test_zero_bounds_are_bounds():
+    # An upper bound of 0.0 is a bound, a lower bound of 0.0 the default.
+    sol = solve_lp(LinearProgram(np.array([-1.0, -1.0]), "min", [[1.0, 1.0]], [LE], [5.0],
+                                 lower=[0.0, 0.0], upper=[0.0, 2.0]))
+    assert sol.status == OPTIMAL and sol.x.tolist() == [0.0, 2.0] and sol.objective == -2.0
+
+
 def test_bounds_and_free_variables():
     # min x - t  s.t.  t <= 3, 0 <= x <= 2: optimum x=0, t=3
     lp = LinearProgram(
@@ -429,7 +449,7 @@ def assert_kernel_matches_reference(lp):
     assert form.b.tobytes() == old.b.tobytes() and form.flip.tobytes() == old.flip.tobytes()
     assert form.shift.tobytes() == old.shift.tobytes() and form.free_extra == old.free_extra
     assert list(form.needs_artificial) == old.needs_artificial.tolist()
-    assert (repr(form.resid_tol), form.budget) == (repr(old.resid_tol), old.budget)
+    assert (repr(float(form.resid_tol)), form.budget) == (repr(float(old.resid_tol)), old.budget)
     obj, old_obj = lpmod._Objective(new, form), ObjectiveOld(lp, old)
     for policy in lpmod._ATTEMPTS:
         assert phase_one_bits(form.phase_one(*policy)) == phase_one_bits(old.phase_one(*policy))
