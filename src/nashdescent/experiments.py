@@ -230,24 +230,38 @@ def lattice_profile(m: int, n: int, resolution: int, rng: np.random.Generator) -
 
 def _restarts(payload, start):
     """The prescribed profile and a lazy stream of descents, restart t from
-    start(star, radius, rng(seed, t)); each task applies its own stop rule."""
+    start(star, radius, rng(seed, t)), where a descent that raised
+    LpNumericalError is None; each task applies its own stop rule."""
     _, inst, radius, delta, samples, seed = payload
     star = Profile(mixed(inst.input.x_star), mixed(inst.input.y_star))
-    descents = (find_stationary(inst.game, start(star, radius, _rng(seed, t)), delta)
+    descents = (_descent(inst.game, start(star, radius, _rng(seed, t)), delta)
                 for t in range(samples))
     return star, descents
 
 
+def _descent(game: Game, p0: Profile, delta: float):
+    try:
+        return find_stationary(game, p0, delta)
+    except LpNumericalError:
+        return None
+
+
 def _stability_task(payload):
+    """A failed restart is counted in ``failed``; it neither proves nor
+    disproves stability, so the scan goes on to the next restart."""
     key, _, radius, _, samples, seed = payload
     star, descents = _restarts(payload, perturb_profile)
     t0 = time.perf_counter()
     trials_run = 0
+    failed = 0
     stable = True
     last_f = float("nan")
     iters = 0
     for sp in descents:
         trials_run += 1
+        if sp is None:
+            failed += 1
+            continue
         iters += sp.iterations
         last_f = sp.f
         if profile_distance(sp.profile, star) >= radius:
@@ -256,18 +270,23 @@ def _stability_task(payload):
     wall = (time.perf_counter() - t0) * 1000.0
     return TrialRecord(
         "stability", key, "ts-descent", seed, last_f, iters, wall,
-        {"stable": stable, "trials_run": trials_run, "samples": samples},
+        {"stable": stable, "trials_run": trials_run, "samples": samples, "failed": failed},
     )
 
 
 def _otb_task(payload):
+    """A failed restart is counted in ``failed`` and is never effective."""
     key, _, radius, _, samples, seed = payload
     star, descents = _restarts(payload, sample_outside_ball)
     t0 = time.perf_counter()
     effective_trials = 0
+    failed = 0
     iters = 0
     last_f = float("nan")
     for sp in descents:
+        if sp is None:
+            failed += 1
+            continue
         iters += sp.iterations
         last_f = sp.f
         if profile_distance(sp.profile, star) >= radius and sp.f < F_THRESHOLD:
@@ -279,6 +298,7 @@ def _otb_task(payload):
             "effective_trials": effective_trials,
             "samples": samples,
             "effective": effective_trials >= EFFECTIVENESS * samples,
+            "failed": failed,
         },
     )
 
@@ -394,6 +414,7 @@ def aggregate_stability(records, cfg_dict) -> dict:
                 "stable": stable,
                 "rate": stable / len(rs),
                 "wilson95": [lo, hi],
+                "failed": sum(r.detail["failed"] for r in rs),
             }
     return agg
 
@@ -404,7 +425,8 @@ def exp_stability(cfg: ExperimentConfig) -> ExperimentReport:
     An instance is stable when descent returns within the perturbation ball
     for every one of its restarts (the scan short-circuits at the first
     escape).  Fall-back is measured on the descent output profile in the
-    max norm.
+    max norm.  A restart whose descent raises LpNumericalError is counted
+    in ``failed``, per record and per size, and not otherwise.
     """
     records = []
     for si, m, n, games in _tight_games(cfg):
@@ -422,6 +444,7 @@ def aggregate_otb(records, cfg_dict) -> dict:
             agg[size] = {
                 "stable_instances": len(rs),
                 "effective": sum(1 for r in rs if r.detail["effective"]),
+                "failed": sum(r.detail["failed"] for r in rs),
             }
     return agg
 
@@ -431,7 +454,8 @@ def exp_outside_ball(cfg: ExperimentConfig) -> ExperimentReport:
 
     A trial is effective when descent ends outside the ball with a ratio
     below the 0.339 threshold; an instance is effective when at least the
-    share EFFECTIVENESS (95%) of its trials are.
+    share EFFECTIVENESS (95%) of its trials are.  A trial whose descent
+    raises LpNumericalError is counted in ``failed`` and is not effective.
     """
     records = []
     for si, m, n, games in _tight_games(cfg):

@@ -4,10 +4,12 @@ anti-cycling rule, primal and dual outputs, and a zero-sum-game solver.
 Problem sizes in this package stay in the low hundreds of variables, so a
 dense tableau with fully vectorized pivots is both the simplest and the
 fastest option.  Pivot ties break by lowest index, which makes every solve
-bit-reproducible; a degenerate solve that drifts into an infeasible basis
-is detected and retried under progressively coarser, equally deterministic
-pivot policies before any result is returned.  Each fallback is logged at
-debug level on the ``nashdescent.lp`` logger.
+bit-reproducible.  Every answer is certified on the unpivoted data: primal
+feasible, dual feasible (no reduced cost below tolerance) and with a small
+residual.  A degenerate solve that drifts into a basis failing those checks
+is repaired: the tableau is rebuilt at that basis from the unpivoted data
+and dual simplex pivots make it primal feasible again.  Each repair is
+logged at debug level on the ``nashdescent.lp`` logger.
 
 The tableaux the descent solves are tiny (4 to 14 rows), so the kernel's
 cost is the number of numpy calls, not flops.  The objective row is the
@@ -21,13 +23,12 @@ stacked call.
 
 A program states its constraints as one block: a (k, nv) coefficient
 array, k relations and k right-hand sides, fixed when the program is made.
-Its objective-free standard form is built then too, and memoizes each pivot
-policy's phase-1 outcome (the feasible tableau with its basis,
-infeasibility, or the error raised), since phase 1 depends on the
-constraints and the policy only.  ``LinearProgram.with_objective`` derives
-a program with another objective that shares that form, and solving it runs
-phase 2 from a copy of the cached tableau; the answer is bit-identical to a
-fresh program's.
+Its objective-free standard form is built then too, and memoizes phase 1's
+outcome (the feasible tableau with its basis, infeasibility, or the error
+raised), since phase 1 depends on the constraints only.
+``LinearProgram.with_objective`` derives a program with another objective
+that shares that form, and solving it runs phase 2 from a copy of the
+cached tableau; the answer is bit-identical to a fresh program's.
 """
 
 from __future__ import annotations
@@ -58,9 +59,7 @@ _RELATIONS = frozenset((LE, EQ, GE))
 
 # What c_user @ shift is when nothing is shifted.
 _ZERO = np.float64(0.0)
-
-# (ratio-tie window, entering rule) fallbacks, tried in order.
-_ATTEMPTS = ((TOL, "bland"), (1e-7, "bland"), (1e-7, "dantzig"), (1e-5, "dantzig"))
+_UNSET = object()  # the phase-1 memo before phase 1 runs; None means infeasible
 
 _log = logging.getLogger(__name__)
 
@@ -70,7 +69,7 @@ class LpError(ValueError):
 
 
 class LpNumericalError(RuntimeError):
-    """No pivot policy produced a clean optimal basis within budget."""
+    """A pivot budget ran out, or a rejected basis could not be repaired."""
 
 
 @dataclass
@@ -137,10 +136,9 @@ class LinearProgram:
         """The same constraints and bounds under another objective.
 
         The returned program shares this one's validated constraints, its
-        bounds and its standard form, whose memo holds each pivot policy's
-        phase-1 outcome; so among all programs derived from one program,
-        phase 1 runs once per policy and every further solve runs phase 2
-        only.
+        bounds and its standard form, whose memo holds phase 1's outcome;
+        so among all programs derived from one program, phase 1 runs once
+        and every further solve runs phase 2 only.
         """
         lp = copy.copy(self)
         lp.objective, lp.sense = objective, sense
@@ -168,14 +166,13 @@ def _pivot(T: np.ndarray, row: int, col: int, basis: np.ndarray):
     basis[row] = col
 
 
-def _run_simplex(T, basis, budget, window, entering, bounded_objective=False):
+def _run_simplex(T, basis, budget, bounded_objective=False):
     """Drive a tableau to optimality; returns 'optimal' or 'unbounded'.
 
     T's last row is the objective row: reduced costs, then minus the
-    objective value.  ``entering`` picks the entering column (Bland: lowest
-    eligible index; Dantzig: most negative reduced cost, lowest index on
-    ties); the leaving row takes the best-scaled pivot among rows whose
-    ratio is within ``window`` of the minimum, lowest basis index on ties.
+    objective value.  The entering column is the lowest eligible index
+    (Bland); the leaving row takes the best-scaled pivot among rows whose
+    ratio is within TOL of the minimum, lowest basis index on ties.
     With ``bounded_objective`` (phase 1, which cannot descend below zero)
     an apparently unbounded column is numerically degenerate: it is frozen
     out of the entering candidates for the rest of the run.
@@ -187,10 +184,7 @@ def _run_simplex(T, basis, budget, window, entering, bounded_objective=False):
         eligible = reduced < -TOL
         if allowed is not None:
             eligible &= allowed
-        if entering == "bland":
-            col = int(eligible.argmax())
-        else:
-            col = int(np.where(eligible, reduced, np.inf).argmin())
+        col = int(eligible.argmax())
         if not eligible[col]:
             return OPTIMAL
         colv = T[:-1, col]
@@ -210,7 +204,7 @@ def _run_simplex(T, basis, budget, window, entering, bounded_objective=False):
             cl = colv[pos].tolist()
             ratios = [b / c for b, c in zip(rhs[pos].tolist(), cl)]
             best = min(ratios)
-            limit = best + window * (1.0 + abs(best))
+            limit = best + TOL * (1.0 + abs(best))
             ties = [k for k, r in enumerate(ratios) if r <= limit]
             row = pl[ties[0]]
             if len(ties) > 1:
@@ -224,7 +218,7 @@ def _run_simplex(T, basis, budget, window, entering, bounded_objective=False):
 
 class _ConstraintForm:
     """Objective-free equality standard form of a LinearProgram, the
-    back-maps, and the memoized phase-1 outcome of each pivot policy."""
+    back-maps, and the memoized phase-1 outcome."""
 
     def __init__(self, lp: LinearProgram):
         nv = self.nv = lp.objective.size
@@ -288,22 +282,19 @@ class _ConstraintForm:
         # Every b_i is >= 0 or -0.0, so max(b) is max|b_i| once 1.0 is added.
         self.resid_tol = CHECK_TOL * (1.0 + max(b, default=0.0))
         self.budget = 50 * (ncols + nrows)
-        self._phase_one = {}
+        self._start = _UNSET
 
-    def phase_one(self, window: float, entering: str):
-        """``_phase_one`` under one pivot policy, computed once.
-
-        Returns (T, basis, kept), None when the constraints are
-        infeasible, or the LpNumericalError that phase 1 raised.  Callers
-        must not modify the returned arrays.
+    def phase_one(self):
+        """``_phase_one``'s outcome, computed once: (T, basis, kept), None
+        when the constraints are infeasible, or the LpNumericalError that
+        phase 1 raised.  Callers must not modify the returned arrays.
         """
-        key = (window, entering)
-        if key not in self._phase_one:
+        if self._start is _UNSET:
             try:
-                self._phase_one[key] = _phase_one(self, window, entering)
+                self._start = _phase_one(self)
             except LpNumericalError as err:
-                self._phase_one[key] = err
-        return self._phase_one[key]
+                self._start = err
+        return self._start
 
 
 class _Objective:
@@ -325,15 +316,15 @@ class _Objective:
         self.dual_sign = user_flip if lp.sense == MINIMIZE else -user_flip
 
 
-def _phase_one(form: _ConstraintForm, window: float, entering: str):
-    """A feasible starting tableau for phase 2 under a fixed pivot policy.
+def _phase_one(form: _ConstraintForm):
+    """A feasible starting tableau for phase 2.
 
     Returns (T, basis, kept) with the artificial columns removed and a last
     row for phase 2's objective, where ``kept`` lists the rows left after
     redundant ones were dropped, or is None when none was; or returns None
     when the constraints are infeasible; raises LpNumericalError when the
-    budget runs out.  Depends on the constraints and the policy only, never
-    on the objective.
+    budget runs out.  Depends on the constraints only, never on the
+    objective.
     """
     nrows, ncols, art = form.nrows, form.ncols, form.needs_artificial
     basis = form.start_basis.copy()
@@ -347,7 +338,7 @@ def _phase_one(form: _ConstraintForm, window: float, entering: str):
     # row at a time in row order.
     T.ravel()[form.art_cells] = 1.0
     np.subtract.reduce(T.take(form.cost_rows, axis=0), out=T[-1])
-    _run_simplex(T, basis, form.budget, window, entering, bounded_objective=True)
+    _run_simplex(T, basis, form.budget, bounded_objective=True)
     if -T[-1, -1] > CHECK_TOL:
         return None
     # Drive leftover artificials out of the basis; an artificial stuck in
@@ -371,7 +362,7 @@ def _phase_one(form: _ConstraintForm, window: float, entering: str):
     return T[np.append(kept, nrows)], basis[kept], kept
 
 
-def _phase_two(form: _ConstraintForm, obj: _Objective, start, window: float, entering: str):
+def _phase_two(form: _ConstraintForm, obj: _Objective, start):
     """Optimize the objective from a copy of phase 1's tableau.
 
     Returns the terminal basis, or None when the objective is unbounded;
@@ -381,16 +372,18 @@ def _phase_two(form: _ConstraintForm, obj: _Objective, start, window: float, ent
     z = T[-1]
     z[:] = obj.c_row
     z -= obj.c_row[basis] @ T[:-1]
-    status = _run_simplex(T, basis, form.budget, window, entering)
+    status = _run_simplex(T, basis, form.budget)
     return None if status == UNBOUNDED else basis
 
 
 def _extract(form: _ConstraintForm, obj: _Objective, basis, kept):
-    """Primal/dual recovery from a terminal basis, with feasibility checks.
+    """Primal/dual recovery from a terminal basis, with its certificate.
 
     Both solves run against the unpivoted data, so tableau drift cannot leak
-    into the returned solution.  Returns None if the basis is not genuinely
-    feasible (the caller then retries under a coarser pivot policy).
+    into the returned solution.  Returns None unless the basis is primal
+    feasible (no basic value below -CHECK_TOL, and a residual within
+    ``resid_tol``) and dual feasible (no reduced cost c - A'y below
+    -CHECK_TOL (1 + max|c|)); the caller then repairs it.
     """
     A, b = form.A, form.b
     if kept is None:
@@ -417,6 +410,9 @@ def _extract(form: _ConstraintForm, obj: _Objective, basis, kept):
     if kept is not None:
         y_std = np.zeros(form.nrows)
         y_std[kept] = yk
+    least = min((obj.c_row[:-1] - y_std @ A).tolist())
+    if least < -CHECK_TOL and least < -CHECK_TOL * (1.0 + np.abs(obj.c_std).max()):
+        return None
 
     x = x_std[: form.nv].copy()
     for k, j in enumerate(form.free_extra, form.nv):  # the same subtraction per entry
@@ -442,6 +438,36 @@ def _extract(form: _ConstraintForm, obj: _Objective, basis, kept):
     )
 
 
+def _repair(form: _ConstraintForm, obj: _Objective, basis, kept):
+    """Dual simplex pivots from a terminal basis that ``_extract`` rejected,
+    on a tableau rebuilt at that basis from the unpivoted A and b.
+
+    While a basic value is below -TOL, the row with the most negative one
+    leaves, and the column with the least ratio of its reduced cost
+    (clamped at 0) to the row's negative entry enters, lowest index on
+    ties.  Returns the new basis, or None when B is singular, a leaving row
+    has no negative entry or the budget runs out.
+    """
+    Ab = np.column_stack((form.A, form.b))[slice(None) if kept is None else kept]
+    try:
+        rows = np.linalg.solve(Ab.take(basis, axis=1), Ab)
+    except np.linalg.LinAlgError:
+        return None
+    T = np.vstack((rows, obj.c_row - obj.c_row.take(basis) @ rows))
+    reduced, rhs = T[-1, :-1], T[:-1, -1]
+    for _ in range(form.budget):
+        row = int(rhs.argmin())
+        if rhs[row] >= -TOL:
+            return basis
+        entries = T[row, :-1]
+        cand = (entries < -TOL).nonzero()[0]
+        if not cand.size:
+            return None
+        ratios = np.maximum(reduced[cand], 0.0) / -entries[cand]
+        _pivot(T, row, int(cand[ratios.argmin()]), basis)
+    return None
+
+
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve a LinearProgram, returning primal, duals and both objectives.
 
@@ -449,37 +475,31 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     dual objective (rhs-weighted multipliers plus bound terms) equals the
     primal objective up to round-off; signs follow the usual convention
     (e.g. a binding <= row in a max problem carries a nonnegative dual).
-    Each pivot policy is one phase 1 (memoized on the program's standard
-    form, see ``LinearProgram.with_objective``) and one phase 2.
+    A solve is one phase 1 (memoized on the program's standard form, see
+    ``LinearProgram.with_objective``) and one phase 2.
+    An optimum is returned only with a basis certified on the unpivoted
+    data (``_extract``); a basis that fails is repaired (``_repair``), and
+    LpNumericalError is raised if the repaired basis fails too.
     """
     form = lp._form
-    obj = _Objective(lp, form)
-    for attempt, policy in enumerate(_ATTEMPTS, 1):
-        try:
-            return _solve_with(form, obj, *policy)
-        except LpNumericalError as err:
-            last_error = err
-            following = (f"trying policy {attempt + 1} {_ATTEMPTS[attempt]}"
-                         if attempt < len(_ATTEMPTS) else "no policy left")
-            _log.debug("pivot policy %d %s failed on a %d-row program: %s; %s",
-                       attempt, policy, form.nrows, err, following)
-    raise last_error
-
-
-def _solve_with(form: _ConstraintForm, obj: _Objective, window: float, entering: str):
-    """One pivot policy's answer; raises LpNumericalError when it fails."""
-    start = form.phase_one(window, entering)
+    start = form.phase_one()
     if isinstance(start, LpNumericalError):
         # A fresh error per solve: the memoized one is shared.
         raise LpNumericalError(*start.args)
     if start is None:
         return LpSolution(status=INFEASIBLE)
-    basis = _phase_two(form, obj, start, window, entering)
+    obj = _Objective(lp, form)
+    basis = _phase_two(form, obj, start)
     if basis is None:
         return LpSolution(status=UNBOUNDED)
     sol = _extract(form, obj, basis, start[2])
     if sol is None:
-        raise LpNumericalError("terminal basis failed feasibility checks")
+        basis = _repair(form, obj, basis, start[2])
+        sol = None if basis is None else _extract(form, obj, basis, start[2])
+        _log.debug("%s the rejected terminal basis of a %d-row program",
+                   "could not repair" if sol is None else "repaired", form.nrows)
+        if sol is None:
+            raise LpNumericalError("repaired terminal basis failed feasibility checks")
     return sol
 
 
@@ -492,9 +512,9 @@ def solve_zero_sum(A) -> tuple[np.ndarray, np.ndarray, float]:
     normalized, are a minimax strategy y of the column player.  Returns
     (x, y, value), certified on A itself: min(A'x) >= value - tol and
     max(Ay) <= value + tol with tol = 1e-8 (1 + |value|), else
-    LpNumericalError, since the kernel certifies the primal answer only.
-    x is the LP's vertex solution and y its basis's multipliers, so ties
-    inherit the simplex's pivoting policy.
+    LpNumericalError; the kernel certifies the LP, this check the claim
+    about the game.  x is the LP's vertex solution and y its basis's
+    multipliers, so ties inherit the simplex's pivot rule.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.size == 0 or not np.all(np.isfinite(A)):

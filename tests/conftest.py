@@ -63,7 +63,7 @@ def solver_runs():
     """(solver, game, start, delta) for runs shaped like the benchmark's:
     ts_solve from lattice starts on generated 3x3 tight games, dfm_solve
     from the prescribed profiles of generated 3x3 to 5x5 tight games, and
-    ts_solve on the inputs that reach the fallback pivot policies or fail."""
+    ts_solve on the inputs whose LPs reach the LP kernel's basis repair."""
     from nashdescent.adjust import ts_solve
     from nashdescent.dfm import dfm_solve
     from nashdescent.experiments import lattice_profile, sample_tight_games

@@ -6,6 +6,7 @@ differences) and never calls the code paths under test.
 
 import logging
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from itertools import chain, combinations
 
 import numpy as np
@@ -15,12 +16,12 @@ from nashdescent.descent import DirectionResult, DualSolution
 from nashdescent.game import NEG_TOL, SUM_TOL, SUPPORT_TOL, Game, GameError, Profile, mixed, regrets
 from nashdescent.generator import GeneratorInput, solve_b
 from nashdescent.lp import (
-    _ATTEMPTS,
     CHECK_TOL,
     EQ,
     GE,
     INFEASIBLE,
     LE,
+    MAXIMIZE,
     MINIMIZE,
     OPTIMAL,
     TOL,
@@ -502,6 +503,70 @@ def same_program(lp, objective, rows, lower, upper=None):
 
 
 # ---------------------------------------------------------------------------
+# An exact certificate of an optimal LP answer.
+
+
+def lp_certificate(lp: LinearProgram, sol: LpSolution):
+    """The exact violations of an optimal answer, in Fraction arithmetic on
+    the program's float data: (primal, dual, gap, objective).
+
+    In the program's minimizing form (c and the duals times -1 for a
+    maximum), the duals y give reduced costs d = c - A'y, which split into
+    multipliers max(d, 0) on each finite lower bound and max(-d, 0) on
+    each finite upper bound.
+    - primal: the largest violation of a row or a bound by x;
+    - dual: the largest violation of the duals' signs (>= 0 on a >= row,
+      <= 0 on a <= row) or of d's (>= 0 without an upper bound, <= 0
+      without a lower bound);
+    - gap: |c'x - (b'y + lower'max(d, 0) - upper'max(-d, 0))|;
+    - objective: |reported objective - c'x|, in the program's own sense.
+    Nothing here reads the kernel's standard form.
+    """
+    sign = -1 if lp.sense == MAXIMIZE else 1
+    x = [Fraction(v) for v in sol.x.tolist()]
+    y = [sign * Fraction(v) for v in sol.duals.tolist()]
+    c = [sign * Fraction(v) for v in lp.objective.tolist()]
+    A = [[Fraction(v) for v in row] for row in lp.constraints.tolist()]
+    primal, dual = [Fraction(0)], [Fraction(0)]
+    for a, rel, b, yi in zip(A, lp.relations, lp.rhs.tolist(), y):
+        r = sum(ai * xi for ai, xi in zip(a, x)) - Fraction(b)
+        primal.append(abs(r) if rel == EQ else max(r, 0) if rel == LE else max(-r, 0))
+        if rel != EQ:
+            dual.append(max(yi, 0) if rel == LE else max(-yi, 0))
+    dual_obj = sum(Fraction(b) * yi for b, yi in zip(lp.rhs.tolist(), y))
+    for j, (lo, up) in enumerate(zip(lp.lower, lp.upper)):
+        d = c[j] - sum(a[j] * yi for a, yi in zip(A, y))
+        if lo is None:
+            dual.append(max(d, 0))
+        else:
+            primal.append(max(Fraction(lo) - x[j], 0))
+            dual_obj += Fraction(lo) * max(d, 0)
+        if up is None:
+            dual.append(max(-d, 0))
+        else:
+            primal.append(max(x[j] - Fraction(up), 0))
+            dual_obj -= Fraction(up) * max(-d, 0)
+    cx = sum(cj * xj for cj, xj in zip(c, x))
+    return max(primal), max(dual), abs(cx - dual_obj), abs(Fraction(sol.objective) - sign * cx)
+
+
+def lp_certified(lp: LinearProgram, sol: LpSolution) -> bool:
+    """Whether an optimal answer passes ``lp_certificate`` within
+    CHECK_TOL (1 + s), s the largest magnitude of the data each violation
+    is measured against: the rhs and bounds for the primal, c for the duals
+    and |f| for the gap and the objective."""
+    if sol.status != OPTIMAL:
+        return False
+    primal, dual, gap, objective = lp_certificate(lp, sol)
+    bounds = [abs(v) for v in lp.lower + lp.upper if v is not None]
+    scale = max([0.0, *map(abs, lp.rhs.tolist()), *bounds])
+    f = abs(sol.objective)
+    return (primal <= CHECK_TOL * (1 + scale)
+            and dual <= CHECK_TOL * (1 + max(map(abs, lp.objective.tolist())))
+            and gap <= CHECK_TOL * (1 + f) and objective <= CHECK_TOL * (1 + f))
+
+
+# ---------------------------------------------------------------------------
 # The LP kernel and the normalizations as they were before the per-call
 # overhead was taken out of them, copied verbatim from lp.py, game.py and
 # descent.py; only the names changed (an _old suffix, and solve_lp_old builds
@@ -509,6 +574,10 @@ def same_program(lp, objective, rows, lower, upper=None):
 # kernel tests compare the library with these byte for byte.
 
 _log = logging.getLogger("nashdescent.lp.old")
+
+# The frozen kernel's (ratio-tie window, entering rule) fallbacks, tried in
+# order; the library keeps the first and repairs a basis it rejects.
+_ATTEMPTS = ((TOL, "bland"), (1e-7, "bland"), (1e-7, "dantzig"), (1e-5, "dantzig"))
 
 
 def pivot_old(T: np.ndarray, row: int, col: int, basis: np.ndarray):

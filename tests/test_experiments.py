@@ -160,6 +160,29 @@ class TestStability:
         rep = exp_stability(cfg)
         assert recompute_aggregates(rep) == rep.aggregates
 
+    def test_a_failed_restart_is_counted(self, monkeypatch):
+        cfg = ExperimentConfig(sizes=((3, 3),), count=2, samples=3, seed=5)
+        want = exp_stability(cfg)
+        real = experiments.find_stationary
+        calls = []
+
+        def second_descent_fails(game, p0, delta):
+            calls.append(None)
+            if len(calls) == 2:
+                raise LpNumericalError("terminal basis failed feasibility checks")
+            return real(game, p0, delta)
+
+        monkeypatch.setattr(experiments, "find_stationary", second_descent_fails)
+        got = exp_stability(cfg)
+        # Instance 0 escapes at its first restart; instance 1's first
+        # restart fails, and its second escapes, as it did before.
+        first, bad = (dataclasses.replace(r, wall_ms=0.0) for r in got.records)
+        assert first == dataclasses.replace(want.records[0], wall_ms=0.0)
+        assert bad.detail == {**want.records[1].detail, "failed": 1}
+        assert bad.detail == {"stable": False, "trials_run": 2, "samples": 3, "failed": 1}
+        assert got.aggregates["3x3"] == {**want.aggregates["3x3"], "failed": 1}
+        assert recompute_aggregates(got) == got.aggregates
+
 
 class TestOutsideBall:
     def test_definition_and_threshold_monotonicity(self):
@@ -175,6 +198,31 @@ class TestOutsideBall:
         eff90 = sum(r.detail["effective_trials"] >= 0.90 * r.detail["samples"]
                     for r in rep.records)
         assert eff90 >= eff95
+
+    def test_a_failed_trial_is_never_effective(self, monkeypatch):
+        cfg = ExperimentConfig(sizes=((3, 3),), count=2, samples=3, seed=4, radius=1e-30)
+        want = exp_outside_ball(cfg)
+        assert [r.detail["effective_trials"] for r in want.records] == [3, 3]
+        real = experiments.find_stationary
+        calls = []
+
+        def first_trial_fails(game, p0, delta):
+            # The stability scan runs at cfg.delta, the trials at OTB_DELTA.
+            if delta == experiments.OTB_DELTA:
+                calls.append(None)
+                if len(calls) == 1:
+                    raise LpNumericalError("terminal basis failed feasibility checks")
+            return real(game, p0, delta)
+
+        monkeypatch.setattr(experiments, "find_stationary", first_trial_fails)
+        got = exp_outside_ball(cfg)
+        bad, second = got.records
+        assert bad.detail == {"effective_trials": 2, "samples": 3, "effective": False,
+                              "failed": 1}
+        assert dataclasses.replace(second, wall_ms=0.0) == dataclasses.replace(
+            want.records[1], wall_ms=0.0)
+        assert got.aggregates["3x3"] == {"stable_instances": 2, "effective": 1, "failed": 1}
+        assert recompute_aggregates(got) == got.aggregates
 
     def test_runs_only_on_stable_instances(self):
         stab = exp_stability(ExperimentConfig(sizes=((3, 3),),

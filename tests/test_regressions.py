@@ -1,5 +1,6 @@
-"""Known library defects, pinned as strict xfails until they are fixed, and
-inputs that reach the LP kernel's fallback pivot policies."""
+"""Inputs on which a descent LP ends on a basis that fails the kernel's
+certificate, so that the LP kernel repairs it; each raised
+LpNumericalError before the repair existed."""
 
 import logging
 
@@ -9,10 +10,11 @@ import pytest
 from nashdescent.adjust import ts_solve
 from nashdescent.dfm import dfm_solve
 from nashdescent.game import Game, Profile, mixed
-from nashdescent.lp import LpNumericalError
 
-# A game and start on which the descent's direction LP fails its
-# feasibility check (found by the benchmark's input stream).
+DELTA = 1e-3
+
+# A game and start on which the descent's direction LP ends on a rejected
+# basis (found by the benchmark's input stream).
 R = [[0.3444684316253001, 0.8142700297880664, 0.8128147733676224],
      [0.008920182177778653, 0.007774419202976073, 1.0],
      [0.005136309032907142, 0.0014552564204441845, 0.0]]
@@ -22,25 +24,7 @@ C = [[0.0, 1.0, 0.5825222146359572],
 X0 = [0.15632593228333827, 0.4692273002142109, 0.3744467675024508]
 Y0 = [0.8394008555658641, 0.02133997670016621, 0.13925916773396976]
 
-
-@pytest.mark.xfail(
-    strict=True,
-    raises=LpNumericalError,
-    reason="the 6th LP of the run, a 4-row direction LP, ends on the same basis "
-    "under all four pivot policies; that basis has condition number 15.7 and "
-    "one basic variable at -1.99e-7, below CHECK_TOL = 1e-7, so every attempt "
-    "is rejected. HiGHS solves the same LP to an optimum of 9.2e-8, and the "
-    "player-swapped copy of the game solves to f = 4.7e-12. The LP kernel "
-    "needs a certified optimum (see notes/decisions.md)",
-)
-@pytest.mark.parametrize("solver", [ts_solve, dfm_solve], ids=["ts_solve", "dfm_solve"])
-def test_direction_lp_rejects_its_own_optimum(solver):
-    game = Game(np.array(R), np.array(C))
-    solver(game, Profile(mixed(X0), mixed(Y0)), delta=1e-3, max_iter=200)
-
-
-# Bench ts-tight3, seed 65: its op on input 127 of the 400 hits the same
-# rejection of a terminal direction-LP basis under both solvers.
+# Bench ts-tight3, seed 65: its op on input 127 of the 400.
 R65 = [[0.08763778585529793, 0.0, 0.309316450894032],
        [0.46818751368351375, 1.0, 0.5215667765801852],
        [0.9004525592229202, 0.8128147733676225, 0.6486485734864249]]
@@ -50,25 +34,41 @@ C65 = [[0.6486485734864249, 0.6486485734864249, 0.309316450894032],
 X65 = [0.28747192206208855, 0.5972075497495093, 0.11532052818840223]
 Y65 = [0.0016167714231791154, 0.9982618981831813, 0.00012133039363958914]
 
+# Bench ts-tight3, seed 46: its ops on inputs 28 and 108, two starts on the
+# same game.
+R46 = [[0.8128147733676224, 0.9999879300449557, 0.9999573992471362],
+       [0.0, 0.1871731566773333, 0.6606252766547434],
+       [0.9999999999999998, 0.9999355186557111, 0.6560404153593603]]
+C46 = [[0.5825222146359571, 0.9999999999999998, 0.0],
+       [0.9999573992471362, 0.9999573992471362, 0.6606252766547434],
+       [0.9999730804711888, 0.9999355186557111, 0.663926803120658]]
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=LpNumericalError,
-    reason="a direction LP of the descent ends on a basis that fails the "
-    "kernel's feasibility checks under all four pivot policies (\"terminal "
-    "basis failed feasibility checks\"); the LP kernel needs a certified "
-    "optimum (see notes/decisions.md)",
-)
+REPAIRED_INPUTS = {
+    "direction-lp": (R, C, X0, Y0),
+    "seed65-input127": (R65, C65, X65, Y65),
+    "seed46-input28": (R46, C46, [0.9829296544481702, 0.008291076481994541, 0.008779269069835302],
+                       [0.061601411451423484, 0.3844283965799384, 0.5539701919686381]),
+    "seed46-input108": (R46, C46, [0.05104158005435102, 0.008863073772903409, 0.9400953461727456],
+                        [0.6140874799306945, 0.28487962144134854, 0.10103289862795711]),
+}
+
+
+def final_f(solver, R_, C_, x0, y0):
+    res = solver(Game(np.array(R_), np.array(C_)), Profile(mixed(x0), mixed(y0)),
+                 delta=DELTA, max_iter=200)
+    return res.best.f if solver is ts_solve else res.f
+
+
+@pytest.mark.parametrize("case", sorted(REPAIRED_INPUTS))
 @pytest.mark.parametrize("solver", [ts_solve, dfm_solve], ids=["ts_solve", "dfm_solve"])
-def test_bench_seed_65_direction_lp_fails(solver):
-    game = Game(np.array(R65), np.array(C65))
-    solver(game, Profile(mixed(X65), mixed(Y65)), delta=1e-3, max_iter=200)
+def test_repaired_direction_lp_lets_the_descent_finish(solver, case):
+    assert final_f(solver, *REPAIRED_INPUTS[case]) <= DELTA
 
 
-# Bench ts-tight3 inputs whose descent meets a 6-row LP that the first
-# pivot policy ends on a basis failing the feasibility checks, and that a
-# later policy of lp._ATTEMPTS solves: seed 5, input 44 (the second policy)
-# and seed 1, input 175 (the third).
+# Bench ts-tight3 inputs whose descent meets a 6-row LP that the kernel's
+# pivot rule ends on a basis failing its certificate, and that the former
+# fallback pivot policies solved: seed 5, input 44 (by the second policy) and
+# seed 1, input 175 (by the third).
 FALLBACK_INPUTS = {
     "seed5-input44": (
         [[0.048927034052329774, 0.0, 0.2645077234310245],
@@ -79,7 +79,7 @@ FALLBACK_INPUTS = {
          [1.0, 0.5825222146359573, 0.0]],
         [0.2731532448498578, 0.0009795995950852175, 0.725867155555057],
         [0.6651424152403318, 0.14742541528205805, 0.18743216947761027],
-        [(1, 2)],
+        6.278415565219575e-10,
     ),
     "seed1-input175": (
         [[0.39929752038065885, 0.49097488297783265, 1.0],
@@ -90,21 +90,15 @@ FALLBACK_INPUTS = {
          [0.6031351678364035, 0.2638030452440106, 0.6031351678364035]],
         [0.12899078263388572, 0.574428829818181, 0.29658038754793326],
         [0.4264977243757768, 0.0031480383033984163, 0.5703542373208247],
-        [(1, 2), (2, 3)],
+        1.1102230246251565e-16,
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FALLBACK_INPUTS))
-def test_pivot_policy_fallback_is_logged(case, caplog):
-    R_, C_, x0, y0, fallbacks = FALLBACK_INPUTS[case]
+def test_basis_repair_is_logged(case, caplog):
+    R_, C_, x0, y0, f = FALLBACK_INPUTS[case]
     caplog.set_level(logging.DEBUG, logger="nashdescent.lp")
-    res = ts_solve(Game(np.array(R_), np.array(C_)), Profile(mixed(x0), mixed(y0)),
-                   delta=1e-3, max_iter=200)
-    assert res.best.f <= 1e-3
+    assert final_f(ts_solve, R_, C_, x0, y0) == f
     records = [r.getMessage() for r in caplog.records if r.name == "nashdescent.lp"]
-    assert len(records) == len(fallbacks), records
-    for message, (failed, following) in zip(records, fallbacks):
-        assert message.startswith(f"pivot policy {failed} ")
-        assert "failed on a 6-row program: terminal basis failed feasibility checks" in message
-        assert f"; trying policy {following} " in message
+    assert records == ["repaired the rejected terminal basis of a 6-row program"]
