@@ -203,9 +203,25 @@ def cmd_generate(args) -> int:
     return EXIT_OK if written else EXIT_EMPTY
 
 
+# solve's per-algorithm flags and their defaults, and the ones each
+# algorithm reads.  The parser leaves each flag out of the namespace unless
+# it is given, so that an algorithm can reject the flags it does not read.
+SOLVE_DEFAULTS = {"delta": 1e-3, "rounds": 10_000, "init": "uniform", "seed": 0}
+SOLVE_READS = {"ts": ("delta", "init"), "dfm": ("delta", "init"), "fp": ("rounds",),
+               "rm": ("rounds", "seed"), "zs": ()}
+
+
 def cmd_solve(args) -> int:
+    reads = SOLVE_READS[args.algorithm]
+    unread = [dest for dest in SOLVE_DEFAULTS if hasattr(args, dest) and dest not in reads]
+    if unread:
+        flags = ", ".join("--" + dest for dest in unread)
+        raise ValueError(f"--algorithm {args.algorithm} does not read {flags}")
+    for dest, value in SOLVE_DEFAULTS.items():
+        if not hasattr(args, dest):
+            setattr(args, dest, value)
     game, doc = _load_game(args.game, normalize=args.normalize)
-    p0 = _initial_profile(game, args.init, doc)
+    p0 = _initial_profile(game, args.init, doc) if "init" in reads else None
     t0 = time.perf_counter()
     f, profile, iterations, detail = run_algorithm(
         game, args.algorithm, p0, args.delta, args.rounds, np.random.default_rng(args.seed))
@@ -279,10 +295,10 @@ def main(argv=None) -> int:
     s.set_defaults(run=cmd_solve)
     s.add_argument("game")
     s.add_argument("--algorithm", default="ts", choices=ALGORITHMS)
-    s.add_argument("--delta", type=float, default=1e-3)
-    s.add_argument("--rounds", type=int, default=10_000)
-    s.add_argument("--init", default="uniform")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--delta", type=float, default=unset)  # see SOLVE_DEFAULTS
+    s.add_argument("--rounds", type=int, default=unset)
+    s.add_argument("--init", default=unset)
+    s.add_argument("--seed", type=int, default=unset)
     s.add_argument("--normalize", action="store_true",
                    help="affinely rescale out-of-range payoff matrices on load")
 

@@ -14,12 +14,16 @@ logged at debug level on the ``nashdescent.lp`` logger.
 The tableaux the descent solves are tiny (4 to 14 rows), so the kernel's
 cost is the number of numpy calls, not flops.  The objective row is the
 tableau's last row, so a pivot is one rank-1 update of the whole tableau,
-and the standard form is filled by whole-block assignments.  Work that is
-one number per row runs on Python floats, with the same arithmetic as on
-arrays: the standard form's relation signs, slacks and artificial rows,
-the ratio test's ties, and the finiteness checks of a recovered solution.
-The recovery's two linear solves, with B and with B', go to LAPACK as one
-stacked call.
+and the standard form is filled by whole-block assignments.  The
+generator's tight programs are the exception: from 4x4 up their tableaux
+have thousands of cells and mostly zero pivot columns, so a tableau above
+``RESTRICTED_UPDATE_CELLS`` cells updates only the rows whose pivot-column
+entry is nonzero.  Both updates give the same bits up to the sign of a
+zero, which no decision reads.  Work that is one number per row runs on
+Python floats, with the same arithmetic as on arrays: the standard form's
+relation signs, slacks and artificial rows, the ratio test's ties, and
+the finiteness checks of a recovered solution.  The recovery's two linear
+solves, with B and with B', go to LAPACK as one stacked call.
 
 A program states its constraints as one block: a (k, nv) coefficient
 array, k relations and k right-hand sides, fixed when the program is made.
@@ -56,6 +60,13 @@ UNBOUNDED = "unbounded"
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = frozenset((LE, EQ, GE))
+
+# Tableaux with more cells than this update only the rows a pivot changes.
+# The descent's stay far below it (at most 1705 cells, at 7x7) and so do the
+# 3x3 tight programs' (at most 2698), where the whole update is cheaper; the
+# tight programs from 4x4 up lie above it (5130 cells and more), where most
+# entries of a pivot column are 0 (notes/decisions.md section 23).
+RESTRICTED_UPDATE_CELLS = 4096
 
 # What c_user @ shift is when nothing is shifted.
 _ZERO = np.float64(0.0)
@@ -156,13 +167,26 @@ class LpSolution:
 
 
 def _pivot(T: np.ndarray, row: int, col: int, basis: np.ndarray):
-    """Pivot on T[row, col]: one rank-1 update of every row, objective row
-    (T's last) included; the pivot row's multiplier is zeroed."""
+    """Pivot on T[row, col]: a rank-1 update of the other rows, objective
+    row (T's last) included.
+
+    A tableau of at most ``RESTRICTED_UPDATE_CELLS`` cells is updated
+    whole, with the pivot row's multiplier zeroed; a larger one only in
+    the rows with a nonzero pivot-column entry.  A row left out would
+    only have become x - 0*y, which can differ from x in the sign of a
+    zero and nowhere else.
+    """
     prow = T[row]
     prow /= prow[col]
     colvals = T[:, col].copy()
     colvals[row] = 0.0
-    T -= colvals[:, None] * prow
+    if T.size > RESTRICTED_UPDATE_CELLS:
+        changed = colvals.nonzero()[0]
+        rows = T.take(changed, axis=0)
+        rows -= colvals.take(changed)[:, None] * prow
+        T[changed] = rows
+    else:
+        T -= colvals[:, None] * prow
     basis[row] = col
 
 

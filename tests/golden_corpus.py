@@ -38,7 +38,11 @@ of the two specs that had set it and had an input with more than one
 feasible pair, and only those, were rewritten: ``generate_tight[3]`` and
 ``[13]`` kept the games of their first pair and lost the rest, and
 ``[4]`` and ``[14]``, the next draws of the same specs, moved with the
-RNG that the dropped pairs no longer use.  Regenerate with
+RNG that the dropped pairs no longer use.  The 7x7 spec (disjoint
+supports, mixed duals) was appended from the code before large tableaux'
+pivots began to update only the rows they change; that regeneration added
+its three ``generate_tight`` entries and rewrote nothing else, and a second
+run rewrote nothing.  Regenerate with
 
     PYTHONPATH=src python tests/golden_corpus.py
 
@@ -313,6 +317,7 @@ GENERATOR_SPECS = (
     (5, 5, "disjoint", False, True),
     (3, 3, "nested", False, False),
     (3, 3, "intersecting", True, False),
+    (7, 7, "disjoint", False, False),
 )
 
 

@@ -243,12 +243,41 @@ def test_solve_agrees_with_exp_compare(tmp_path, capsys):
     path = tmp_path / "game.json"
     path.write_text(games[0].game.to_json())
     assert [r.algorithm for r in records] == ["fp", "rm", "zs"]
+    flags = {"fp": ["--rounds", "300"], "zs": []}
     for r in records:
         code, out = run(capsys, "solve", str(path), "--algorithm", r.algorithm,
-                        "--rounds", "300", "--seed", str(r.seed))
+                        *flags.get(r.algorithm, ["--rounds", "300", "--seed", str(r.seed)]))
         assert code == 0
         doc = json.loads(out)
         assert (doc["f"], doc["iterations"], doc["detail"]) == (r.f, r.iterations, r.detail)
+
+
+# The solve flags each algorithm does not read, with a value for each.
+SOLVE_UNREAD = {"ts": ("rounds", "seed"), "dfm": ("rounds", "seed"),
+                "fp": ("delta", "init", "seed"), "rm": ("delta", "init"),
+                "zs": ("delta", "rounds", "init", "seed")}
+SOLVE_VALUES = {"delta": "1e-4", "rounds": "50", "init": "uniform", "seed": "3"}
+
+
+@pytest.mark.parametrize("algorithm, flag", [(a, f) for a, fs in SOLVE_UNREAD.items()
+                                             for f in fs])
+def test_solve_rejects_flags_its_algorithm_never_reads(tmp_path, capsys, algorithm, flag):
+    run(capsys, "generate", "--static", "tight-3x3", "--out", str(tmp_path))
+    code = main(["solve", str(tmp_path / "tight-3x3.json"), "--algorithm", algorithm,
+                 f"--{flag}", SOLVE_VALUES[flag]])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --algorithm {algorithm} does not read --{flag}\n"
+
+
+def test_solve_names_every_unread_flag(tmp_path, capsys):
+    run(capsys, "generate", "--static", "tight-3x3", "--out", str(tmp_path))
+    argv = [f"--{flag}={value}" for flag, value in SOLVE_VALUES.items()]
+    code = main(["solve", str(tmp_path / "tight-3x3.json"), "--algorithm", "zs", *argv])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: --algorithm zs does not read --delta, "
+                                       "--rounds, --init, --seed\n")
 
 
 @pytest.mark.parametrize("argv, flags", [(["--count", "0"], "--count"),

@@ -10,6 +10,7 @@ from nashdescent.lp import (
     LE,
     INFEASIBLE,
     OPTIMAL,
+    RESTRICTED_UPDATE_CELLS,
     UNBOUNDED,
     LinearProgram,
     LpError,
@@ -441,10 +442,21 @@ def answer_bits(out):
             type(out.dual_objective), repr(out.dual_objective))
 
 
-def phase_one_bits(start):
+def phase_one_cells(form):
+    """The cells of phase 1's tableau, artificial columns included: the
+    largest tableau a program pivots on."""
+    return (form.nrows + 1) * (form.ncols + len(form.needs_artificial) + 1)
+
+
+def phase_one_bits(start, cells):
+    """Every bit of phase 1's outcome.  A tableau of more than
+    RESTRICTED_UPDATE_CELLS cells is compared with -0.0 folded into +0.0:
+    the rows a pivot leaves out keep the sign of their zeros."""
     if start is None or isinstance(start, LpNumericalError):
         return repr(start)
     T, basis, kept = start
+    if cells > RESTRICTED_UPDATE_CELLS:
+        T = T + 0.0
     return T.tobytes(), T.shape, basis.tolist(), None if kept is None else kept.tolist()
 
 
@@ -471,7 +483,9 @@ def assert_kernel_matches_reference(lp):
     assert form.shift.tobytes() == old.shift.tobytes() and form.free_extra == old.free_extra
     assert list(form.needs_artificial) == old.needs_artificial.tolist()
     assert (repr(float(form.resid_tol)), form.budget) == (repr(float(old.resid_tol)), old.budget)
-    assert phase_one_bits(form.phase_one()) == phase_one_bits(old.phase_one(*_ATTEMPTS[0]))
+    cells = phase_one_cells(form)
+    assert (phase_one_bits(form.phase_one(), cells)
+            == phase_one_bits(old.phase_one(*_ATTEMPTS[0]), cells))
     try:
         first = solve_with_old(old, ObjectiveOld(lp, old), *_ATTEMPTS[0])
     except LpNumericalError as err:
@@ -605,3 +619,86 @@ def test_kernel_matches_reference_on_drawn_programs(prog):
     for c, sense in objectives:
         assert_kernel_matches_reference(
             LinearProgram(c, sense, *row_block(rows, c.size), lower=lower, upper=upper))
+
+
+# ---------------------------------------------------------------------------
+# The two rank-1 updates of _pivot: the whole tableau, and above
+# RESTRICTED_UPDATE_CELLS cells only the rows with a nonzero pivot-column
+# entry.  Each path is forced by moving the cutoff.
+
+
+def kernel_run(lp):
+    """(phase-1 basis, terminal basis, answer bits) of a fresh copy of lp."""
+    import nashdescent.lp as lpmod
+
+    fresh = LinearProgram(lp.objective, lp.sense, lp.constraints, lp.relations, lp.rhs,
+                          lower=lp.lower, upper=lp.upper)
+    form = fresh._form
+    start = form.phase_one()
+    if not isinstance(start, tuple):
+        return repr(start), None, answer_bits(outcome_or_error(fresh))
+    terminal = lpmod._phase_two(form, lpmod._Objective(fresh, form), start)
+    return (start[1].tolist(), None if terminal is None else terminal.tolist(),
+            answer_bits(outcome_or_error(fresh)))
+
+
+@pytest.fixture(scope="module")
+def tight_7x7_programs():
+    """The tight LPs of one seeded 7x7 generate_tight draw."""
+    from nashdescent.generator import generate_tight, sample_inputs
+
+    from .golden_corpus import captured_lps
+
+    out = []
+    rng = np.random.default_rng(707)
+    with captured_lps(out):
+        while not generate_tight(sample_inputs(7, 7, "disjoint", rng, pure_duals=False),
+                                 rng=rng):
+            pass
+    return [lp for _, lp, _ in out]
+
+
+def test_both_pivot_updates_give_the_same_bits(monkeypatch, captured_programs,
+                                               tight_7x7_programs):
+    import math
+
+    import nashdescent.lp as lpmod
+
+    tight_5x5 = [lp for site, lp, _ in captured_programs if site == "tight"]
+    programs = tight_5x5 + tight_7x7_programs
+    assert len(tight_5x5) >= 6 and len(tight_7x7_programs) >= 8
+    assert min(phase_one_cells(lp._form) for lp in programs) > RESTRICTED_UPDATE_CELLS
+    runs = {}
+    for name, cutoff in (("whole", math.inf), ("restricted", 0)):
+        monkeypatch.setattr(lpmod, "RESTRICTED_UPDATE_CELLS", cutoff)
+        runs[name] = [kernel_run(lp) for lp in programs]
+    assert runs["restricted"] == runs["whole"]
+    assert sum(bits[0] == OPTIMAL for _, _, bits in runs["whole"]) >= 10
+
+
+def test_descent_tableaux_stay_at_or_under_the_cutoff(monkeypatch):
+    """Every pivot of a 7x7 ts_solve and dfm_solve updates the whole
+    tableau, and every pivot of a 4x4 tight program only changed rows."""
+    import nashdescent.lp as lpmod
+    from nashdescent.adjust import ts_solve
+    from nashdescent.dfm import dfm_solve
+    from nashdescent.experiments import lattice_profile, sample_tight_games
+    from nashdescent.generator import generate_tight, sample_inputs
+
+    cells, real = [], lpmod._pivot
+
+    def recording(T, row, col, basis):
+        cells.append(T.size)
+        real(T, row, col, basis)
+
+    rng = np.random.default_rng(77)
+    insts = sample_tight_games(7, 7, 2, rng, groups=2)
+    monkeypatch.setattr(lpmod, "_pivot", recording)
+    for inst in insts:
+        ts_solve(inst.game, lattice_profile(7, 7, 10, rng), 1e-3, max_iter=200)
+        dfm_solve(inst.game, Profile(inst.input.x_star, inst.input.y_star), 1e-4, max_iter=200)
+    assert len(cells) >= 50 and max(cells) <= RESTRICTED_UPDATE_CELLS, (len(cells), max(cells))
+    cells.clear()
+    while not generate_tight(sample_inputs(4, 4, "disjoint", rng, pure_duals=False), rng=rng):
+        pass
+    assert cells and min(cells) > RESTRICTED_UPDATE_CELLS, min(cells, default=None)
