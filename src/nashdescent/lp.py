@@ -11,19 +11,22 @@ is repaired: the tableau is rebuilt at that basis from the unpivoted data
 and dual simplex pivots make it primal feasible again.  Each repair is
 logged at debug level on the ``nashdescent.lp`` logger.
 
-The tableaux the descent solves are tiny (4 to 14 rows), so the kernel's
-cost is the number of numpy calls, not flops.  The objective row is the
-tableau's last row, so a pivot is one rank-1 update of the whole tableau,
-and the standard form is filled by whole-block assignments.  The
-generator's tight programs are the exception: from 4x4 up their tableaux
-have thousands of cells and mostly zero pivot columns, so a tableau above
-``RESTRICTED_UPDATE_CELLS`` cells updates only the rows whose pivot-column
-entry is nonzero.  Both updates give the same bits up to the sign of a
-zero, which no decision reads.  Work that is one number per row runs on
-Python floats, with the same arithmetic as on arrays: the standard form's
-relation signs, slacks and artificial rows, the ratio test's ties, and
-the finiteness checks of a recovered solution.  The recovery's two linear
-solves, with B and with B', go to LAPACK as one stacked call.
+The tableau is stored by columns: array row j is tableau column j, whose
+last entry is the objective row's, and the last array row is the rhs
+column.  So the ratio test reads one contiguous entering column.  The
+tableaux the descent solves are tiny (4 to 14 rows), so the kernel's cost
+is the number of numpy calls, not flops: a pivot is one rank-1 update of
+the whole tableau, objective row included, and the standard form is
+filled by whole-block assignments.  The generator's tight programs are
+the exception: from 4x4 up their tableaux have thousands of cells and
+mostly zero pivot rows, so a tableau above ``RESTRICTED_UPDATE_CELLS``
+cells updates only the columns where its pivot row is nonzero.  Both
+updates give the same bits up to the sign of a zero, which no decision
+reads.  Work that is one number per row runs on Python floats, with the
+same arithmetic as on arrays: the standard form's relation signs, slacks
+and artificial rows, the ratio test's ties, and the finiteness checks of
+a recovered solution.  The recovery's two linear solves, with B and with
+B', go to LAPACK as one stacked call.
 
 A program states its constraints as one block: a (k, nv) coefficient
 array, k relations and k right-hand sides, fixed when the program is made.
@@ -61,11 +64,12 @@ UNBOUNDED = "unbounded"
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = frozenset((LE, EQ, GE))
 
-# Tableaux with more cells than this update only the rows a pivot changes.
-# The descent's stay far below it (at most 1705 cells, at 7x7) and so do the
-# 3x3 tight programs' (at most 2698), where the whole update is cheaper; the
-# tight programs from 4x4 up lie above it (5130 cells and more), where most
-# entries of a pivot column are 0 (notes/decisions.md section 23).
+# Tableaux with more cells than this update only the columns a pivot
+# changes.  The descent's stay far below it (at most 1705 cells, at 7x7),
+# where the whole update is cheaper, and so do the 3x3 tight programs'
+# (2128 to 2698), where the two updates cost about the same; the tight
+# programs from 4x4 up lie above it (5130 cells and more), where most
+# entries of a pivot row are 0 (notes/decisions.md sections 23 and 25).
 RESTRICTED_UPDATE_CELLS = 4096
 
 # What c_user @ shift is when nothing is shifted.
@@ -167,42 +171,48 @@ class LpSolution:
 
 
 def _pivot(T: np.ndarray, row: int, col: int, basis: np.ndarray):
-    """Pivot on T[row, col]: a rank-1 update of the other rows, objective
-    row (T's last) included.
+    """Pivot on tableau row ``row`` and column ``col``, the entry
+    T[col, row] of a tableau stored by columns: T[j] is column j, its last
+    entry the objective row's, and T[-1] is the rhs column.  The pivot row
+    is scaled, then every other row, objective row included, takes a rank-1
+    update.
 
     A tableau of at most ``RESTRICTED_UPDATE_CELLS`` cells is updated
-    whole, with the pivot row's multiplier zeroed; a larger one only in
-    the rows with a nonzero pivot-column entry.  A row left out would
-    only have become x - 0*y, which can differ from x in the sign of a
-    zero and nowhere else.
+    whole, with the pivot row's multiplier zeroed; a larger one only in the
+    columns where the pivot row is nonzero.  A column left out would only
+    have become x - 0*y, which can differ from x in the sign of a zero and
+    nowhere else; every updated cell gets the same product and subtraction
+    on either path.
     """
-    prow = T[row]
+    prow = T[:, row]
     prow /= prow[col]
-    colvals = T[:, col].copy()
+    colvals = T[col].copy()
     colvals[row] = 0.0
     if T.size > RESTRICTED_UPDATE_CELLS:
-        changed = colvals.nonzero()[0]
-        rows = T.take(changed, axis=0)
-        rows -= colvals.take(changed)[:, None] * prow
-        T[changed] = rows
+        changed = prow.nonzero()[0]
+        cols = T.take(changed, axis=0)
+        cols -= prow.take(changed)[:, None] * colvals
+        T[changed] = cols
     else:
-        T -= colvals[:, None] * prow
+        T -= prow[:, None] * colvals
     basis[row] = col
 
 
 def _run_simplex(T, basis, budget, bounded_objective=False):
     """Drive a tableau to optimality; returns 'optimal' or 'unbounded'.
 
-    T's last row is the objective row: reduced costs, then minus the
-    objective value.  The entering column is the lowest eligible index
-    (Bland); the leaving row takes the best-scaled pivot among rows whose
+    T is stored by columns (see ``_pivot``): the ratio test reads the
+    entering column as one contiguous array row, and the objective row,
+    reduced costs and then minus the objective value, is T's last array
+    column.  The entering column is the lowest eligible index (Bland);
+    the leaving row takes the best-scaled pivot among rows whose
     ratio is within TOL of the minimum, lowest basis index on ties.
     With ``bounded_objective`` (phase 1, which cannot descend below zero)
     an apparently unbounded column is numerically degenerate: it is frozen
     out of the entering candidates for the rest of the run.
     """
-    nrows = T.shape[0] - 1
-    reduced, rhs = T[-1, :-1], T[:-1, -1]
+    nrows = T.shape[1] - 1
+    reduced, rhs = T[:-1, -1], T[-1, :-1]
     allowed = None
     for _ in range(budget):
         eligible = reduced < -TOL
@@ -211,7 +221,7 @@ def _run_simplex(T, basis, budget, bounded_objective=False):
         col = int(eligible.argmax())
         if not eligible[col]:
             return OPTIMAL
-        colv = T[:-1, col]
+        colv = T[col, :-1]
         pos = (colv > TOL).nonzero()[0]
         pl = pos.tolist()
         if not pl:
@@ -290,18 +300,16 @@ class _ConstraintForm:
         self.A, self.b = A, np.array(b)
         # Phase 1's starting basis: the slack of each row, or an artificial
         # (a column past ncols) for a row whose slack cannot start at b_i.
-        # Also the flat positions in phase 1's tableau of the artificials'
-        # unit entries and of their 1s in the last row, and the rows its
-        # cost row is made of.
+        # Also the flat positions in phase 1's tableau, stored by columns,
+        # of each artificial's unit entry and of its 1 in the last row, and
+        # the rows its cost row is made of.
         art = self.needs_artificial = [i for i, sl in enumerate(slack) if sl <= 0.0]
         start_basis = list(range(ncols_struct, ncols))
-        width = ncols + len(art) + 1
         for j, i in enumerate(art, ncols):
             start_basis[i] = j
         self.start_basis = np.array(start_basis, dtype=np.intp)
-        cost_ones = range(nrows * width + ncols, nrows * width + ncols + len(art))
-        self.art_cells = np.array([i * width + j for j, i in enumerate(art, ncols)]
-                                  + list(cost_ones), dtype=np.intp)
+        self.art_cells = np.array([j * (nrows + 1) + r for j, i in enumerate(art, ncols)
+                                   for r in (i, nrows)], dtype=np.intp)
         self.cost_rows = np.array([nrows] + art, dtype=np.intp)
         # Every b_i is >= 0 or -0.0, so max(b) is max|b_i| once 1.0 is added.
         self.resid_tol = CHECK_TOL * (1.0 + max(b, default=0.0))
@@ -343,25 +351,27 @@ class _Objective:
 def _phase_one(form: _ConstraintForm):
     """A feasible starting tableau for phase 2.
 
-    Returns (T, basis, kept) with the artificial columns removed and a last
-    row for phase 2's objective, where ``kept`` lists the rows left after
+    Returns (T, basis, kept) with T stored by columns (see ``_pivot``), the
+    artificial columns removed and a last row, T's last array column, for
+    phase 2's objective, where ``kept`` lists the rows left after
     redundant ones were dropped, or is None when none was; or returns None
     when the constraints are infeasible; raises LpNumericalError when the
     budget runs out.  Depends on the constraints only, never on the
-    objective.
+    objective.  An artificial column is an array row of T, so removing
+    them moves the rhs row up and copies nothing else.
     """
     nrows, ncols, art = form.nrows, form.ncols, form.needs_artificial
     basis = form.start_basis.copy()
-    T = np.zeros((nrows + 1, ncols + len(art) + 1))
-    T[:nrows, :ncols] = form.A
-    T[:nrows, -1] = form.b
+    T = np.zeros((ncols + len(art) + 1, nrows + 1))
+    T[:ncols, :nrows] = form.A.T
+    T[-1, :nrows] = form.b
     if not art:
         return T, basis, None
     # The artificials' unit entries, and a 1 at each in the last row; then
     # phase 1's costs: that row minus every artificial row, subtracted one
-    # row at a time in row order.
+    # row at a time in row order, on T.T, the tableau's row-major view.
     T.ravel()[form.art_cells] = 1.0
-    np.subtract.reduce(T.take(form.cost_rows, axis=0), out=T[-1])
+    np.subtract.reduce(T.T.take(form.cost_rows, axis=0), out=T[:, -1])
     _run_simplex(T, basis, form.budget, bounded_objective=True)
     if -T[-1, -1] > CHECK_TOL:
         return None
@@ -371,7 +381,7 @@ def _phase_one(form: _ConstraintForm):
     in_basis = basis.tolist()
     if max(in_basis) >= ncols:
         for i in [i for i, j in enumerate(in_basis) if j >= ncols]:
-            row = np.abs(T[i, :ncols])
+            row = np.abs(T[:ncols, i])
             cand = (row > 1e-7).nonzero()[0]
             if cand.size == 0:
                 cand = (row > TOL).nonzero()[0]
@@ -379,23 +389,27 @@ def _phase_one(form: _ConstraintForm):
                 _pivot(T, i, int(cand[0]), basis)
             else:
                 dropped.append(i)
-    T = np.concatenate([T[:, :ncols], T[:, -1:]], axis=1)
+    # The rhs column moves into the first artificial column's array row.
+    T[ncols] = T[-1]
+    T = T[: ncols + 1]
     if not dropped:
         return T, basis, None
     kept = np.setdiff1d(np.arange(nrows), dropped)
-    return T[np.append(kept, nrows)], basis[kept], kept
+    return T.take(np.append(kept, nrows), axis=1), basis[kept], kept
 
 
 def _phase_two(form: _ConstraintForm, obj: _Objective, start):
     """Optimize the objective from a copy of phase 1's tableau.
 
-    Returns the terminal basis, or None when the objective is unbounded;
-    raises LpNumericalError when the budget runs out.
+    The starting objective row is c - c_B @ R, with R the rows above it
+    copied into a C-ordered, row-major array.  BLAS sums c_B @ M in
+    another order when M is the column-major view T.T[:-1], so the
+    product on that view can differ in its last bits.  Returns the
+    terminal basis, or None when the objective is unbounded; raises
+    LpNumericalError when the budget runs out.
     """
     T, basis = start[0].copy(), start[1].copy()
-    z = T[-1]
-    z[:] = obj.c_row
-    z -= obj.c_row[basis] @ T[:-1]
+    T[:, -1] = obj.c_row - obj.c_row[basis] @ start[0].T[:-1].copy()
     status = _run_simplex(T, basis, form.budget)
     return None if status == UNBOUNDED else basis
 
@@ -464,7 +478,8 @@ def _extract(form: _ConstraintForm, obj: _Objective, basis, kept):
 
 def _repair(form: _ConstraintForm, obj: _Objective, basis, kept):
     """Dual simplex pivots from a terminal basis that ``_extract`` rejected,
-    on a tableau rebuilt at that basis from the unpivoted A and b.
+    on a tableau rebuilt at that basis from the unpivoted A and b, and
+    stored by columns like every tableau (see ``_pivot``).
 
     While a basic value is below -TOL, the row with the most negative one
     leaves, and the column with the least ratio of its reduced cost
@@ -477,13 +492,13 @@ def _repair(form: _ConstraintForm, obj: _Objective, basis, kept):
         rows = np.linalg.solve(Ab.take(basis, axis=1), Ab)
     except np.linalg.LinAlgError:
         return None
-    T = np.vstack((rows, obj.c_row - obj.c_row.take(basis) @ rows))
-    reduced, rhs = T[-1, :-1], T[:-1, -1]
+    T = np.vstack((rows, obj.c_row - obj.c_row.take(basis) @ rows)).T.copy()
+    reduced, rhs = T[:-1, -1], T[-1, :-1]
     for _ in range(form.budget):
         row = int(rhs.argmin())
         if rhs[row] >= -TOL:
             return basis
-        entries = T[row, :-1]
+        entries = T[:-1, row]
         cand = (entries < -TOL).nonzero()[0]
         if not cand.size:
             return None

@@ -346,22 +346,28 @@ def test_phase_one_runs_once_per_constraint_set(monkeypatch):
 def test_phase_one_freezes_an_unbounded_looking_column():
     import nashdescent.lp as lpmod
 
-    # Columns x0, x1, s0, s1 | rhs; the last row holds the reduced costs.
-    # x0 prices out negative but has no positive entry: phase 1 cannot be
-    # unbounded, so x0 is frozen and x1 enters at row 0 (ratio 1 < 2).
-    # That pivot gives x0 a positive entry in row 1, yet x0 stays frozen.
+    # The kernel stores a tableau by columns: one array row per column x0,
+    # x1, s0, s1 and rhs, each holding rows 0 and 1 and then the reduced
+    # cost.  x0 prices out negative but has no positive entry: phase 1
+    # cannot be unbounded, so x0 is frozen and x1 enters at row 0 (ratio
+    # 1 < 2).  That pivot gives x0 a positive entry in row 1, yet x0 stays
+    # frozen.
     def tableau():
-        return np.array([[-1.0, 1.0, 1.0, 0.0, 1.0],
-                         [0.0, 1.0, 0.0, 1.0, 2.0],
-                         [-1.0, -1.0, 0.0, 0.0, -1.0]])
+        return np.array([[-1.0, 0.0, -1.0],
+                         [1.0, 1.0, -1.0],
+                         [1.0, 0.0, 0.0],
+                         [0.0, 1.0, 0.0],
+                         [1.0, 2.0, -1.0]])
 
     T, basis = tableau(), np.array([2, 3])
     status = lpmod._run_simplex(T, basis, 10, bounded_objective=True)
     assert status == OPTIMAL
     assert basis.tolist() == [1, 3]
-    assert T.tolist() == [[-1.0, 1.0, 1.0, 0.0, 1.0],
-                          [1.0, 0.0, -1.0, 1.0, 1.0],
-                          [-2.0, 0.0, 1.0, 0.0, 0.0]]
+    assert T.tolist() == [[-1.0, 1.0, -2.0],
+                          [1.0, 0.0, 0.0],
+                          [1.0, -1.0, 1.0],
+                          [0.0, 1.0, 0.0],
+                          [1.0, 1.0, 0.0]]
     # A frozen column is frozen for one run only: the next run enters it.
     assert lpmod._run_simplex(T, basis, 10, bounded_objective=True) == OPTIMAL
     assert basis.tolist() == [1, 0]
@@ -448,13 +454,17 @@ def phase_one_cells(form):
     return (form.nrows + 1) * (form.ncols + len(form.needs_artificial) + 1)
 
 
-def phase_one_bits(start, cells):
-    """Every bit of phase 1's outcome.  A tableau of more than
-    RESTRICTED_UPDATE_CELLS cells is compared with -0.0 folded into +0.0:
-    the rows a pivot leaves out keep the sign of their zeros."""
+def phase_one_bits(start, cells, by_columns):
+    """Every bit of phase 1's outcome, with the tableau in row-major order:
+    a tableau stored by columns (the kernel's) is read through its
+    transpose.  A tableau of more than RESTRICTED_UPDATE_CELLS cells is
+    compared with -0.0 folded into +0.0: the columns a pivot leaves out
+    keep the sign of their zeros."""
     if start is None or isinstance(start, LpNumericalError):
         return repr(start)
     T, basis, kept = start
+    if by_columns:
+        T = T.T.copy()
     if cells > RESTRICTED_UPDATE_CELLS:
         T = T + 0.0
     return T.tobytes(), T.shape, basis.tolist(), None if kept is None else kept.tolist()
@@ -484,8 +494,8 @@ def assert_kernel_matches_reference(lp):
     assert list(form.needs_artificial) == old.needs_artificial.tolist()
     assert (repr(float(form.resid_tol)), form.budget) == (repr(float(old.resid_tol)), old.budget)
     cells = phase_one_cells(form)
-    assert (phase_one_bits(form.phase_one(), cells)
-            == phase_one_bits(old.phase_one(*_ATTEMPTS[0]), cells))
+    assert (phase_one_bits(form.phase_one(), cells, by_columns=True)
+            == phase_one_bits(old.phase_one(*_ATTEMPTS[0]), cells, by_columns=False))
     try:
         first = solve_with_old(old, ObjectiveOld(lp, old), *_ATTEMPTS[0])
     except LpNumericalError as err:
@@ -623,8 +633,8 @@ def test_kernel_matches_reference_on_drawn_programs(prog):
 
 # ---------------------------------------------------------------------------
 # The two rank-1 updates of _pivot: the whole tableau, and above
-# RESTRICTED_UPDATE_CELLS cells only the rows with a nonzero pivot-column
-# entry.  Each path is forced by moving the cutoff.
+# RESTRICTED_UPDATE_CELLS cells only the columns where the pivot row is
+# nonzero.  Each path is forced by moving the cutoff.
 
 
 def kernel_run(lp):
@@ -678,7 +688,7 @@ def test_both_pivot_updates_give_the_same_bits(monkeypatch, captured_programs,
 
 def test_descent_tableaux_stay_at_or_under_the_cutoff(monkeypatch):
     """Every pivot of a 7x7 ts_solve and dfm_solve updates the whole
-    tableau, and every pivot of a 4x4 tight program only changed rows."""
+    tableau, and every pivot of a 4x4 tight program only changed columns."""
     import nashdescent.lp as lpmod
     from nashdescent.adjust import ts_solve
     from nashdescent.dfm import dfm_solve
@@ -702,3 +712,39 @@ def test_descent_tableaux_stay_at_or_under_the_cutoff(monkeypatch):
     while not generate_tight(sample_inputs(4, 4, "disjoint", rng, pure_duals=False), rng=rng):
         pass
     assert cells and min(cells) > RESTRICTED_UPDATE_CELLS, min(cells, default=None)
+
+
+def test_phase_two_starts_from_the_row_major_cost_product(monkeypatch, captured_programs,
+                                                         tight_7x7_programs):
+    """Phase 2's first objective row is c - c_B @ R, byte for byte, with R
+    the rows above it in a C-ordered, row-major copy of phase 1's tableau:
+    BLAS sums the product on the column-major view in another order."""
+    import nashdescent.lp as lpmod
+
+    rows, real = [], lpmod._run_simplex
+
+    def recording(T, basis, budget, bounded_objective=False):
+        if not bounded_objective:
+            rows.append(T[:, -1].tobytes())
+        return real(T, basis, budget, bounded_objective)
+
+    monkeypatch.setattr(lpmod, "_run_simplex", recording)
+    sites = {}
+    programs = [(site, lp) for site, lp, _ in captured_programs]
+    programs += [("tight 7x7", lp) for lp in tight_7x7_programs]
+    for site, lp in programs:
+        fresh = LinearProgram(lp.objective, lp.sense, lp.constraints, lp.relations, lp.rhs,
+                              lower=lp.lower, upper=lp.upper)
+        form = fresh._form
+        start = form.phase_one()
+        if not isinstance(start, tuple):
+            continue
+        obj = lpmod._Objective(fresh, form)
+        rows.clear()
+        lpmod._phase_two(form, obj, start)
+        R = start[0].T.copy()
+        assert R.flags.c_contiguous
+        assert rows == [(obj.c_row - obj.c_row[start[1]] @ R[:-1]).tobytes()], site
+        sites[site] = sites.get(site, 0) + 1
+    assert min(sites.get(s, 0) for s in ("balance", "direction", "equalized")) >= 20, sites
+    assert sites.get("tight", 0) >= 6 and sites.get("tight 7x7", 0) >= 8, sites
