@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descent import StationaryPoint, find_stationary
-from .game import Game, Profile, Regrets, mixed, regrets, segment_min_f, supports
+from .game import (Game, Profile, Regrets, mixed, normalize_in_place, regrets, segment_min_f,
+                   supports)
 
 METHOD_TS = "ts"
 METHOD_BOUNDARY = "boundary-min"
@@ -100,7 +101,7 @@ def _linear_intersection(game: Game, sp: StationaryPoint,
     f_xz = regrets(game, Profile(x, z))
     den = f_xz.fR + f_wz.fC - f_wz.fR
     p = 0.0 if abs(den) <= 1e-12 else f_xz.fR / den
-    prof = Profile(mixed(np.clip(p * w + (1.0 - p) * x, 0.0, None)), z)
+    prof = Profile(normalize_in_place(np.maximum(p * w + (1.0 - p) * x, 0.0)), z)
     return prof, regrets(game, prof).f
 
 

@@ -91,9 +91,9 @@ def regret_matching(game: Game, rounds: int, rng: np.random.Generator) -> RunTra
         k = 2 * ((t - 1) % _RM_CHUNK)
         if k == 0:
             u = rng.random(2 * min(_RM_CHUNK, rounds - t + 1)).tolist()
-        px = np.clip(regret_x, 0.0, None)
+        px = np.maximum(regret_x, 0.0)
         px = px / px.sum() if px.sum() > 0 else np.full(m, 1.0 / m)
-        py = np.clip(regret_y, 0.0, None)
+        py = np.maximum(regret_y, 0.0)
         py = py / py.sum() if py.sum() > 0 else np.full(n, 1.0 / n)
         i = _pick(px, u[k])
         j = _pick(py, u[k + 1])

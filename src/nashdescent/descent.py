@@ -158,12 +158,12 @@ def _rebalance_row(game: Game, p: Profile) -> Profile:
 
 def _support_rows(game: Game, p: Profile):
     sup = supports(game, p)
-    return list(sup.row_best) + [game.m + int(j) for j in sup.col_best], sup
+    return np.concatenate((sup.row_best, sup.col_best + game.m)), sup
 
 
 def _dual_from_weights(game: Game, weights: np.ndarray, sup) -> DualSolution:
     u = np.maximum(weights, 0.0)
-    total = u.sum()
+    total = float(u.sum())
     if total <= 0:
         u = np.ones_like(u)
         total = u.sum()

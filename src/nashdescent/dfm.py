@@ -9,12 +9,12 @@ along a segment leaving the square.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .descent import StationaryPoint, find_stationary
-from .game import Game, Profile, mixed, regrets, segment_min_f
+from .game import Game, Profile, mixed, normalize_in_place, pure, regrets, segment_min_f
 
 _log = logging.getLogger(__name__)
 
@@ -62,9 +62,9 @@ def dfm_adjust(game: Game, sp: StationaryPoint) -> DfmTrace:
     if 0.5 < lam <= 2.0 / 3.0 < mu:
         return _case_three(game, sp)
     # Case 4, 0.5 < mu <= 2/3 < lam, is case 3 with the players swapped.
-    trace = _case_three(game.swapped(), sp.swapped())
-    return replace(trace, case=4, alpha=trace.beta, beta=trace.alpha,
-                   output=trace.output.swapped())
+    t = _case_three(game.swapped(), sp.swapped())
+    return DfmTrace(4, t.branch, t.y_hat, t.w_hat, t.t_r, t.v_r, t.mu_hat, t.beta, t.alpha,
+                    t.output.swapped(), t.f, t.fallback)
 
 
 def _case_three(game: Game, sp: StationaryPoint) -> DfmTrace:
@@ -75,15 +75,13 @@ def _case_three(game: Game, sp: StationaryPoint) -> DfmTrace:
     w, z = sp.dual.w, sp.dual.z
     R, C = game.R, game.C
     y_hat = mixed((y + z) / 2.0)
-    w_hat = np.zeros(game.m)
-    w_hat[int(np.argmax(R @ y_hat))] = 1.0
-    w_hat = mixed(w_hat)
+    w_hat = pure(game.m, int((R @ y_hat).argmax()))
     t_r = float(w_hat @ R @ y_hat - w @ R @ y_hat)
     v_r = float(w @ R @ y - w_hat @ R @ y)
     mu_hat = float(w_hat @ C @ z - w_hat @ C @ y)
     if v_r + t_r >= (mu - lam) / 2.0 and mu_hat >= mu - v_r - t_r:
         alpha = (2.0 * (v_r + t_r) - (mu - lam)) / (2.0 * (v_r + t_r))
-        endpoint = Profile(mixed(np.clip(alpha * w + (1 - alpha) * w_hat, 0, None)), z)
+        endpoint = Profile(normalize_in_place(np.maximum(alpha * w + (1 - alpha) * w_hat, 0.0)), z)
         branch, beta = "A", None
     else:
         den = 1.0 + mu / 2.0 - lam - t_r
@@ -95,7 +93,7 @@ def _case_three(game: Game, sp: StationaryPoint) -> DfmTrace:
             return DfmTrace(3, "B", y_hat, w_hat, t_r, v_r, mu_hat, None, None,
                             prof, regrets(game, prof).f, fallback=True)
         beta = (1.0 - mu / 2.0 - t_r) / den
-        endpoint = Profile(w, mixed(np.clip((1 - beta) * y_hat + beta * z, 0, None)))
+        endpoint = Profile(w, normalize_in_place(np.maximum((1 - beta) * y_hat + beta * z, 0.0)))
         branch, alpha = "B", None
     _, prof, f = segment_min_f(game, sp.profile, endpoint)
     return DfmTrace(3, branch, y_hat, w_hat, t_r, v_r, mu_hat, alpha, beta, prof, f)

@@ -36,8 +36,8 @@ class GameError(ValueError):
 def mixed(vec, k: int | None = None) -> np.ndarray:
     """Validate a vector as a mixed strategy and return it as a read-only array.
 
-    Tiny negatives (>= -1e-12) are clamped to zero and the vector is
-    renormalized to sum exactly to 1.
+    Tiny negatives (>= -1e-12) are clamped to 0 and the sum is made exactly 1.
+    The checks run at the library's boundary, on vectors that callers give.
     """
     v = np.array(vec, dtype=float)
     if v.ndim != 1 or v.size == 0:
@@ -56,11 +56,11 @@ def normalize_in_place(v: np.ndarray) -> np.ndarray:
     v's negatives, divide v by its sum (which must be within 1e-9 of 1) and
     make v read-only; returns v.
 
-    For a finite float vector that the caller owns, such as one the library
-    just computed; ``mixed`` is the check on anything else.
+    For a vector the library has just computed and clipped: it gets the
+    arithmetic only, and a NaN or infinite entry still fails the sum check.
     """
-    v[v < 0] = 0.0
-    s = v.sum()
+    v[v < 0] = 0.0  # not np.maximum, which turns -0.0 into +0.0
+    s = float(v.sum())
     if not abs(s - 1.0) <= SUM_TOL:  # a NaN sum fails too
         raise GameError(f"mixed strategy sums to {s}, not 1")
     v /= s
@@ -88,7 +88,7 @@ def renormalized(vec) -> np.ndarray:
     """A vector scaled to a mixed strategy: negatives clipped to 0, then
     divided by the sum; uniform when no mass is left."""
     v = np.maximum(np.asarray(vec, dtype=float), 0.0)
-    total = v.sum()
+    total = float(v.sum())
     if total <= 0:
         v = np.ones_like(v)
         total = v.sum()
@@ -271,7 +271,7 @@ def segment_min_f(game: Game, a: Profile, b: Profile) -> tuple[float, Profile, f
     # pieces; each family shares its p2.
     p0 = np.concatenate([Ry - x @ Ry, Cx - Cx @ y])
     p1 = np.concatenate([Rdy - (dx @ Ry + x @ Rdy), Cdx - (Cdx @ y + Cx @ dy)])
-    p2 = np.repeat([-(dx @ Rdy), -(Cdx @ dy)], [game.m, game.n])
+    p2 = np.array([-(dx @ Rdy)] * game.m + [-(Cdx @ dy)] * game.n)
     # Differences of every ordered pair of pieces (each pair twice, harmless).
     qa, qb, qc = (v[:, None] - v[None, :] for v in (p2, p1, p0))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -282,7 +282,8 @@ def segment_min_f(game: Game, a: Profile, b: Profile) -> tuple[float, Profile, f
     ts = np.concatenate([[0.0, 1.0], roots[(roots > 0.0) & (roots < 1.0)]])
     F = (p0[:, None] + ts * (p1[:, None] + ts * p2[:, None])).max(axis=0)
     t = float(ts[F <= F.min() + SEGMENT_TIE_TOL].min())
-    prof = Profile(mixed(np.clip(x + t * dx, 0.0, None)), mixed(np.clip(y + t * dy, 0.0, None)))
+    prof = Profile(normalize_in_place(np.maximum(x + t * dx, 0.0)),
+                   normalize_in_place(np.maximum(y + t * dy, 0.0)))
     return t, prof, regrets(game, prof).f
 
 
@@ -346,8 +347,8 @@ def square_min_f(game: Game, a: Profile, b: Profile) -> tuple[float, float, Prof
     tied = F <= F.min() + SEGMENT_TIE_TOL
     alpha = float(al[tied].min())
     beta = float(be[tied][al[tied] == alpha].min())
-    prof = Profile(mixed(np.clip((1.0 - alpha) * x + alpha * b.x, 0.0, None)),
-                   mixed(np.clip((1.0 - beta) * y + beta * b.y, 0.0, None)))
+    prof = Profile(normalize_in_place(np.maximum((1.0 - alpha) * x + alpha * b.x, 0.0)),
+                   normalize_in_place(np.maximum((1.0 - beta) * y + beta * b.y, 0.0)))
     return alpha, beta, prof, regrets(game, prof).f
 
 
@@ -364,8 +365,8 @@ def supports(game: Game, p: Profile, tol: float = SUPPORT_TOL) -> Supports:
     Ry = game.R @ y
     Cx = game.C.T @ x
     return Supports(
-        row_best=np.nonzero(Ry >= Ry.max() - tol)[0],
-        col_best=np.nonzero(Cx >= Cx.max() - tol)[0],
+        row_best=(Ry >= Ry.max() - tol).nonzero()[0],
+        col_best=(Cx >= Cx.max() - tol).nonzero()[0],
     )
 
 

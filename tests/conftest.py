@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, set before numpy loads, as bench/run.py does: the golden
+# corpus is compared bit for bit, and BLAS sums some products in another
+# order when it splits them over threads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

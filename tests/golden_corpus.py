@@ -42,7 +42,11 @@ RNG that the dropped pairs no longer use.  The 7x7 spec (disjoint
 supports, mixed duals) was appended from the code before large tableaux'
 pivots began to update only the rows they change; that regeneration added
 its three ``generate_tight`` entries and rewrote nothing else, and a second
-run rewrote nothing.  Regenerate with
+run rewrote nothing.  Those entries had been written with two BLAS threads,
+and two of them, ``generate_tight[29]`` and ``[31]``, differ from a
+one-thread run in the last bit of 25 floats; they were re-stored from a
+one-thread run of the same code, which rewrote nothing else.  The tests and
+a regeneration both run with one BLAS thread.  Regenerate with
 
     PYTHONPATH=src python tests/golden_corpus.py
 
@@ -51,10 +55,16 @@ only when an output is meant to change, and say why in the change log.
 
 from __future__ import annotations
 
+import os
+
+if __name__ == "__main__":
+    # One BLAS thread, set before numpy loads, as in tests/conftest.py.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+
 import contextlib
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np

@@ -4,7 +4,10 @@ Floats must agree to 1e-12; everything discrete (cases, branches, methods,
 iteration counts, fallbacks, record fields, skip flags) must agree exactly.
 The generator and solve_lp entries are compared exactly, floats included:
 the generated payoffs are vertices of a feasibility LP, and a bit-identical
-LP kernel must return them, and every LP answer, bit for bit.
+LP kernel must return them, and every LP answer, bit for bit.  So are the
+segment minima, the adjustments, the DFM runs and the verify entries: they
+reproduce bit for bit with one BLAS thread, the setting of tests/conftest.py,
+so a change meant to keep their arithmetic must keep their bits.
 
 One discrete field is decided by a float comparison: ts_solve reports the
 stationary profile as best when sp.f <= ts_f.  Where the two values lie
@@ -58,7 +61,8 @@ def test_corpus_is_reproduced():
     got = json.loads(json.dumps(build_corpus()))
     set_aside_tied_picks(got, want)
     bad = []
-    for key in ("generate_tight", "solve_lp"):
+    for key in ("generate_tight", "solve_lp", "segment_min_f", "adjust", "dfm_solve",
+                "verify_tight"):
         mismatches(got.pop(key), want.pop(key), f".{key}", bad, tol=0.0)
     bad = mismatches(got, want, out=bad)
     assert not bad, f"{len(bad)} mismatches, first: " + "; ".join(bad[:10])
