@@ -95,12 +95,16 @@ def _x_edge_min(game: Game, sp: StationaryPoint, f_wz: Regrets) -> tuple[Profile
 
 def _linear_intersection(game: Game, sp: StationaryPoint,
                          f_wz: Regrets) -> tuple[Profile, float]:
-    """Where fR's chord from (x*, z*) to (w*, z*) meets fC's chord on that edge."""
+    """Where fR's chord from (x*, z*) to (w*, z*) meets fC's chord on that edge.
+
+    Where regrets of about 1e-10 make the chords meet beyond an end of the
+    edge, p is clamped to [0, 1] and that end is the answer.
+    """
     x = sp.profile.x
     w, z = sp.dual.w, sp.dual.z
     f_xz = regrets(game, Profile(x, z))
     den = f_xz.fR + f_wz.fC - f_wz.fR
-    p = 0.0 if abs(den) <= 1e-12 else f_xz.fR / den
+    p = 0.0 if abs(den) <= 1e-12 else min(max(f_xz.fR / den, 0.0), 1.0)
     prof = Profile(normalize_in_place(np.maximum(p * w + (1.0 - p) * x, 0.0)), z)
     return prof, regrets(game, prof).f
 

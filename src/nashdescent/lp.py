@@ -424,10 +424,9 @@ def _extract(form: _ConstraintForm, obj: _Objective, basis, kept):
     -CHECK_TOL (1 + max|c|)); the caller then repairs it.
     """
     A, b = form.A, form.b
-    if kept is None:
-        Bmat, bk = A.take(basis, axis=1), b
-    else:
-        Bmat, bk = A[np.ix_(kept, basis)], b[kept]
+    Bmat, bk = A.take(basis, axis=1), b
+    if kept is not None:
+        Bmat, bk = Bmat[kept], b[kept]
     # B x = b and B' y = c_B as one stacked call: LAPACK solves each
     # matrix of the stack on its own, as two calls would.
     try:

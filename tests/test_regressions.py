@@ -1,6 +1,7 @@
-"""Inputs on which a descent LP ends on a basis that fails the kernel's
-certificate, so that the LP kernel repairs it; each raised
-LpNumericalError before the repair existed."""
+"""Inputs on which the solvers once raised: descent LPs that end on a basis
+that fails the kernel's certificate, so that the LP kernel repairs it (each
+raised LpNumericalError before the repair existed), and a degenerate game
+whose Method 3 intersection lay beyond the square's edge."""
 
 import logging
 
@@ -102,3 +103,19 @@ def test_basis_repair_is_logged(case, caplog):
     assert final_f(ts_solve, R_, C_, x0, y0) == f
     records = [r.getMessage() for r in caplog.records if r.name == "nashdescent.lp"]
     assert records == ["repaired the rejected terminal basis of a 6-row program"]
+
+
+# A degenerate 6x3 game (entries in {0, 1/2, 1}) whose stationary point is an
+# exact equilibrium: every corner regret is about 6.1e-11, so Method 3's chord
+# intersection is p = 1.0000018, just beyond the far edge, and the mix
+# p w + (1 - p) x summed to 1.0000002459988748 before p was clamped to [0, 1].
+R_EDGE = [[1, 1, .5], [0, 1, .5], [.5, 1, 0], [0, 1, 1], [0, .5, .5], [.5, .5, 0]]
+C_EDGE = [[1, 1, 0], [0, 0, .5], [.5, 1, 0], [.5, 1, 1], [0, .5, 0], [.5, 0, 0]]
+X_EDGE = [0.19477306824703816, 0.0189074374498064, 0.3802335310820738,
+          0.1275436596663359, 0.002988310008018637, 0.27555399354672705]
+Y_EDGE = [0.7402469745772298, 0.1346222256258576, 0.12513079979691272]
+
+
+@pytest.mark.parametrize("solver", [ts_solve, dfm_solve], ids=["ts_solve", "dfm_solve"])
+def test_chord_intersection_beyond_the_edge_is_clamped(solver):
+    assert final_f(solver, R_EDGE, C_EDGE, X_EDGE, Y_EDGE) <= DELTA
