@@ -227,7 +227,11 @@ def _equalized_dual(d: DirectionResult) -> DualSolution:
     returned d, from the program data d carries: among all optimal dual
     witnesses, the one minimizing the largest deviation of the induced
     coefficient vectors from their minima.  Worst-case-tight instances are
-    built around this witness, and it is unique there.
+    built around this witness.  The LP's optimal value is unique, its
+    optimal weights need not be: the same LP stated with its zero-rhs GE
+    rows as LE rows reaches the same value within 2e-16 at the prescribed
+    stationary points of generated tight games, with weights up to 1.2e-7
+    apart (notes/decisions.md section 28).
 
     Falls back to d's own witness, with a debug record on this module's
     logger, when the equalizing LP fails.

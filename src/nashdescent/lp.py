@@ -16,23 +16,35 @@ last entry is the objective row's, and the last array row is the rhs
 column.  So the ratio test reads one contiguous entering column.  The
 tableaux the descent solves are tiny (4 to 14 rows), so the kernel's cost
 is the number of numpy calls, not flops: a pivot is one rank-1 update of
-the whole tableau, objective row included, and the standard form is
-filled by whole-block assignments.  The generator's tight programs are
-the exception: from 4x4 up their tableaux have thousands of cells and
-mostly zero pivot rows, so a tableau above ``RESTRICTED_UPDATE_CELLS``
-cells updates only the columns where its pivot row is nonzero.  Both
+the whole tableau, objective row included, its decisions (the entering
+column and the ratio test) are taken on Python floats, and the standard
+form is filled by whole-block assignments.  The generator's tight
+programs are the exception: from 4x4 up their tableaux have thousands of
+cells and mostly zero pivot rows, so a tableau above
+``RESTRICTED_UPDATE_CELLS`` cells updates only the columns where its
+pivot row is nonzero and takes its decisions on numpy masks.  Both
 updates give the same bits up to the sign of a zero, which no decision
-reads.  Work that is one number per row runs on Python floats, with the
-same arithmetic as on arrays: the standard form's relation signs, slacks
-and artificial rows, the ratio test's ties, and the finiteness checks of
-a recovered solution.  The recovery's two linear solves, with B and with
-B', go to LAPACK as one stacked call.
+reads, and both ways of deciding make the same comparisons and divisions
+on the same doubles.  Other work that is one number per row runs on
+Python floats too, with the same arithmetic as on arrays: the standard
+form's relation signs, slacks and artificial rows, and the finiteness
+checks of a recovered solution.  The recovery's two linear solves, with B
+and with B', go to LAPACK as one stacked call.
 
 A program states its constraints as one block: a (k, nv) coefficient
 array, k relations and k right-hand sides, fixed when the program is made.
-Its objective-free standard form is built then too, and memoizes phase 1's
-outcome (the feasible tableau with its basis, infeasibility, or the error
-raised), since phase 1 depends on the constraints only.
+Its objective-free standard form is built then too.  The form's layout
+(which variables are free or capped, each row's sign and slack, phase 1's
+starting basis and artificials, the pivot budget) depends only on the
+program's shape: its variable count, relations and bounds and the signs
+of its rhs after the shift.  For programs at or below the cutoff, as every
+descent program is, layouts are memoized by shape, at most
+``LAYOUT_MEMO_SIZE`` of them and no tableau-sized array among them, so a
+descent that states the same few shapes over and over copies in only
+their coefficients and rhs.  The form memoizes phase 1's outcome (the
+feasible tableau with its basis and a row-major copy of its rows,
+infeasibility, or the error raised), since phase 1 depends on the
+constraints only.
 ``LinearProgram.with_objective`` derives a program with another objective
 that shares that form, and solving it runs phase 2 from a copy of the
 cached tableau; the answer is bit-identical to a fresh program's.
@@ -75,6 +87,13 @@ RESTRICTED_UPDATE_CELLS = 4096
 # What c_user @ shift is when nothing is shifted.
 _ZERO = np.float64(0.0)
 _UNSET = object()  # the phase-1 memo before phase 1 runs; None means infeasible
+
+# Standard-form layouts by program shape (see _ConstraintForm), the oldest
+# dropped first.  A descent meets a few shapes per game size: the 2641
+# descent programs of the benchmark's ts-tight3 workload at seed 0 have 8,
+# the 240 of dfm-hard (3x3 to 5x5 games) 6.
+LAYOUT_MEMO_SIZE = 64
+_layouts: dict = {}
 
 _log = logging.getLogger(__name__)
 
@@ -210,33 +229,52 @@ def _run_simplex(T, basis, budget, bounded_objective=False):
     With ``bounded_objective`` (phase 1, which cannot descend below zero)
     an apparently unbounded column is numerically degenerate: it is frozen
     out of the entering candidates for the rest of the run.
+
+    A tableau of at most ``RESTRICTED_UPDATE_CELLS`` cells, every one the
+    descent solves, scans its reduced costs and entering column as Python
+    floats, which costs fewer calls than array masks; a larger one, whose
+    rows and columns number in the hundreds, scans them with numpy.  Both
+    make the same comparisons and divisions on the same doubles.
     """
     nrows = T.shape[1] - 1
+    on_lists = T.size <= RESTRICTED_UPDATE_CELLS
     reduced, rhs = T[:-1, -1], T[-1, :-1]
-    allowed = None
+    tol, neg_tol = TOL, -TOL
+    frozen = []
     for _ in range(budget):
-        eligible = reduced < -TOL
-        if allowed is not None:
-            eligible &= allowed
-        col = int(eligible.argmax())
-        if not eligible[col]:
-            return OPTIMAL
-        colv = T[col, :-1]
-        pos = (colv > TOL).nonzero()[0]
-        pl = pos.tolist()
+        if on_lists:
+            for col, r in enumerate(reduced.tolist()):
+                if r < neg_tol and col not in frozen:
+                    break
+            else:
+                return OPTIMAL
+            colv = T[col, :-1].tolist()
+            pl = [i for i, c in enumerate(colv) if c > tol]
+        else:
+            eligible = reduced < neg_tol
+            if frozen:
+                eligible[frozen] = False
+            col = int(eligible.argmax())
+            if not eligible[col]:
+                return OPTIMAL
+            colv = T[col, :-1]
+            pos = (colv > tol).nonzero()[0]
+            pl = pos.tolist()
         if not pl:
             if not bounded_objective:
                 return UNBOUNDED
-            if allowed is None:
-                allowed = np.ones(reduced.size, dtype=bool)
-            allowed[col] = False
+            frozen.append(col)
             continue
         row = pl[0]
         if len(pl) > 1:
             # The ratio test on Python floats: the same divisions and
             # comparisons as on arrays, without an array call for each.
-            cl = colv[pos].tolist()
-            ratios = [b / c for b, c in zip(rhs[pos].tolist(), cl)]
+            if on_lists:
+                rl = rhs.tolist()
+                cl, bl = [colv[i] for i in pl], [rl[i] for i in pl]
+            else:
+                cl, bl = colv[pos].tolist(), rhs[pos].tolist()
+            ratios = [b / c for b, c in zip(bl, cl)]
             best = min(ratios)
             limit = best + TOL * (1.0 + abs(best))
             ties = [k for k, r in enumerate(ratios) if r <= limit]
@@ -252,39 +290,52 @@ def _run_simplex(T, basis, budget, bounded_objective=False):
 
 class _ConstraintForm:
     """Objective-free equality standard form of a LinearProgram, the
-    back-maps, and the memoized phase-1 outcome."""
+    back-maps, and the memoized phase-1 outcome.
+
+    What the program's shape fixes comes from ``_layout``, memoized for
+    programs whose tableau has at most ``RESTRICTED_UPDATE_CELLS`` cells
+    before its artificials are added, as every program of the descent
+    has: a descent meets a few shapes per game size and repeats them.  A
+    larger program is the generator's, whose bounds fix its own entries,
+    so its shape rarely repeats.  A, b, the shift and ``resid_tol`` are
+    computed for each program.
+    """
 
     def __init__(self, lp: LinearProgram):
         nv = self.nv = lp.objective.size
         n_user = self.n_user = len(lp.relations)
         lower, upper = lp.lower, lp.upper
-        # Each index scan runs only when its tuple holds what it looks for.
-        self.free_extra = [j for j, lo in enumerate(lower) if lo is None] if None in lower else []
         shift = [0.0 if lo is None else float(lo) for lo in lower]
         self.shift, self.shifted = np.array(shift), any(shift)
-        ub = [j for j, up in enumerate(upper) if up is not None] if upper.count(None) < nv else []
-        if ub and any(lower[j] is None for j in ub):
-            raise LpError("upper bound on a free variable is not supported")
-        ncols_struct = self.ncols_struct = nv + len(self.free_extra)
-        nrows = self.nrows = n_user + len(ub)
-        ncols = self.ncols = ncols_struct + nrows
-
-        # User rows, then one row x_j <= u_j per upper bound.  A row with a
-        # negative rhs is negated, which swaps <= and >=; the slack of a <=
-        # row enters with +1, of a >= row with -1.  The shift comes off with
-        # one product per row, since A @ shift sums in another order and can
-        # move a last bit; with nothing shifted every product is +0.0.  The
-        # per-row bookkeeping runs on Python floats, with the same values.
-        rhs, rels = lp.rhs, lp.relations
+        # User rows, then one row x_j <= u_j per upper bound.  The shift
+        # comes off with one product per row, since A @ shift sums in another
+        # order and can move a last bit; with nothing shifted every product
+        # is +0.0.
+        rhs = lp.rhs
         if self.shifted:
             rhs = np.array([bi - a @ self.shift for a, bi in zip(lp.constraints, rhs)])
-        rhs = rhs.tolist()
+        ub = [j for j, up in enumerate(upper) if up is not None] if upper.count(None) < nv else []
         if ub:
-            rhs += [float(lp.upper[j]) - shift[j] for j in ub]
-            rels += (LE,) * len(ub)
-        flip = [-1.0 if bi < 0 else 1.0 for bi in rhs]
-        slack = [0.0 if rel == EQ else f if rel == LE else -f for rel, f in zip(rels, flip)]
-        self.flip = np.array(flip)
+            rhs = np.concatenate((rhs, [float(upper[j]) - shift[j] for j in ub]))
+        nrows = self.nrows = n_user + len(ub)
+        layout = key = None
+        # The tableau's cells before its artificials are added.  The key
+        # reads the rhs's signs after the shift, which can turn them.
+        if (nrows + 1) * (nv + lower.count(None) + nrows + 1) <= RESTRICTED_UPDATE_CELLS:
+            key = (nv, lp.relations, lower, upper, (rhs < 0).tobytes())
+            layout = _layouts.get(key)
+        if layout is None:
+            layout = _layout(nv, lp.relations, lower, ub, rhs.tolist())
+            if key is not None:
+                if len(_layouts) >= LAYOUT_MEMO_SIZE:
+                    _layouts.pop(next(iter(_layouts)), None)
+                _layouts[key] = layout
+        (self.free_extra, self.flip, negated, slack, self.needs_artificial, self.start_basis,
+         self.art_cells, self.cost_rows, ncols_struct, ncols, self.budget) = layout
+        self.ncols_struct, self.ncols = ncols_struct, ncols
+
+        # Rows whose rhs is negative are negated; then the slack block's
+        # diagonal.
         A = np.zeros((nrows, ncols))
         S = A[:, :ncols_struct]
         S[:n_user, :nv] = lp.constraints
@@ -293,40 +344,75 @@ class _ConstraintForm:
         if self.free_extra:
             # A free variable's second column carries the negated coefficients.
             S[:, nv:] = -S.take(self.free_extra, axis=1)
-        if -1.0 in flip:
+        if negated:
             S *= self.flip[:, None]
-        A.ravel()[ncols_struct::ncols + 1] = slack  # the slack block's diagonal
-        b = [bi * f for bi, f in zip(rhs, flip)]
-        self.A, self.b = A, np.array(b)
-        # Phase 1's starting basis: the slack of each row, or an artificial
-        # (a column past ncols) for a row whose slack cannot start at b_i.
-        # Also the flat positions in phase 1's tableau, stored by columns,
-        # of each artificial's unit entry and of its 1 in the last row, and
-        # the rows its cost row is made of.
-        art = self.needs_artificial = [i for i, sl in enumerate(slack) if sl <= 0.0]
-        start_basis = list(range(ncols_struct, ncols))
-        for j, i in enumerate(art, ncols):
-            start_basis[i] = j
-        self.start_basis = np.array(start_basis, dtype=np.intp)
-        self.art_cells = np.array([j * (nrows + 1) + r for j, i in enumerate(art, ncols)
-                                   for r in (i, nrows)], dtype=np.intp)
-        self.cost_rows = np.array([nrows] + art, dtype=np.intp)
+        A.ravel()[ncols_struct::ncols + 1] = slack
+        self.A, self.b = A, rhs * self.flip
         # Every b_i is >= 0 or -0.0, so max(b) is max|b_i| once 1.0 is added.
-        self.resid_tol = CHECK_TOL * (1.0 + max(b, default=0.0))
-        self.budget = 50 * (ncols + nrows)
+        self.resid_tol = CHECK_TOL * (1.0 + max(self.b.tolist(), default=0.0))
         self._start = _UNSET
 
     def phase_one(self):
-        """``_phase_one``'s outcome, computed once: (T, basis, kept), None
-        when the constraints are infeasible, or the LpNumericalError that
-        phase 1 raised.  Callers must not modify the returned arrays.
+        """``_phase_one``'s outcome, computed once: (T, basis, kept, R),
+        None when the constraints are infeasible, or the LpNumericalError
+        that phase 1 raised.  R is a C-ordered copy of the rows of T's
+        row-major view above its objective row, which every phase 2 reads
+        (see ``_phase_two``).  Callers must not modify the returned arrays.
         """
         if self._start is _UNSET:
             try:
-                self._start = _phase_one(self)
+                start = _phase_one(self)
             except LpNumericalError as err:
-                self._start = err
+                start = err
+            if isinstance(start, tuple):
+                start += (start[0].T[:-1].copy(),)
+            self._start = start
         return self._start
+
+
+def _read_only(values, dtype=float):
+    a = np.array(values, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
+def _layout(nv, relations, lower, ub, rhs):
+    """Everything in a standard form that the program's shape fixes: the
+    variable count, the relations, the bounds, and the signs of the rhs
+    ``rhs`` (a list) after the shift, upper-bound rows ``ub`` included.
+
+    Returns, in this order: the free variables; each row's flip, -1.0
+    where its rhs is negative, and whether any is -1.0; the slack block's
+    diagonal; the rows that need an artificial; phase 1's starting basis,
+    the flat cells of its artificials' unit entries and the rows its cost
+    row is made of; the structural and total column counts, and the pivot
+    budget.  Every array is read-only.
+    """
+    # The free-variable scan runs only when the tuple holds a None.
+    free_extra = tuple([j for j, lo in enumerate(lower) if lo is None]) if None in lower else ()
+    if ub and any(lower[j] is None for j in ub):
+        raise LpError("upper bound on a free variable is not supported")
+    nrows = len(rhs)
+    ncols_struct = nv + len(free_extra)
+    ncols = ncols_struct + nrows
+    # A row with a negative rhs is negated, which swaps <= and >=; the slack
+    # of a <= row enters with +1, of a >= row with -1.
+    rels = relations + (LE,) * len(ub)
+    flip = [-1.0 if bi < 0 else 1.0 for bi in rhs]
+    slack = [0.0 if rel == EQ else f if rel == LE else -f for rel, f in zip(rels, flip)]
+    # Phase 1's starting basis: the slack of each row, or an artificial (a
+    # column past ncols) for a row whose slack cannot start at b_i.  Also
+    # the flat positions in phase 1's tableau, stored by columns, of each
+    # artificial's unit entry and of its 1 in the last row, and the rows
+    # its cost row is made of.
+    art = tuple([i for i, sl in enumerate(slack) if sl <= 0.0])
+    start_basis = list(range(ncols_struct, ncols))
+    for j, i in enumerate(art, ncols):
+        start_basis[i] = j
+    art_cells = [j * (nrows + 1) + r for j, i in enumerate(art, ncols) for r in (i, nrows)]
+    return (free_extra, _read_only(flip), -1.0 in flip, _read_only(slack), art,
+            _read_only(start_basis, np.intp), _read_only(art_cells, np.intp),
+            _read_only((nrows,) + art, np.intp), ncols_struct, ncols, 50 * (ncols + nrows))
 
 
 class _Objective:
@@ -402,14 +488,15 @@ def _phase_two(form: _ConstraintForm, obj: _Objective, start):
     """Optimize the objective from a copy of phase 1's tableau.
 
     The starting objective row is c - c_B @ R, with R the rows above it
-    copied into a C-ordered, row-major array.  BLAS sums c_B @ M in
-    another order when M is the column-major view T.T[:-1], so the
-    product on that view can differ in its last bits.  Returns the
+    in a C-ordered, row-major copy that phase 1's memo holds, so each
+    form copies them once however many objectives it solves.  BLAS sums
+    c_B @ M in another order when M is the column-major view T.T[:-1], so
+    the product on that view can differ in its last bits.  Returns the
     terminal basis, or None when the objective is unbounded; raises
     LpNumericalError when the budget runs out.
     """
     T, basis = start[0].copy(), start[1].copy()
-    T[:, -1] = obj.c_row - obj.c_row[basis] @ start[0].T[:-1].copy()
+    T[:, -1] = obj.c_row - obj.c_row[basis] @ start[3]
     status = _run_simplex(T, basis, form.budget)
     return None if status == UNBOUNDED else basis
 

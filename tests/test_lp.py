@@ -462,7 +462,7 @@ def phase_one_bits(start, cells, by_columns):
     keep the sign of their zeros."""
     if start is None or isinstance(start, LpNumericalError):
         return repr(start)
-    T, basis, kept = start
+    T, basis, kept = start[:3]
     if by_columns:
         T = T.T.copy()
     if cells > RESTRICTED_UPDATE_CELLS:
@@ -490,7 +490,7 @@ def assert_kernel_matches_reference(lp):
     form, old = new._form, ConstraintFormOld(lp)
     assert form.A.tobytes() == old.A.tobytes() and form.A.shape == old.A.shape
     assert form.b.tobytes() == old.b.tobytes() and form.flip.tobytes() == old.flip.tobytes()
-    assert form.shift.tobytes() == old.shift.tobytes() and form.free_extra == old.free_extra
+    assert form.shift.tobytes() == old.shift.tobytes() and list(form.free_extra) == old.free_extra
     assert list(form.needs_artificial) == old.needs_artificial.tolist()
     assert (repr(float(form.resid_tol)), form.budget) == (repr(float(old.resid_tol)), old.budget)
     cells = phase_one_cells(form)
@@ -632,17 +632,24 @@ def test_kernel_matches_reference_on_drawn_programs(prog):
 
 
 # ---------------------------------------------------------------------------
-# The two rank-1 updates of _pivot: the whole tableau, and above
-# RESTRICTED_UPDATE_CELLS cells only the columns where the pivot row is
-# nonzero.  Each path is forced by moving the cutoff.
+# The two paths of a pivot: at or below RESTRICTED_UPDATE_CELLS cells,
+# decisions on Python floats and a rank-1 update of the whole tableau;
+# above it, decisions on numpy masks and an update of only the columns
+# where the pivot row is nonzero.  Each path is forced by moving the
+# cutoff, which also decides which layouts are memoized.
+
+
+def rebuilt(lp):
+    """A fresh program with lp's data, and so a fresh standard form."""
+    return LinearProgram(lp.objective, lp.sense, lp.constraints, lp.relations, lp.rhs,
+                         lower=lp.lower, upper=lp.upper)
 
 
 def kernel_run(lp):
     """(phase-1 basis, terminal basis, answer bits) of a fresh copy of lp."""
     import nashdescent.lp as lpmod
 
-    fresh = LinearProgram(lp.objective, lp.sense, lp.constraints, lp.relations, lp.rhs,
-                          lower=lp.lower, upper=lp.upper)
+    fresh = rebuilt(lp)
     form = fresh._form
     start = form.phase_one()
     if not isinstance(start, tuple):
@@ -670,20 +677,30 @@ def tight_7x7_programs():
 
 def test_both_pivot_updates_give_the_same_bits(monkeypatch, captured_programs,
                                                tight_7x7_programs):
+    """Every program reaches the same bases and the same answer bytes with
+    the cutoff at 0 (numpy pivot decisions, restricted updates, no layout
+    memo), above every tableau (decisions on Python floats, whole updates,
+    every layout memoized) and at its value."""
     import math
 
     import nashdescent.lp as lpmod
 
+    from .golden_corpus import random_program, real_lps
+
+    rng = np.random.default_rng(131)
+    corpus = [random_program(rng) for _ in range(60)] + [lp for _, lp, _ in real_lps()]
     tight_5x5 = [lp for site, lp, _ in captured_programs if site == "tight"]
-    programs = tight_5x5 + tight_7x7_programs
+    programs = corpus + [lp for _, lp, _ in captured_programs] + tight_7x7_programs
     assert len(tight_5x5) >= 6 and len(tight_7x7_programs) >= 8
-    assert min(phase_one_cells(lp._form) for lp in programs) > RESTRICTED_UPDATE_CELLS
+    cells = [phase_one_cells(lp._form) for lp in tight_5x5 + tight_7x7_programs]
+    assert min(cells) > RESTRICTED_UPDATE_CELLS
     runs = {}
-    for name, cutoff in (("whole", math.inf), ("restricted", 0)):
+    for name, cutoff in (("lists", math.inf), ("arrays", 0), ("default", RESTRICTED_UPDATE_CELLS)):
         monkeypatch.setattr(lpmod, "RESTRICTED_UPDATE_CELLS", cutoff)
+        monkeypatch.setattr(lpmod, "_layouts", {})
         runs[name] = [kernel_run(lp) for lp in programs]
-    assert runs["restricted"] == runs["whole"]
-    assert sum(bits[0] == OPTIMAL for _, _, bits in runs["whole"]) >= 10
+    assert runs["arrays"] == runs["lists"] == runs["default"]
+    assert sum(bits[0] == OPTIMAL for _, _, bits in runs["lists"]) >= 250
 
 
 def test_descent_tableaux_stay_at_or_under_the_cutoff(monkeypatch):
@@ -733,8 +750,7 @@ def test_phase_two_starts_from_the_row_major_cost_product(monkeypatch, captured_
     programs = [(site, lp) for site, lp, _ in captured_programs]
     programs += [("tight 7x7", lp) for lp in tight_7x7_programs]
     for site, lp in programs:
-        fresh = LinearProgram(lp.objective, lp.sense, lp.constraints, lp.relations, lp.rhs,
-                              lower=lp.lower, upper=lp.upper)
+        fresh = rebuilt(lp)
         form = fresh._form
         start = form.phase_one()
         if not isinstance(start, tuple):
@@ -748,3 +764,98 @@ def test_phase_two_starts_from_the_row_major_cost_product(monkeypatch, captured_
         sites[site] = sites.get(site, 0) + 1
     assert min(sites.get(s, 0) for s in ("balance", "direction", "equalized")) >= 20, sites
     assert sites.get("tight", 0) >= 6 and sites.get("tight 7x7", 0) >= 8, sites
+
+
+# ---------------------------------------------------------------------------
+# The standard form's layout memo: a form built from a memo hit is the form
+# a fresh build makes.
+
+
+def form_bits(form):
+    """Every part of a standard form that a solve reads."""
+    return (form.A.tobytes(), form.A.shape, form.b.tobytes(), form.flip.tobytes(),
+            form.shift.tobytes(), form.shifted, form.start_basis.tobytes(),
+            form.art_cells.tobytes(), form.cost_rows.tobytes(), repr(form.resid_tol),
+            form.budget, form.free_extra, form.needs_artificial, form.nrows, form.ncols,
+            form.ncols_struct)
+
+
+def test_layout_memo_hits_build_fresh_forms(monkeypatch, captured_programs):
+    import nashdescent.lp as lpmod
+
+    from .golden_corpus import random_program
+
+    # x0 >= 1 with x0 <= 2 or x0 <= 0.5: the same shape before the shift,
+    # but the shift makes the second rhs negative, so that row is negated.
+    shifted_sign = [LinearProgram(np.array([1.0]), "min", [[1.0]], [LE], [rhs],
+                                  lower=[1.0], upper=[3.0]) for rhs in (2.0, 0.5, 2.0)]
+    # Each seeded program, then a copy with its rows doubled: the shift
+    # doubles that copy's rhs exactly, so it has the program's shape.
+    rng = np.random.default_rng(77)
+    seeded = [random_program(rng) for _ in range(400)]
+    seeded = [p for lp in seeded for p in (lp, LinearProgram(
+        lp.objective, lp.sense, 2.0 * lp.constraints, lp.relations, 2.0 * lp.rhs,
+        lower=lp.lower, upper=lp.upper))]
+    groups = {"captured": [lp for site, lp, _ in captured_programs if site != "tight"],
+              "seeded": seeded, "shifted sign": shifted_sign}
+    builds, real = [], lpmod._layout
+
+    def counted(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lpmod, "_layout", counted)
+    warm = {}
+    monkeypatch.setattr(lpmod, "_layouts", warm)
+    hits = dict.fromkeys(groups, 0)
+    for name, programs in groups.items():
+        for lp in programs:
+            before = len(builds)
+            form = rebuilt(lp)._form
+            hits[name] += len(builds) == before
+            monkeypatch.setattr(lpmod, "_layouts", {})
+            assert form_bits(form) == form_bits(rebuilt(lp)._form), (name, lp)
+            monkeypatch.setattr(lpmod, "_layouts", warm)
+    assert hits["captured"] >= 100 and hits["seeded"] >= 400, hits
+    # The third program hits the first's layout, the second builds its own.
+    assert hits["shifted sign"] == 1 and shifted_sign[1]._form.flip.tolist() == [-1.0, 1.0]
+    shifted = [lp for lp in groups["seeded"] if lp._form.shifted]
+    assert any(lp._form.free_extra for lp in groups["seeded"]) and shifted
+    assert any(lp._form.nrows > len(lp.relations) for lp in shifted)
+
+
+def test_layout_memo_is_bounded_and_read_only(monkeypatch):
+    import nashdescent.lp as lpmod
+
+    monkeypatch.setattr(lpmod, "_layouts", {})
+    for nv in range(1, 3 * lpmod.LAYOUT_MEMO_SIZE):
+        LinearProgram(np.ones(nv), "min", np.ones((2, nv)), (GE, LE), [1.0, 2.0])
+        assert len(lpmod._layouts) <= lpmod.LAYOUT_MEMO_SIZE
+    assert len(lpmod._layouts) == lpmod.LAYOUT_MEMO_SIZE
+    arrays = [v for layout in lpmod._layouts.values() for v in layout
+              if isinstance(v, np.ndarray)]
+    assert len(arrays) == 5 * lpmod.LAYOUT_MEMO_SIZE
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+    # A form's own arrays stay writable copies where a solve writes to them.
+    form = LinearProgram(np.ones(3), "min", np.ones((2, 3)), (GE, LE), [1.0, 2.0])._form
+    assert form.A.flags.writeable and form.b.flags.writeable
+    assert form.start_basis.copy().flags.writeable
+
+
+def test_malformed_programs_raise_on_memo_hits(monkeypatch):
+    import nashdescent.lp as lpmod
+
+    monkeypatch.setattr(lpmod, "_layouts", {})
+    good = dict(objective=np.array([1.0, 1.0]), sense="min", constraints=[[1.0, 1.0]],
+                relations=[LE], rhs=[1.0], lower=[0.0, 0.0], upper=[2.0, None])
+    bad = [{"lower": [np.nan, 0.0]}, {"lower": [-np.inf, 0.0]}, {"upper": [np.inf, None]},
+           {"relations": ["<>"]}, {"lower": [None, 0.0]}]
+    for _ in range(3):  # a miss, then hits
+        LinearProgram(**good)
+        for change in bad:
+            with pytest.raises(LpError):
+                LinearProgram(**{**good, **change})
+    assert len(lpmod._layouts) == 1
