@@ -247,14 +247,16 @@ def _descent(game: Game, p0: Profile, delta: float):
 
 
 def _stability_task(payload):
-    """A failed restart is counted in ``failed``; it neither proves nor
-    disproves stability, so the scan goes on to the next restart."""
+    """An instance is stable when at least one restart finished and none
+    escaped the ball.  A failed restart is counted in ``failed``; it
+    neither proves nor disproves stability, so the scan goes on to the next
+    restart, and an instance none of whose restarts finished is unstable."""
     key, _, radius, _, samples, seed = payload
     star, descents = _restarts(payload, perturb_profile)
     t0 = time.perf_counter()
     trials_run = 0
     failed = 0
-    stable = True
+    escaped = False
     last_f = float("nan")
     iters = 0
     for sp in descents:
@@ -265,8 +267,9 @@ def _stability_task(payload):
         iters += sp.iterations
         last_f = sp.f
         if profile_distance(sp.profile, star) >= radius:
-            stable = False
+            escaped = True
             break
+    stable = not escaped and failed < trials_run
     wall = (time.perf_counter() - t0) * 1000.0
     return TrialRecord(
         "stability", key, "ts-descent", seed, last_f, iters, wall,
@@ -423,10 +426,11 @@ def exp_stability(cfg: ExperimentConfig) -> ExperimentReport:
     """Perturbed-restart stability of generated worst-case instances.
 
     An instance is stable when descent returns within the perturbation ball
-    for every one of its restarts (the scan short-circuits at the first
-    escape).  Fall-back is measured on the descent output profile in the
-    max norm.  A restart whose descent raises LpNumericalError is counted
-    in ``failed``, per record and per size, and not otherwise.
+    for every one of its restarts that finishes, and at least one does (the
+    scan short-circuits at the first escape).  Fall-back is measured on the
+    descent output profile in the max norm.  A restart whose descent raises
+    LpNumericalError is counted in ``failed``, per record and per size, and
+    not otherwise.
     """
     records = []
     for si, m, n, games in _tight_games(cfg):

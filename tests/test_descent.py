@@ -17,6 +17,7 @@ from nashdescent.descent import (
     verify_stationary,
 )
 from nashdescent.game import Game, Profile, mixed, normalize_game, pure, regrets, supports, uniform
+from nashdescent.lp import EQ, GE, LE, OPTIMAL
 
 from .oracles import grid_direction_value
 
@@ -369,10 +370,16 @@ class TestVerifyStationary:
         assert A[0] > A.min() + 1e-6
 
 
+def simplex_points(k, rng):
+    """Two points of the k-simplex: a random interior one and a vertex."""
+    return [rng.dirichlet(np.ones(k)), np.eye(k)[rng.integers(k)]]
+
+
 class TestLpBlocks:
-    """The descent states each LP as one block, with exactly the rows of the
-    row-by-row builders it replaced (oracles.*_rows_old): the same
-    coefficients with the same sign bits, relations and rhs, in order."""
+    """The descent's three LPs state their definitions: evaluated at probe
+    points, each row equals the quantity it is defined by, computed here
+    from the regrets, from G = bilinear_matrix and from the best-response
+    sets of supports."""
 
     @staticmethod
     def inputs():
@@ -392,113 +399,202 @@ class TestLpBlocks:
                 profiles += [starts[gi]] if gi in starts else []
                 yield game, profiles
 
-    def test_same_rows_as_row_by_row_builders(self, monkeypatch):
+    @staticmethod
+    def check_balance(lp, game, p, rng):
+        """min fR(x) over x in the simplex, s.t. fC(x) <= fR(x) for every
+        column j the column player may deviate to."""
+        R, C, y = game.R, game.C, p.y
+        top = float((R @ y).max())
+        assert lp.relations == (LE,) * game.n + (EQ,) and lp.rhs[-1] == 1.0
+        assert lp.lower == (0.0,) * game.m and lp.upper == (None,) * game.m
+        for x in simplex_points(game.m, rng):
+            fR = top - x @ R @ y
+            gaps = x @ C - x @ C @ y  # the column player's gain from each pure j
+            rows = lp.constraints @ x - lp.rhs
+            assert np.allclose(rows[:-1], gaps - fR, rtol=0, atol=1e-14)
+            assert abs(rows[-1] - (x.sum() - 1.0)) <= 1e-15
+            assert abs(lp.objective @ x - (fR - top)) <= 1e-14
+
+    @staticmethod
+    def check_direction(lp, G, row_ids, n, m, rng):
+        """min v over (y', x', v), y' and x' in their simplices, s.t.
+        v >= G_k (y'; x') for every best-response row k."""
+        k = len(row_ids)
+        assert lp.relations == (GE,) * k + (EQ, EQ)
+        assert lp.rhs.tolist() == [0.0] * k + [1.0, 1.0]
+        assert lp.lower == (0.0,) * (n + m) + (None,) and lp.upper == (None,) * (n + m + 1)
+        for yp, xp in zip(simplex_points(n, rng), simplex_points(m, rng)):
+            v = rng.uniform(-1, 1)
+            point = np.concatenate([yp, xp, [v]])
+            rows = lp.constraints @ point
+            assert np.allclose(rows[:k], v - G[row_ids] @ point[:-1], rtol=0, atol=1e-14)
+            assert np.allclose(rows[k:], [yp.sum(), xp.sum()], rtol=0, atol=1e-15)
+            assert lp.objective @ point == v
+
+    @staticmethod
+    def check_equalized(lp, G, row_ids, n, m, value, rng):
+        """min s over weights u on the best-response rows, in the simplex,
+        and column minima (dy, dx), free, with dy + dx >= value - 1e-10, s.t.
+        every column of u'G lies in [its group's minimum, that + s]."""
+        k = len(row_ids)
+        assert lp.relations == (GE, LE) * (n + m) + (EQ, GE)
+        assert lp.rhs.tolist() == [0.0] * (2 * (n + m)) + [1.0, value - 1e-10]
+        assert lp.lower == (0.0,) * k + (None, None, 0.0)
+        for u in simplex_points(k, rng):
+            dy, dx, slack = rng.uniform(-1, 1, size=3)
+            point = np.concatenate([u, [dy, dx, slack]])
+            cols = u @ G[row_ids] - np.repeat([dy, dx], [n, m])
+            rows = lp.constraints @ point
+            assert np.allclose(rows[:-2:2], cols, rtol=0, atol=1e-14)
+            assert np.allclose(rows[1:-2:2], cols - slack, rtol=0, atol=1e-14)
+            assert np.allclose(rows[-2:], [u.sum(), dy + dx], rtol=0, atol=1e-15)
+            assert lp.objective @ point == slack
+
+    def test_rows_state_their_definitions(self):
         import contextlib
 
         from nashdescent import descent
         from nashdescent.lp import LpNumericalError
 
-        from .oracles import (direction_rows_old, equalized_rows_old, rebalance_rows_old,
-                              same_program)
+        from .golden_corpus import captured_lps
 
-        captured = []
-        real = descent.solve_lp
-
-        def recording(lp):
-            captured.append(lp)
-            return real(lp)
-
-        monkeypatch.setattr(descent, "solve_lp", recording)
+        rng = np.random.default_rng(5)
         counts = {"balance": 0, "direction": 0, "equalized": 0}
         for game, profiles in self.inputs():
             for p in profiles:
                 for g, q in ((game, p), (game.swapped(), p.swapped())):
-                    captured.clear()
-                    with contextlib.suppress(LpNumericalError):
+                    lps = []
+                    with captured_lps(lps), contextlib.suppress(LpNumericalError):
                         descent._rebalance_row(g, q)
-                    assert same_program(captured[0], *rebalance_rows_old(g, q))
+                    self.check_balance(lps[0][1], g, q, rng)
                     counts["balance"] += 1
                 # At the start and at its balanced twin, where the
                 # best-response sets of both players tie.
                 for q in (p, balance(game, p)):
                     G = bilinear_matrix(game, q.x, q.y)
-                    row_ids, _ = descent._support_rows(game, q)
-                    captured.clear()
-                    with contextlib.suppress(LpNumericalError):
+                    sup = supports(game, q)
+                    row_ids = np.concatenate([sup.row_best, sup.col_best + game.m])
+                    lps = []
+                    with captured_lps(lps), contextlib.suppress(LpNumericalError):
                         d = direction(game, q)
                         descent._equalized_dual(d)
-                    assert same_program(captured[0], *direction_rows_old(G, row_ids, game.n, game.m))
+                    self.check_direction(lps[0][1], G, row_ids, game.n, game.m, rng)
                     counts["direction"] += 1
-                    if len(captured) > 1:
-                        assert same_program(captured[1], *equalized_rows_old(
-                            G, row_ids, game.n, game.m, d.value))
+                    if len(lps) > 1:
+                        self.check_equalized(lps[1][1], G, row_ids, game.n, game.m, d.value,
+                                             rng)
                         counts["equalized"] += 1
         assert min(counts.values()) >= 80, counts
 
 
+def witness_from(weights, sup, m, n):
+    """The witness (rho, w, z) that dual weights on the best-response rows
+    define: the weights' positive parts, scaled to sum 1; rho is the row
+    block's mass, and each block, scaled to sum 1, is that player's
+    witness, or uniform on the best responses when the block's mass is at
+    most SUPPORT_TOL."""
+    from nashdescent.game import SUPPORT_TOL
+
+    u = np.maximum(weights, 0.0)
+    u = u / u.sum() if u.sum() > 0 else np.full(u.size, 1.0 / u.size)
+    nw = len(sup.row_best)
+    blocks = []
+    for uk, best, k in ((u[:nw], sup.row_best, m), (u[nw:], sup.col_best, n)):
+        v = np.zeros(k)
+        v[best] = uk / uk.sum() if uk.sum() > SUPPORT_TOL else 1.0 / len(best)
+        blocks.append(v)
+    return min(max(u[:nw].sum(), 0.0), 1.0), blocks[0], blocks[1]
+
+
+def assert_mixed(v, want, tol=1e-15):
+    """v is a read-only mixed strategy within tol of want."""
+    assert not v.flags.writeable and v.min() >= 0.0 and abs(v.sum() - 1.0) <= tol
+    assert np.abs(v - want).max() <= tol, (v, want)
+
+
+def crossing_step(vals, vals_new, tol):
+    """The first t in (0, 1] at which some index outside the best set of
+    vals (within tol of its maximum) overtakes that set's best value along
+    (1 - t) vals + t vals_new; inf when none does.  An index whose gap
+    closes by 1e-12 or less overall sets no bound."""
+    best = vals >= vals.max() - tol
+    if best.all():
+        return np.inf
+    num = vals.max() - vals[~best]
+    gap = vals_new[~best] - vals_new[best].max()
+    ok = (gap > 0) & (num + gap > 1e-12)
+    return float((num[ok] / (num[ok] + gap[ok])).min()) if ok.any() else np.inf
+
+
+@pytest.fixture(scope="module")
+def descent_calls(solver_runs):
+    """The (game, profile) of every direction call and the (game, profile,
+    direction) of every line_search call in the solver runs."""
+    from nashdescent import descent
+
+    calls = {"direction": [], "line_search": []}
+    real = {name: getattr(descent, name) for name in calls}
+
+    def recorder(name):
+        def recording(game, p, *args):
+            calls[name].append((game, p, *args[:1]))
+            return real[name](game, p, *args)
+        return recording
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in calls:
+            patch.setattr(descent, name, recorder(name))
+        for solver, game, p0, delta in solver_runs:
+            solver(game, p0, delta, max_iter=200)
+    return calls
+
+
 class TestReferenceBits:
-    """The witness, the normalizations and the descent step against verbatim
-    copies of their former code (tests/oracles.py), bit for bit."""
+    """The witness, the direction's step target and the line-search step
+    against their definitions, recomputed here from the LPs' answers."""
 
-    @staticmethod
-    def bits(v):
-        return v.tobytes(), v.shape, v.flags.writeable
-
-    def test_witnesses_and_directions_match_the_reference(self, solver_runs, monkeypatch):
+    def test_witnesses_and_directions_match_the_reference(self, descent_calls):
         from nashdescent import descent
 
         from .golden_corpus import captured_lps
-        from .oracles import dual_from_weights_old, renormalized_old
 
-        profiles = []
-        real = descent.direction
-
-        def recording(game, p, *args, **kwargs):
-            profiles.append((game, p))
-            return real(game, p, *args, **kwargs)
-
-        monkeypatch.setattr(descent, "direction", recording)
-        for solver, game, p0, delta in solver_runs:
-            solver(game, p0, delta, max_iter=200)
-        monkeypatch.undo()
+        profiles = descent_calls["direction"]
         equalized = 0
         for game, p in profiles:
             lps = []
             with captured_lps(lps):
                 d = direction(game, p)
                 dual = descent._equalized_dual(d)
-            _, G, row_ids, sup, weights = d._program
-            x = lps[0][2].x
-            assert self.bits(d.x_new) == self.bits(renormalized_old(x[game.n:game.n + game.m]))
-            assert self.bits(d.y_new) == self.bits(renormalized_old(x[:game.n]))
-            want = dual_from_weights_old(game, weights, sup)
-            plain = direction(game, p).dual
-            assert (repr(plain.rho), self.bits(plain.w), self.bits(plain.z)) == (
-                repr(want.rho), self.bits(want.w), self.bits(want.z))
-            eq = lps[1][2] if len(lps) > 1 and not isinstance(lps[1][2], Exception) else None
-            if eq is not None and eq.status == "optimal":
-                want = dual_from_weights_old(game, eq.x[:len(row_ids)], sup)
-                equalized += 1
-            assert (repr(dual.rho), self.bits(dual.w), self.bits(dual.z)) == (
-                repr(want.rho), self.bits(want.w), self.bits(want.z))
+            m, n = game.m, game.n
+            sol = lps[0][2]
+            sup = supports(game, p)
+            k = len(sup.row_best) + len(sup.col_best)
+            for got, part in ((d.x_new, sol.x[n:n + m]), (d.y_new, sol.x[:n])):
+                assert_mixed(got, np.maximum(part, 0.0) / np.maximum(part, 0.0).sum())
+            # The equalized LP's weights, or the direction LP's where it
+            # raised or ended without an optimum.
+            eq = lps[1][2] if len(lps) > 1 else None
+            optimal = getattr(eq, "status", None) == OPTIMAL
+            equalized += optimal
+            for witness, weights in ((d.dual, sol.duals[:k]),
+                                     (dual, eq.x[:k] if optimal else sol.duals[:k])):
+                rho, w, z = witness_from(weights, sup, m, n)
+                assert abs(witness.rho - rho) <= 1e-15
+                assert_mixed(witness.w, w)
+                assert_mixed(witness.z, z)
+                # The witness certifies the direction's value: the column
+                # minima of (rho w, (1 - rho) z)'G over y' and x' sum to it.
+                cols = np.concatenate([witness.rho * witness.w,
+                                       (1 - witness.rho) * witness.z]) @ bilinear_matrix(
+                    game, p.x, p.y)
+                assert cols[:n].min() + cols[n:].min() >= d.value - 1e-7
         assert len(profiles) >= 80 and equalized >= 40, (len(profiles), equalized)
 
-    def test_line_search_matches_the_reference(self, solver_runs, monkeypatch):
+    def test_line_search_matches_the_reference(self, descent_calls):
         from nashdescent import descent
+        from nashdescent.game import SUPPORT_TOL
 
-        from .oracles import line_search_old
-
-        calls = []
-        real = descent.line_search
-
-        def recording(game, p, d, *args):
-            calls.append((game, p, d))
-            return real(game, p, d, *args)
-
-        monkeypatch.setattr(descent, "line_search", recording)
-        for solver, game, p0, delta in solver_runs[:-1]:  # the last one fails
-            solver(game, p0, delta, max_iter=200)
-        monkeypatch.undo()
+        calls = list(descent_calls["line_search"])
         # Unbalanced profiles and arbitrary directions on games with tied
         # payoffs, so that best-response sets and support bounds tie.
         rng = np.random.default_rng(5)
@@ -511,10 +607,24 @@ class TestReferenceBits:
                     q = Profile(*(mixed(rng.dirichlet(np.ones(k))) for k in (m, n)))
                     d = descent.DirectionResult(q.x, q.y, float(rng.uniform(-0.5, 0.5)))
                     calls.append((game, random_profile(game, rng), d))
+        capped = bounded = 0
         for game, p, d in calls:
+            R, C = game.R, game.C
             f = regrets(game, p).f
-            assert repr(line_search(game, p, d, f)) == repr(line_search_old(game, p, d))
-        assert len(calls) >= 240
+            eps = line_search(game, p, d, f)
+            # The largest step in (0, 1] at which neither player's best
+            # responses are overtaken, capped at |V - f| / (2|H|) when the
+            # cross term H of the step is negative.
+            want = min(1.0, crossing_step(R @ p.y, R @ d.y_new, SUPPORT_TOL),
+                       crossing_step(C.T @ p.x, C.T @ d.x_new, SUPPORT_TOL))
+            bounded += want < 1.0
+            dx, dy = d.x_new - p.x, d.y_new - p.y
+            H = min(dx @ R @ dy, dx @ C @ dy)
+            if H < 0 and abs(d.value - f) / (2 * abs(H)) < want:
+                want = abs(d.value - f) / (2 * abs(H))
+                capped += 1
+            assert eps == pytest.approx(want, rel=1e-12, abs=0), (eps, want)
+        assert len(calls) >= 240 and bounded >= 100 and capped >= 10, (len(calls), bounded, capped)
 
 
 @st.composite
@@ -536,17 +646,22 @@ def near_simplex_pairs(draw):
     return one(), one(), draw(st.floats(0.0, 1.0))
 
 
+def defined_mixed(v):
+    """mixed's arithmetic as defined: negatives set to +0.0 (a -0.0 stays),
+    then the vector divided by its sum."""
+    v = np.where(v < 0, 0.0, v)
+    return v / v.sum()
+
+
 @settings(max_examples=300, deadline=None)
 @given(near_simplex_pairs())
 def test_normalization_core_equals_mixed(drawn):
     from nashdescent.game import normalize_in_place
 
-    from .oracles import mixed_old
-
     a, b, eps = drawn
     # A drawn vector, and the descent's step from a toward b.
     for v in (a, np.clip(a + eps * (b - a), 0.0, None)):
-        want = mixed_old(v)
+        want = defined_mixed(v)
         for got in (normalize_in_place(v.copy()), mixed(v)):
             assert got.tobytes() == want.tobytes() and not got.flags.writeable
 
@@ -555,18 +670,29 @@ def test_normalization_core_equals_mixed(drawn):
 @given(st.lists(st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0, np.nan, np.inf, 1e-13]),
                 min_size=1, max_size=8))
 def test_mixed_and_renormalized_match_the_reference(values):
-    from nashdescent.game import GameError, renormalized
-
-    from .oracles import mixed_old, renormalized_old
+    from nashdescent.game import NEG_TOL, SUM_TOL, GameError, renormalized
 
     v = np.array(values)
-    outcomes = []
-    for fn in (mixed, mixed_old):
-        try:
-            outcomes.append(fn(v).tobytes())
-        except GameError as err:
-            outcomes.append(str(err))
-    assert outcomes[0] == outcomes[1]
-    if np.isfinite(v).all():
-        got, want = renormalized(v), renormalized_old(v)
-        assert got.tobytes() == want.tobytes() and not got.flags.writeable
+    finite = np.isfinite(v).all()
+    if not finite:
+        error = "non-finite"
+    elif v.min() < -NEG_TOL:
+        error = "is negative"
+    elif not abs(np.where(v < 0, 0.0, v).sum() - 1.0) <= SUM_TOL:
+        error = "sums to"
+    else:
+        error = None
+    if error is None:
+        got = mixed(v)
+        assert got.tobytes() == defined_mixed(v).tobytes() and not got.flags.writeable
+    else:
+        with pytest.raises(GameError, match=error):
+            mixed(v)
+    if finite:
+        # Negatives clipped to 0 and the rest scaled to sum 1; uniform when
+        # nothing positive is left.
+        positive = np.maximum(v, 0.0)
+        want = positive / positive.sum() if positive.sum() > 0 else np.full(v.size, 1 / v.size)
+        got = renormalized(v)
+        assert_mixed(got, want)
+        assert np.array_equal(got > 0, want > 0)

@@ -183,6 +183,19 @@ class TestStability:
         assert got.aggregates["3x3"] == {**want.aggregates["3x3"], "failed": 1}
         assert recompute_aggregates(got) == got.aggregates
 
+    def test_an_instance_with_no_finished_restart_is_not_stable(self, monkeypatch):
+        def failing(game, p0, delta):
+            raise LpNumericalError("terminal basis failed feasibility checks")
+
+        monkeypatch.setattr(experiments, "find_stationary", failing)
+        cfg = ExperimentConfig(sizes=((3, 3),), count=2, samples=3, seed=5)
+        rep = exp_stability(cfg)
+        assert [r.detail for r in rep.records] == [
+            {"stable": False, "trials_run": 3, "samples": 3, "failed": 3}] * 2
+        assert rep.aggregates["3x3"]["rate"] == 0.0 and rep.aggregates["3x3"]["failed"] == 6
+        # exp_outside_ball runs its trials on stable instances only: none here.
+        assert exp_outside_ball(cfg).records == []
+
 
 class TestOutsideBall:
     def test_definition_and_threshold_monotonicity(self):

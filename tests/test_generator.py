@@ -28,10 +28,9 @@ from nashdescent.generator import (
     tight_no_dominated,
     verify_tight,
 )
-from nashdescent.lp import INFEASIBLE, solve_lp
+from nashdescent.lp import EQ, GE, INFEASIBLE, OPTIMAL, solve_lp
 
-from .oracles import (TightLpBuilderOld, bound_constants_decimal, pair_candidates_unscreened,
-                      same_program)
+from .oracles import bound_constants_decimal, pair_candidates_unscreened
 
 
 class TestConstants:
@@ -245,22 +244,65 @@ class TestPairScreen:
                 assert any(screens), restriction
 
 
-class TestTightLpRows:
-    """_tight_program states exactly the program of the hand-mirrored
-    builder it replaced (oracles.TightLpBuilderOld)."""
+def row_violation(lp, v):
+    """The largest amount by which the point v breaks a row or a bound of lp."""
+    r = lp.constraints @ v - lp.rhs
+    rel = np.array(lp.relations)
+    rows = np.where(rel == EQ, np.abs(r), np.where(rel == GE, -r, r))
+    lower = np.array([-np.inf if lo is None else lo for lo in lp.lower])
+    upper = np.array([np.inf if up is None else up for up in lp.upper])
+    return max(rows.max(initial=0.0), (lower - v).max(), (v - upper).max())
 
-    def test_same_program_as_mirrored_loops(self):
+
+class TestTightLpRows:
+    """_tight_program against the paper's conditions for a tight instance
+    (Tsaknakis and Spirakis, WINE 2007): the known tight games satisfy its
+    rows at their (k, l), games that are not tight satisfy no such program,
+    and every point of a program's feasible set is a game that
+    verify_tight certifies."""
+
+    @pytest.mark.parametrize("inst, k, l", [
+        (tight_3x3(), 1, 1), (tight_m_n(3, 4), 2, 3), (tight_m_n(4, 3), 3, 2),
+        (tight_m_n(5, 5), 2, 2), (tight_m_n(3, 7), 2, 6), (tight_no_dominated(), 2, 2),
+    ], ids=lambda v: getattr(v, "name", str(v)))
+    def test_static_instances_satisfy_their_rows(self, inst, k, l):
+        v = np.concatenate([inst.game.R.ravel(), inst.game.C.ravel()])
+        for intersect in (False, True):
+            assert row_violation(_tight_program(inst.input, k, l, intersect), v) <= 1e-15
+
+    @pytest.mark.parametrize("inst", [dfm_tight(), dfm_family(0.1), half_sp()],
+                             ids=lambda inst: inst.name)
+    def test_games_that_are_not_tight_satisfy_no_program(self, inst):
+        # Each is the worst case of another bound, 1/3 or 1/2, not b.
+        v = np.concatenate([inst.game.R.ravel(), inst.game.C.ravel()])
+        for k in range(inst.game.m):
+            for l in range(inst.game.n):
+                for intersect in (False, True):
+                    lp = _tight_program(inst.input, k, l, intersect)
+                    assert row_violation(lp, v) > 0.1, (k, l, intersect)
+
+    def test_feasible_points_are_tight_games(self):
         sizes = [(2, 2), (2, 4), (3, 3), (4, 5), (5, 5), (7, 3)]
-        programs = 0
+        programs = feasible = 0
         for inp in _sweep_inputs(sizes, per_cell=2):
             for k, l in pair_candidates_unscreened(inp):
                 for intersect in (False, True):
-                    got = _tight_program(inp, k, l, intersect)
-                    want = TightLpBuilderOld(inp, k, l, intersect)
-                    assert same_program(got, np.zeros(want.nv), want.rows, want.lower,
-                                        (1.0,) * want.nv), (inp, k, l, intersect)
+                    lp = _tight_program(inp, k, l, intersect)
                     programs += 1
-        assert programs >= 500
+                    sol = solve_lp(lp)
+                    if sol.status != OPTIMAL:
+                        continue
+                    feasible += 1
+                    R, C = np.clip(sol.x.reshape(2, inp.m, inp.n), 0.0, 1.0)
+                    cert = verify_tight(Game(R, C), inp)
+                    assert cert.passed, (inp, k, l, intersect, cert.failures)
+                    # k and l best-respond to z* and w*, and with intersect
+                    # k best-responds to y* too.
+                    assert (R @ inp.z_star)[k] >= (R @ inp.z_star).max() - 1e-9
+                    assert (inp.w_star @ C)[l] >= (inp.w_star @ C).max() - 1e-9
+                    if intersect:
+                        assert (R @ inp.y_star)[k] >= (R @ inp.y_star).max() - 1e-9
+        assert programs >= 500 and feasible >= 50, (programs, feasible)
 
 
 class TestSampleInputs:

@@ -20,7 +20,7 @@ from nashdescent.lp import (
 )
 
 from .golden_corpus import row_block
-from .oracles import simplex_grid, zero_sum_value_enum
+from .oracles import zero_sum_value_enum
 
 
 def test_forced_minimum():
@@ -382,13 +382,22 @@ def test_phase_one_freezes_an_unbounded_looking_column():
 
 
 def highs_outcome(lp, presolve=True):
-    """(status, objective) of the same program under scipy's HiGHS."""
+    """(status, objective) of the same program under scipy's HiGHS.
+
+    Without presolve, HiGHS also tightens its primal and dual feasibility
+    tolerances from 1e-7 to 1e-9: a program whose optimum moves fast with
+    its rhs can gain much by breaking a row within 1e-7.  On one
+    equalized-dual LP of the descent, with duals near 3e7, a point 2.8e-8
+    outside the dual-optimal face row reaches 0.2548, where the optimum is
+    0.9962."""
     from scipy.optimize import linprog
 
     sign = 1.0 if lp.sense == "min" else -1.0
     rows = list(zip(lp.constraints, lp.relations, lp.rhs))
     ub = [(a, b) if rel == LE else (-a, -b) for a, rel, b in rows if rel != EQ]
     eq = [(a, b) for a, rel, b in rows if rel == EQ]
+    careful = {} if presolve else {"primal_feasibility_tolerance": 1e-9,
+                                   "dual_feasibility_tolerance": 1e-9}
     res = linprog(
         sign * lp.objective,
         A_ub=np.array([a for a, _ in ub]) if ub else None,
@@ -397,7 +406,7 @@ def highs_outcome(lp, presolve=True):
         b_eq=np.array([b for _, b in eq]) if eq else None,
         bounds=list(zip(lp.lower, lp.upper)),
         method="highs",
-        options={"presolve": presolve},
+        options={"presolve": presolve, **careful},
     )
     status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(res.status, res.message)
     return status, (sign * res.fun if res.status == 0 else None)
@@ -429,11 +438,11 @@ def test_differential_against_highs():
 
 
 # ---------------------------------------------------------------------------
-# The kernel against its verbatim former self: the same standard form, the
-# same tableau after phase 1 and the same answer, bit for bit, under the
-# first pivot policy of the frozen ladder, which is the kernel's one policy.
-# Where that policy's basis is rejected, the kernel repairs it: the repaired
-# answer must pass the exact certificate and match the ladder's objective.
+# The kernel against independent references: every optimal answer passes
+# the exact certificate of oracles.lp_certified, and every status and
+# optimal objective agrees with HiGHS.  Where the kernel's pivots end on a
+# basis that fails its own checks, it repairs the basis; a repaired answer
+# must pass the same two checks.
 
 
 def answer_bits(out):
@@ -454,64 +463,20 @@ def phase_one_cells(form):
     return (form.nrows + 1) * (form.ncols + len(form.needs_artificial) + 1)
 
 
-def phase_one_bits(start, cells, by_columns):
-    """Every bit of phase 1's outcome, with the tableau in row-major order:
-    a tableau stored by columns (the kernel's) is read through its
-    transpose.  A tableau of more than RESTRICTED_UPDATE_CELLS cells is
-    compared with -0.0 folded into +0.0: the columns a pivot leaves out
-    keep the sign of their zeros."""
-    if start is None or isinstance(start, LpNumericalError):
-        return repr(start)
-    T, basis, kept = start[:3]
-    if by_columns:
-        T = T.T.copy()
-    if cells > RESTRICTED_UPDATE_CELLS:
-        T = T + 0.0
-    return T.tobytes(), T.shape, basis.tolist(), None if kept is None else kept.tolist()
+def assert_kernel_certified(lp):
+    """solve_lp's answer to lp passes the exact certificate when it is
+    optimal, and agrees with HiGHS in status and optimal objective.
 
+    With presolve on, HiGHS reports some unbounded programs as infeasible;
+    a disagreement stands only if it survives presolve off, where HiGHS
+    also holds its rows to 1e-9 (``highs_outcome``)."""
+    from .oracles import lp_certified
 
-REJECTED = "terminal basis failed feasibility checks"
-
-
-def assert_kernel_matches_reference(lp):
-    """Returns whether the frozen kernel's first policy rejected its basis,
-    so that the kernel's answer is a repaired one."""
-    from .oracles import (
-        _ATTEMPTS,
-        ConstraintFormOld,
-        ObjectiveOld,
-        lp_certified,
-        solve_lp_old,
-        solve_with_old,
-    )
-
-    new = LinearProgram(lp.objective, lp.sense, lp.constraints, lp.relations, lp.rhs,
-                        lower=lp.lower, upper=lp.upper)
-    form, old = new._form, ConstraintFormOld(lp)
-    assert form.A.tobytes() == old.A.tobytes() and form.A.shape == old.A.shape
-    assert form.b.tobytes() == old.b.tobytes() and form.flip.tobytes() == old.flip.tobytes()
-    assert form.shift.tobytes() == old.shift.tobytes() and list(form.free_extra) == old.free_extra
-    assert list(form.needs_artificial) == old.needs_artificial.tolist()
-    assert (repr(float(form.resid_tol)), form.budget) == (repr(float(old.resid_tol)), old.budget)
-    cells = phase_one_cells(form)
-    assert (phase_one_bits(form.phase_one(), cells, by_columns=True)
-            == phase_one_bits(old.phase_one(*_ATTEMPTS[0]), cells, by_columns=False))
-    try:
-        first = solve_with_old(old, ObjectiveOld(lp, old), *_ATTEMPTS[0])
-    except LpNumericalError as err:
-        first = err
-    got = outcome_or_error(new)
-    rejected = isinstance(first, LpNumericalError) and str(first) == REJECTED
-    if not rejected:
-        assert answer_bits(got) == answer_bits(first)
-        return False
-    assert not isinstance(got, LpNumericalError) and lp_certified(lp, got), got
-    try:
-        want = solve_lp_old(lp).objective
-    except LpNumericalError:
-        return True
-    assert abs(got.objective - want) <= 1e-9 * (1.0 + abs(want)), (got.objective, want)
-    return True
+    sol = solve_lp(lp)
+    assert sol.status != OPTIMAL or lp_certified(lp, sol), (lp, sol)
+    assert agrees_with_highs(lp, sol) or agrees_with_highs(lp, sol, presolve=False), (
+        lp, sol, highs_outcome(lp, presolve=False))
+    return sol
 
 
 def test_extract_rejects_a_basis_that_is_not_dual_feasible():
@@ -603,10 +568,21 @@ def captured_programs(solver_runs):
     return out
 
 
-def test_kernel_matches_reference_on_captured_programs(captured_programs):
+def test_kernel_matches_reference_on_captured_programs(captured_programs, monkeypatch):
+    import nashdescent.lp as lpmod
+
+    repaired, real = [], lpmod._repair
+
+    def recording(form, *args):
+        repaired.append(form)
+        return real(form, *args)
+
+    monkeypatch.setattr(lpmod, "_repair", recording)
     sites = {"repaired": 0}
     for site, lp, _ in captured_programs:
-        sites["repaired"] += assert_kernel_matches_reference(lp)
+        repaired.clear()
+        assert_kernel_certified(lp)
+        sites["repaired"] += bool(repaired)
         sites[site] = sites.get(site, 0) + 1
     assert sites["balance"] >= 40 and sites["direction"] >= 40, sites
     assert sites["equalized"] >= 20 and sites["tight"] >= 5 and sites["repaired"] >= 1, sites
@@ -616,10 +592,12 @@ def test_kernel_matches_reference_on_seeded_programs():
     from .golden_corpus import random_program
 
     # The golden corpus's 60 programs, then 400 more from another seed.
+    statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
     for seed, count in ((131, 60), (77, 400)):
         rng = np.random.default_rng(seed)
         for _ in range(count):
-            assert_kernel_matches_reference(random_program(rng))
+            statuses[assert_kernel_certified(random_program(rng)).status] += 1
+    assert min(statuses.values()) >= 40, statuses
 
 
 @settings(max_examples=200, deadline=None)
@@ -627,7 +605,7 @@ def test_kernel_matches_reference_on_seeded_programs():
 def test_kernel_matches_reference_on_drawn_programs(prog):
     rows, lower, upper, objectives = prog
     for c, sense in objectives:
-        assert_kernel_matches_reference(
+        assert_kernel_certified(
             LinearProgram(c, sense, *row_block(rows, c.size), lower=lower, upper=upper))
 
 

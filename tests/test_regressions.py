@@ -1,7 +1,8 @@
 """Inputs on which the solvers once raised: descent LPs that end on a basis
 that fails the kernel's certificate, so that the LP kernel repairs it (each
 raised LpNumericalError before the repair existed), and a degenerate game
-whose Method 3 intersection lay beyond the square's edge."""
+whose Method 3 intersection lay beyond the square's edge.  Last, degenerate
+games whose direction LP the repair cannot mend yet, as strict xfails."""
 
 import logging
 
@@ -11,6 +12,7 @@ import pytest
 from nashdescent.adjust import ts_solve
 from nashdescent.dfm import dfm_solve
 from nashdescent.game import Game, Profile, mixed
+from nashdescent.lp import LpNumericalError
 
 DELTA = 1e-3
 
@@ -119,3 +121,75 @@ Y_EDGE = [0.7402469745772298, 0.1346222256258576, 0.12513079979691272]
 @pytest.mark.parametrize("solver", [ts_solve, dfm_solve], ids=["ts_solve", "dfm_solve"])
 def test_chord_intersection_beyond_the_edge_is_clamped(solver):
     assert final_f(solver, R_EDGE, C_EDGE, X_EDGE, Y_EDGE) <= DELTA
+
+
+# Degenerate games of a seeded probe (ROADMAP item 16): seed s of
+# np.random.default_rng, game i of 3000, each m x n with m, n drawn from
+# 2-10; kind i % 3 draws R and C from {0, 1} (kind 0), from {0, 1/2, 1}
+# (kind 1) or uniformly with R's last row equal to its first and C's last
+# column equal to its first (kind 2); then R[0, 0] = C[0, 0] = 1 and
+# R[-1, -1] = C[-1, -1] = 0, and the start is a lattice_profile of
+# resolution 10.  In both solvers, at delta 1e-3 and at 1e-6, a direction LP
+# ends on a basis that fails the kernel's checks, and so does the basis its
+# repair returns; HiGHS finds each LP's optimum at 0.
+
+
+def halves(rows):
+    """A payoff matrix from rows of digits, each digit twice its entry."""
+    return [[int(d) / 2 for d in row] for row in rows]
+
+
+UNREPAIRED_INPUTS = {
+    "s2-i2949-9x9": (
+        halves(["200220000", "022222000", "202202002", "200000200", "020022200",
+                "220222002", "222000020", "202222020", "020220020"]),
+        halves(["222020022", "000022222", "020220222", "022002200", "200200020",
+                "002002000", "202020000", "222020002", "022022020"]),
+        [0.27938109432817027, 0.27709930326561755, 0.10545824969744509,
+         0.008458948645163795, 0.01300405121295487, 0.09901911303528527,
+         0.10702185921254688, 0.10827970402735416, 0.0022776765754622323],
+        [0.014128292861488919, 0.09848259197274081, 0.10120919820636191,
+         0.22330915841823418, 0.009131513142145288, 0.18395326908139364,
+         0.00012794564742493145, 0.004168519447274476, 0.3654895112229358],
+    ),
+    "s3-i992-3x8": (
+        [[1.0, 0.09917663225366702, 0.676321365524521, 0.393468169047714,
+          0.1516389928950399, 0.6348331266911418, 0.7255487727247643, 0.43956249177551043],
+         [0.3173450282361755, 0.6173492719174509, 0.39185992863812524, 0.9577683297696928,
+          0.06930681930175742, 0.0655083409828513, 0.6129053446017195, 0.03334820580854869],
+         [0.1131138517389515, 0.09917663225366702, 0.676321365524521, 0.393468169047714,
+          0.1516389928950399, 0.6348331266911418, 0.7255487727247643, 0.0]],
+        [[1.0, 0.20686666156795186, 0.6566590373580083, 0.17327612554268512,
+          0.20676399932264977, 0.03731488806867156, 0.023291523892189137, 0.3470295099020959],
+         [0.47746486086865114, 0.7263550567987621, 0.2703600521358941, 0.7405090827151024,
+          0.1919548314366365, 0.01629175332752797, 0.7930942772176404, 0.47746486086865114],
+         [0.6893161468087089, 0.6937863398833646, 0.04369118127776017, 0.8997515236829187,
+          0.6469528452197908, 0.8009868830984145, 0.8493650111844665, 0.0]],
+        [0.4035218793859381, 0.564106097580109, 0.03237202303395287],
+        [0.10073297872082722, 0.09745913613820759, 0.004704827176484628,
+         0.02425363245975683, 0.20789169642155977, 0.002375457112018439,
+         0.5493165436586147, 0.013265728312530976],
+    ),
+    "s5-i2464-10x8": (
+        halves(["22012122", "11001100", "20120022", "11201001", "01210112",
+                "22210002", "11022101", "01200211", "10020102", "21221100"]),
+        halves(["20012221", "10010112", "01102002", "22001012", "10000121",
+                "20110210", "00101100", "21212210", "02112220", "01222110"]),
+        [0.27687744720983154, 0.0008034407324903902, 0.2062990161496513,
+         0.10181348447528711, 0.004648120800407935, 0.10431398109488625,
+         0.09488560844136601, 0.024398360722686925, 0.18432558773677363,
+         0.0016349526366188844],
+        [0.10132221241851742, 0.19020384113090258, 0.37054359325497854,
+         0.00797127808995099, 0.18758190201805341, 0.0028347267057291787,
+         0.022512064813619278, 0.11703038156824856],
+    ),
+}
+
+
+@pytest.mark.xfail(raises=LpNumericalError, strict=True,
+                   reason="the repaired terminal basis of a direction LP fails the "
+                          "kernel's checks (ROADMAP item 16)")
+@pytest.mark.parametrize("case", sorted(UNREPAIRED_INPUTS))
+@pytest.mark.parametrize("solver", [ts_solve, dfm_solve], ids=["ts_solve", "dfm_solve"])
+def test_degenerate_game_finishes(solver, case):
+    assert final_f(solver, *UNREPAIRED_INPUTS[case]) <= DELTA
