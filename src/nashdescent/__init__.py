@@ -11,7 +11,8 @@ Importing the package loads none of them. A public name, such as
 ``nashdescent.generate_tight``, imports its defining submodule on first
 access (PEP 562), so a caller pays only for the submodules it uses; a
 submodule name, such as ``nashdescent.lp``, imports that submodule. The
-CLI imports every submodule.
+CLI reaches the library through this namespace, so each subcommand loads
+only the submodules it runs.
 """
 
 import importlib
@@ -34,14 +35,14 @@ _NAMES = {
     "generator": ("Constants", "GeneratorInput", "SamplingError", "StaticInstance",
                   "TightCertificate", "TightInstance", "canonical_block", "dfm_family",
                   "dfm_tight", "generate_tight", "half_sp", "perturb_profile",
-                  "profile_distance", "sample_inputs", "sample_outside_ball", "solve_b",
-                  "tight_3x3", "tight_feasible", "tight_m_n", "tight_no_dominated",
-                  "verify_tight"),
+                  "profile_distance", "sample_inputs", "sample_outside_ball",
+                  "sample_tight_games", "solve_b", "tight_3x3", "tight_feasible", "tight_m_n",
+                  "tight_no_dominated", "verify_tight"),
     "lp": ("LinearProgram", "LpError", "LpNumericalError", "LpSolution", "solve_lp",
            "solve_zero_sum"),
     "experiments": ("ExperimentConfig", "ExperimentReport", "TrialRecord", "exp_compare",
                     "exp_outside_ball", "exp_stability", "exp_success_rate",
-                    "sample_tight_games", "wilson_interval"),
+                    "wilson_interval"),
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
 

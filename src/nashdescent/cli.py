@@ -15,35 +15,7 @@ import time
 
 import numpy as np
 
-from .descent import DescentBudgetError
-from .game import Game, GameError, Profile, mixed
-from .generator import (
-    RESTRICTIONS,
-    GeneratorInput,
-    SamplingError,
-    canonical_block,
-    certificate_json,
-    dfm_family,
-    dfm_tight,
-    half_sp,
-    solve_b,
-    tight_3x3,
-    tight_m_n,
-    tight_no_dominated,
-    verify_tight,
-)
-from .lp import LpNumericalError
-from .experiments import (
-    ALGORITHMS,
-    MAX_INPUT_DRAWS,
-    ExperimentConfig,
-    _tight_draws,
-    exp_compare,
-    exp_outside_ball,
-    exp_stability,
-    exp_success_rate,
-    run_algorithm,
-)
+import nashdescent as nd
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -63,78 +35,78 @@ def _static_instance(name: str):
     # One name, one game: tight-3X3 is tight_3x3(), not tight_m_n(3, 3).
     name = name.lower()
     if name == "tight-3x3":
-        return tight_3x3()
+        return nd.tight_3x3()
     if name.startswith("tight-"):
         try:
             m, n = _parse_size(name[len("tight-"):])
         except argparse.ArgumentTypeError as err:
-            raise GameError(f"static instance {name!r}: {err}") from err
-        return tight_m_n(m, n)
+            raise nd.GameError(f"static instance {name!r}: {err}") from err
+        return nd.tight_m_n(m, n)
     if name == "no-dominated":
-        return tight_no_dominated()
+        return nd.tight_no_dominated()
     if name == "dfm-tight":
-        return dfm_tight()
+        return nd.dfm_tight()
     if name.startswith("dfm-family:"):
         try:
-            return dfm_family(float(name.split(":", 1)[1]))
+            return nd.dfm_family(float(name.split(":", 1)[1]))
         except ValueError as err:  # not a number, or outside (0, 1/3]
-            raise GameError(f"static instance {name!r}: expected dfm-family:EPS with EPS "
-                            "in (0, 1/3]") from err
+            raise nd.GameError(f"static instance {name!r}: expected dfm-family:EPS with EPS "
+                               "in (0, 1/3]") from err
     if name == "half-sp":
-        return half_sp()
-    raise GameError(
+        return nd.half_sp()
+    raise nd.GameError(
         f"unknown static instance {name!r}; expected tight-3x3, tight-MxN, "
         "no-dominated, dfm-tight, dfm-family:EPS or half-sp"
     )
 
 
-def _load_game(path: str, normalize: bool = False) -> tuple[Game, dict]:
+def _load_game(path: str, normalize: bool = False) -> tuple[nd.Game, dict]:
     with open(path) as fh:
         doc = json.load(fh)
-    return Game.from_doc(doc, normalize=normalize), doc
+    return nd.Game.from_doc(doc, normalize=normalize), doc
 
 
-def _profile_from(block, where: str) -> Profile:
+def _profile_from(block, where: str) -> nd.Profile:
     if not isinstance(block, dict) or "x" not in block or "y" not in block:
-        raise GameError(f"{where} must be an object with keys 'x' and 'y'")
-    return Profile(mixed(block["x"]), mixed(block["y"]))
+        raise nd.GameError(f"{where} must be an object with keys 'x' and 'y'")
+    return nd.Profile(nd.mixed(block["x"]), nd.mixed(block["y"]))
 
 
-def _witness_input(block, keys, where: str) -> GeneratorInput:
+def _witness_input(block, keys, where: str) -> nd.GeneratorInput:
     """The generator input stored under ``keys``, the names of x*, y*, w*
     and z* in that order."""
     if not isinstance(block, dict):
-        raise GameError(f"{where} must be an object")
+        raise nd.GameError(f"{where} must be an object")
     for key in keys:
         if key not in block:
-            raise GameError(f"{where} has no {key!r}")
-    return GeneratorInput(*(block[key] for key in keys))
+            raise nd.GameError(f"{where} has no {key!r}")
+    return nd.GeneratorInput(*(block[key] for key in keys))
 
 
-def _initial_profile(game: Game, spec: str, doc: dict) -> Profile:
+def _initial_profile(game: nd.Game, spec: str, doc: dict) -> nd.Profile:
     if spec == "uniform":
         return game.uniform_profile()
     if spec.startswith("pure:"):
         try:
             i, j = (int(t) for t in spec[len("pure:"):].split(","))
         except ValueError as err:
-            raise GameError(f"init {spec!r}: expected pure:I,J with two integers") from err
+            raise nd.GameError(f"init {spec!r}: expected pure:I,J with two integers") from err
         return game.pure_profile(i, j)
     if spec == "file:canonical":
         canon = doc.get("canonical")
         if not canon:
-            raise GameError("game file carries no canonical block")
+            raise nd.GameError("game file carries no canonical block")
         return _profile_from(canon, "the game file's canonical block")
     if spec.startswith("file:"):
         path = spec[len("file:"):]
         with open(path) as fh:
             d = json.load(fh)
         return _profile_from(d, f"init file {path!r}")
-    raise GameError(f"unknown init {spec!r}")
+    raise nd.GameError(f"unknown init {spec!r}")
 
 
 def cmd_constants(args) -> int:
-    cons = solve_b()
+    cons = nd.solve_b()
     print(json.dumps({
         "b": cons.b,
         "lambda0": cons.lambda0,
@@ -144,22 +116,29 @@ def cmd_constants(args) -> int:
     return EXIT_OK
 
 
-# generate's sampling flags and their defaults.  The parser leaves each of
-# them out of the namespace unless it is given, so that --static, which
-# samples nothing, can reject them.
-SAMPLING_DEFAULTS = {"size": (3, 3), "restriction": "disjoint", "seed": 0,
-                     "max_attempts": MAX_INPUT_DRAWS, "lambda_intersect": False,
+def _fill_defaults(args, defaults: dict, reads, refusal: str):
+    """Refuse the flags of ``defaults`` that were given but are not in
+    ``reads``, naming each after ``refusal``; then give every flag not given
+    its default.  The parser leaves each such flag out of the namespace
+    unless it is given."""
+    unread = [dest for dest in defaults if hasattr(args, dest) and dest not in reads]
+    if unread:
+        raise ValueError(refusal + ", ".join("--" + dest.replace("_", "-") for dest in unread))
+    for dest, value in defaults.items():
+        if not hasattr(args, dest):
+            setattr(args, dest, value)
+
+
+# generate's sampling flags and their defaults; --static samples nothing
+# and refuses them.
+SAMPLING_DEFAULTS = {"size": (3, 3), "count": 1, "restriction": "disjoint", "seed": 0,
+                     "max_attempts": nd.generator.MAX_INPUT_DRAWS, "lambda_intersect": False,
                      "mixed_duals": False}
 
 
 def cmd_generate(args) -> int:
-    given = [dest for dest in SAMPLING_DEFAULTS if hasattr(args, dest)]
-    if args.static and given:
-        flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
-        raise ValueError(f"--static writes a named instance and reads no sampling flag: {flags}")
-    for dest, value in SAMPLING_DEFAULTS.items():
-        if dest not in given:
-            setattr(args, dest, value)
+    _fill_defaults(args, SAMPLING_DEFAULTS, () if args.static else SAMPLING_DEFAULTS,
+                   "--static writes a named instance and reads no sampling flag: ")
     low = [flag for flag, v in (("--count", args.count), ("--max-attempts", args.max_attempts))
            if v < 1]
     if low:
@@ -169,14 +148,14 @@ def cmd_generate(args) -> int:
         inst = _static_instance(args.static)
         path = os.path.join(args.out, f"{inst.name}.json")
         with open(path, "w") as fh:
-            fh.write(inst.game.to_json(canonical=canonical_block(inst.input, inst.rho_star)))
+            fh.write(inst.game.to_json(canonical=nd.canonical_block(inst.input, inst.rho_star)))
         print(json.dumps({"written": [path]}))
         return EXIT_OK
 
     m, n = args.size
-    draws = _tight_draws(m, n, args.restriction, np.random.default_rng(args.seed),
-                         pure_duals=not args.mixed_duals, per_draw=1,
-                         lambda_intersect=args.lambda_intersect, max_draws=args.max_attempts)
+    draws = nd.generator.tight_draws(
+        m, n, args.restriction, np.random.default_rng(args.seed), pure_duals=not args.mixed_duals,
+        per_draw=1, lambda_intersect=args.lambda_intersect, max_draws=args.max_attempts)
     written = []
     attempts = 0
     feasible_inputs = 0
@@ -186,12 +165,12 @@ def cmd_generate(args) -> int:
             continue
         feasible_inputs += 1
         inst = insts[0]
-        cert = verify_tight(inst.game, inst.input, full_square=args.lambda_intersect)
+        cert = nd.verify_tight(inst.game, inst.input, full_square=args.lambda_intersect)
         stem = os.path.join(args.out, f"game_{len(written):04d}")
         with open(stem + ".json", "w") as fh:
-            fh.write(inst.game.to_json(canonical=canonical_block(inst.input, inst.rho_star)))
+            fh.write(inst.game.to_json(canonical=nd.canonical_block(inst.input, inst.rho_star)))
         with open(stem + ".cert.json", "w") as fh:
-            fh.write(certificate_json(inst, cert))
+            fh.write(nd.generator.certificate_json(inst, cert))
         written.append(stem + ".json")
     summary = {
         "written": len(written),
@@ -204,8 +183,7 @@ def cmd_generate(args) -> int:
 
 
 # solve's per-algorithm flags and their defaults, and the ones each
-# algorithm reads.  The parser leaves each flag out of the namespace unless
-# it is given, so that an algorithm can reject the flags it does not read.
+# algorithm reads; an algorithm refuses the others.
 SOLVE_DEFAULTS = {"delta": 1e-3, "rounds": 10_000, "init": "uniform", "seed": 0}
 SOLVE_READS = {"ts": ("delta", "init"), "dfm": ("delta", "init"), "fp": ("rounds",),
                "rm": ("rounds", "seed"), "zs": ()}
@@ -213,17 +191,11 @@ SOLVE_READS = {"ts": ("delta", "init"), "dfm": ("delta", "init"), "fp": ("rounds
 
 def cmd_solve(args) -> int:
     reads = SOLVE_READS[args.algorithm]
-    unread = [dest for dest in SOLVE_DEFAULTS if hasattr(args, dest) and dest not in reads]
-    if unread:
-        flags = ", ".join("--" + dest for dest in unread)
-        raise ValueError(f"--algorithm {args.algorithm} does not read {flags}")
-    for dest, value in SOLVE_DEFAULTS.items():
-        if not hasattr(args, dest):
-            setattr(args, dest, value)
+    _fill_defaults(args, SOLVE_DEFAULTS, reads, f"--algorithm {args.algorithm} does not read ")
     game, doc = _load_game(args.game, normalize=args.normalize)
     p0 = _initial_profile(game, args.init, doc) if "init" in reads else None
     t0 = time.perf_counter()
-    f, profile, iterations, detail = run_algorithm(
+    f, profile, iterations, detail = nd.experiments.run_algorithm(
         game, args.algorithm, p0, args.delta, args.rounds, np.random.default_rng(args.seed))
     print(json.dumps({
         "f": f,
@@ -245,9 +217,9 @@ def cmd_verify(args) -> int:
     else:
         canon = doc.get("canonical")
         if not canon:
-            raise GameError("no certificate file and no canonical block in the game file")
+            raise nd.GameError("no certificate file and no canonical block in the game file")
         inp = _witness_input(canon, ("x", "y", "w", "z"), "the game file's canonical block")
-    cert = verify_tight(game, inp, full_square=args.full_square)
+    cert = nd.verify_tight(game, inp, full_square=args.full_square)
     print(json.dumps({"passed": cert.passed, "checks": cert.checks,
                       "values": cert.values, "mixedDuals": cert.mixed_duals}))
     return EXIT_OK if cert.passed else EXIT_EMPTY
@@ -260,7 +232,7 @@ def cmd_experiment(args) -> int:
              if name not in ("command", "run", "experiment", "out", "format")}
     if "size" in given:
         given["sizes"] = tuple(given.pop("size"))
-    report = args.experiment(ExperimentConfig(**given))
+    report = getattr(nd, args.experiment)(nd.ExperimentConfig(**given))
     if args.out:
         report.write(args.out, args.format)
         print(json.dumps({"out": args.out, "aggregates": report.aggregates}))
@@ -278,10 +250,11 @@ def main(argv=None) -> int:
 
     g = sub.add_parser("generate", help="generate worst-case instances")
     g.set_defaults(run=cmd_generate)
-    unset = argparse.SUPPRESS  # see SAMPLING_DEFAULTS
+    unset = argparse.SUPPRESS  # see _fill_defaults
+    restrictions = nd.generator.RESTRICTIONS
     g.add_argument("--size", type=_parse_size, default=unset)
-    g.add_argument("--count", type=int, default=1)
-    g.add_argument("--restriction", choices=RESTRICTIONS, default=unset)
+    g.add_argument("--count", type=int, default=unset)
+    g.add_argument("--restriction", choices=restrictions, default=unset)
     g.add_argument("--seed", type=int, default=unset)
     g.add_argument("--out", default=".")
     g.add_argument("--max-attempts", type=int, default=unset)
@@ -294,8 +267,8 @@ def main(argv=None) -> int:
     s = sub.add_parser("solve", help="solve one game")
     s.set_defaults(run=cmd_solve)
     s.add_argument("game")
-    s.add_argument("--algorithm", default="ts", choices=ALGORITHMS)
-    s.add_argument("--delta", type=float, default=unset)  # see SOLVE_DEFAULTS
+    s.add_argument("--algorithm", default="ts", choices=SOLVE_READS)
+    s.add_argument("--delta", type=float, default=unset)
     s.add_argument("--rounds", type=int, default=unset)
     s.add_argument("--init", default=unset)
     s.add_argument("--seed", type=int, default=unset)
@@ -312,8 +285,8 @@ def main(argv=None) -> int:
 
     # Each experiment binds only the flags it reads; a flag left out keeps
     # ExperimentConfig's default, so that default is the only one.
-    experiments = {"exp-stability": exp_stability, "exp-otb": exp_outside_ball,
-                   "exp-success": exp_success_rate, "exp-compare": exp_compare}
+    experiments = {"exp-stability": "exp_stability", "exp-otb": "exp_outside_ball",
+                   "exp-success": "exp_success_rate", "exp-compare": "exp_compare"}
     for name, experiment in experiments.items():
         e = sub.add_parser(name, help=f"run the {name[4:]} experiment",
                            argument_default=argparse.SUPPRESS)
@@ -328,7 +301,7 @@ def main(argv=None) -> int:
             continue
         e.add_argument("--count", type=int)
         e.add_argument("--delta", type=float)
-        e.add_argument("--restriction", choices=RESTRICTIONS)
+        e.add_argument("--restriction", choices=restrictions)
         e.add_argument("--workers", type=int)
         e.add_argument("--mixed-duals", dest="pure_duals", action="store_false")
         if name == "exp-compare":
@@ -341,11 +314,11 @@ def main(argv=None) -> int:
     args = top.parse_args(argv)
     try:
         return args.run(args)
-    except (OSError, json.JSONDecodeError, GameError, ValueError, SamplingError) as err:
+    except (OSError, json.JSONDecodeError, nd.GameError, ValueError, nd.SamplingError) as err:
         # A sampler that gave up is an empty result.
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_EMPTY if isinstance(err, SamplingError) else EXIT_IO
-    except (LpNumericalError, DescentBudgetError) as err:
+        return EXIT_EMPTY if isinstance(err, nd.SamplingError) else EXIT_IO
+    except (nd.LpNumericalError, nd.DescentBudgetError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 

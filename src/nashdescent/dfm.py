@@ -9,7 +9,7 @@ along a segment leaving the square.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,15 +32,15 @@ class DfmTrace:
 
     case: int
     branch: str  # "A", "B" or "none"
-    y_hat: np.ndarray | None
-    w_hat: np.ndarray | None
-    t_r: float | None
-    v_r: float | None
-    mu_hat: float | None
-    alpha: float | None
-    beta: float | None
     output: Profile
     f: float
+    y_hat: np.ndarray | None = None
+    w_hat: np.ndarray | None = None
+    t_r: float | None = None
+    v_r: float | None = None
+    mu_hat: float | None = None
+    alpha: float | None = None
+    beta: float | None = None
     fallback: bool = False
 
 
@@ -53,18 +53,15 @@ def dfm_adjust(game: Game, sp: StationaryPoint) -> DfmTrace:
     lam, mu = sp.lambda_star, sp.mu_star
     if min(lam, mu) <= 0.5 or max(lam, mu) <= 2.0 / 3.0:
         prof = sp.profile
-        return DfmTrace(1, "none", None, None, None, None, None, None, None,
-                        prof, regrets(game, prof).f)
+        return DfmTrace(1, "none", prof, regrets(game, prof).f)
     if min(lam, mu) >= 2.0 / 3.0:
         prof = Profile(sp.dual.w, sp.dual.z)
-        return DfmTrace(2, "none", None, None, None, None, None, None, None,
-                        prof, regrets(game, prof).f)
+        return DfmTrace(2, "none", prof, regrets(game, prof).f)
     if 0.5 < lam <= 2.0 / 3.0 < mu:
         return _case_three(game, sp)
     # Case 4, 0.5 < mu <= 2/3 < lam, is case 3 with the players swapped.
     t = _case_three(game.swapped(), sp.swapped())
-    return DfmTrace(4, t.branch, t.y_hat, t.w_hat, t.t_r, t.v_r, t.mu_hat, t.beta, t.alpha,
-                    t.output.swapped(), t.f, t.fallback)
+    return replace(t, case=4, alpha=t.beta, beta=t.alpha, output=t.output.swapped())
 
 
 def _case_three(game: Game, sp: StationaryPoint) -> DfmTrace:
@@ -90,13 +87,13 @@ def _case_three(game: Game, sp: StationaryPoint) -> DfmTrace:
                        "mu %r, t_r %r, in case 3's frame); returning the stationary profile",
                        den, lam, mu, t_r)
             prof = sp.profile
-            return DfmTrace(3, "B", y_hat, w_hat, t_r, v_r, mu_hat, None, None,
-                            prof, regrets(game, prof).f, fallback=True)
+            return DfmTrace(3, "B", prof, regrets(game, prof).f, y_hat, w_hat, t_r, v_r, mu_hat,
+                            fallback=True)
         beta = (1.0 - mu / 2.0 - t_r) / den
         endpoint = Profile(w, normalize_in_place(np.maximum((1 - beta) * y_hat + beta * z, 0.0)))
         branch, alpha = "B", None
     _, prof, f = segment_min_f(game, sp.profile, endpoint)
-    return DfmTrace(3, branch, y_hat, w_hat, t_r, v_r, mu_hat, alpha, beta, prof, f)
+    return DfmTrace(3, branch, prof, f, y_hat, w_hat, t_r, v_r, mu_hat, alpha, beta)
 
 
 @dataclass(frozen=True)

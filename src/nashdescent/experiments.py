@@ -21,14 +21,11 @@ from .dfm import dfm_solve
 from .game import Game, Profile, mixed
 from .generator import (
     RESTRICTIONS,
-    SamplingError,
-    TightInstance,
-    generate_tight,
-    has_no_candidates,
     perturb_profile,
     profile_distance,
     sample_inputs,
     sample_outside_ball,
+    sample_tight_games,
     tight_feasible,
 )
 from .lp import LpNumericalError
@@ -45,8 +42,6 @@ RESOLUTION = 10
 ALGORITHMS = ("ts", "dfm", "fp", "rm", "zs")
 CSV_COLUMNS = ("experiment", "instance", "algorithm", "seed", "f", "iterations",
                "wall_ms", "detail")
-# Generator inputs a tight-game draw loop makes before it gives up.
-MAX_INPUT_DRAWS = 10_000
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
@@ -155,48 +150,6 @@ class ExperimentReport:
 
 def _rng(*key) -> np.random.Generator:
     return np.random.default_rng(list(key))
-
-
-def _tight_draws(m: int, n: int, restriction: str, rng: np.random.Generator,
-                 pure_duals: bool, per_draw: int, lambda_intersect: bool,
-                 max_draws: int = MAX_INPUT_DRAWS):
-    """Per generator-input draw, the up to ``per_draw`` tight instances
-    ``generate_tight`` makes from it, for at most ``max_draws`` draws.
-
-    Raises SamplingError before the first draw when no input of this size
-    and restriction can have a candidate best-response pair.
-    """
-    if has_no_candidates(m, n, restriction):
-        raise SamplingError(f"no {restriction} input at {m}x{n} has a candidate "
-                            "best-response pair, so no tight game exists")
-    for _ in range(max_draws):
-        inp = sample_inputs(m, n, restriction, rng, pure_duals=pure_duals)
-        yield generate_tight(inp, count=per_draw, rng=rng, lambda_intersect=lambda_intersect)
-
-
-def sample_tight_games(
-    m: int,
-    n: int,
-    count: int,
-    rng: np.random.Generator,
-    restriction: str = "disjoint",
-    pure_duals: bool = True,
-    groups: int = 10,
-    lambda_intersect: bool = False,
-) -> list[TightInstance]:
-    """Sample `count` tight instances from `groups` independent input draws.
-
-    Inputs are rejection-sampled until the feasibility program admits a
-    game; each feasible input contributes an equal share of instances.
-    """
-    out: list[TightInstance] = []
-    for insts in _tight_draws(m, n, restriction, rng, pure_duals,
-                              math.ceil(count / groups), lambda_intersect):
-        out.extend(insts)
-        if len(out) >= count:
-            return out[:count]
-    raise SamplingError(f"could not generate {count} tight {m}x{n} instances "
-                        f"in {MAX_INPUT_DRAWS} input draws")
 
 
 def _random_composition(rng: np.random.Generator, total: int, parts: int) -> np.ndarray:

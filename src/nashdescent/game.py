@@ -33,7 +33,7 @@ class GameError(ValueError):
     """Malformed game data (shape, range, or non-finite entries)."""
 
 
-def mixed(vec, k: int | None = None) -> np.ndarray:
+def mixed(vec) -> np.ndarray:
     """Validate a vector as a mixed strategy and return it as a read-only array.
 
     Tiny negatives (>= -1e-12) are clamped to 0 and the sum is made exactly 1.
@@ -42,8 +42,6 @@ def mixed(vec, k: int | None = None) -> np.ndarray:
     v = np.array(vec, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise GameError("mixed strategy must be a nonempty vector")
-    if k is not None and v.size != k:
-        raise GameError(f"mixed strategy has length {v.size}, expected {k}")
     if not np.all(np.isfinite(v)):
         raise GameError("mixed strategy has non-finite entries")
     if v.min() < -NEG_TOL:

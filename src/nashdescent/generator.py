@@ -1,12 +1,14 @@
 """Worst-case instance generator: the feasibility program that characterizes
 games attaining the 0.3393 bound at a prescribed stationary point, input
-samplers, tightness verification, the bound constants as pinned doubles, and
-the static instances used throughout the test and experiment suites.
+samplers and the loop that draws tight games from them, tightness
+verification, the bound constants as pinned doubles, and the static
+instances used throughout the test and experiment suites.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -393,6 +395,8 @@ def profile_distance(p: Profile, q: Profile) -> float:
 
 # Draws sample_outside_ball makes before it gives up.
 OUTSIDE_BALL_TRIES = 1000
+# Generator inputs a tight-game draw loop makes before it gives up.
+MAX_INPUT_DRAWS = 10_000
 
 
 class SamplingError(RuntimeError):
@@ -410,6 +414,48 @@ def sample_outside_ball(center: Profile, radius: float, rng: np.random.Generator
         if profile_distance(cand, center) >= radius:
             return cand
     raise SamplingError(f"could not sample a profile at distance >= {radius} from the center")
+
+
+def tight_draws(m: int, n: int, restriction: str, rng: np.random.Generator,
+                pure_duals: bool, per_draw: int, lambda_intersect: bool,
+                max_draws: int = MAX_INPUT_DRAWS):
+    """Per generator-input draw, the up to ``per_draw`` tight instances
+    ``generate_tight`` makes from it, for at most ``max_draws`` draws.
+
+    Raises SamplingError before the first draw when no input of this size
+    and restriction can have a candidate best-response pair.
+    """
+    if has_no_candidates(m, n, restriction):
+        raise SamplingError(f"no {restriction} input at {m}x{n} has a candidate "
+                            "best-response pair, so no tight game exists")
+    for _ in range(max_draws):
+        inp = sample_inputs(m, n, restriction, rng, pure_duals=pure_duals)
+        yield generate_tight(inp, count=per_draw, rng=rng, lambda_intersect=lambda_intersect)
+
+
+def sample_tight_games(
+    m: int,
+    n: int,
+    count: int,
+    rng: np.random.Generator,
+    restriction: str = "disjoint",
+    pure_duals: bool = True,
+    groups: int = 10,
+    lambda_intersect: bool = False,
+) -> list[TightInstance]:
+    """Sample `count` tight instances from `groups` independent input draws.
+
+    Inputs are rejection-sampled until the feasibility program admits a
+    game; each feasible input contributes an equal share of instances.
+    """
+    out: list[TightInstance] = []
+    for insts in tight_draws(m, n, restriction, rng, pure_duals,
+                             math.ceil(count / groups), lambda_intersect):
+        out.extend(insts)
+        if len(out) >= count:
+            return out[:count]
+    raise SamplingError(f"could not generate {count} tight {m}x{n} instances "
+                        f"in {MAX_INPUT_DRAWS} input draws")
 
 
 def verify_tight(

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import nashdescent
-from nashdescent import experiments
-from nashdescent.cli import main
+from nashdescent import experiments, generator
+from nashdescent.cli import SOLVE_READS, main
 from nashdescent.experiments import (ExperimentConfig, _tight_games, exp_compare,
                                      exp_success_rate)
 from nashdescent.generator import solve_b
@@ -222,7 +222,7 @@ def test_draws_without_candidates_exit_empty_without_generating(tmp_path, capsys
     def no_generate(*args, **kwargs):
         raise AssertionError("generate_tight was called")
 
-    monkeypatch.setattr(experiments, "generate_tight", no_generate)
+    monkeypatch.setattr(generator, "generate_tight", no_generate)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -250,6 +250,10 @@ def test_solve_agrees_with_exp_compare(tmp_path, capsys):
         assert code == 0
         doc = json.loads(out)
         assert (doc["f"], doc["iterations"], doc["detail"]) == (r.f, r.iterations, r.detail)
+
+
+def test_solve_offers_the_algorithms_run_algorithm_runs():
+    assert tuple(SOLVE_READS) == experiments.ALGORITHMS
 
 
 # The solve flags each algorithm does not read, with a value for each.
@@ -356,6 +360,7 @@ def test_malformed_dfm_family_names_the_form(tmp_path, capsys, spec):
     (["--restriction", "none", "--mixed-duals", "--max-attempts", "3"],
      "--restriction, --max-attempts, --mixed-duals"),
     (["--seed", "0"], "--seed"),  # a default value, given, is still given
+    (["--count", "5"], "--count"),
 ])
 def test_static_rejects_sampling_flags(tmp_path, capsys, argv, flags):
     code = main(["generate", "--static", "tight-3x3", *argv, "--out", str(tmp_path / "out")])

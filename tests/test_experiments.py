@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from nashdescent import experiments
+from nashdescent import experiments, generator
 from nashdescent.experiments import (
     ALGORITHMS,
     EFFECTIVENESS,
-    MAX_INPUT_DRAWS,
     ExperimentConfig,
     exp_compare,
     exp_outside_ball,
@@ -20,7 +19,7 @@ from nashdescent.experiments import (
     sample_tight_games,
     wilson_interval,
 )
-from nashdescent.generator import RESTRICTIONS, SamplingError
+from nashdescent.generator import MAX_INPUT_DRAWS, RESTRICTIONS, SamplingError
 from nashdescent.lp import LpNumericalError
 
 
@@ -113,7 +112,7 @@ class TestSamplingHelpers:
         def no_generate(*args, **kwargs):
             raise AssertionError("generate_tight was called")
 
-        monkeypatch.setattr(experiments, "generate_tight", no_generate)
+        monkeypatch.setattr(generator, "generate_tight", no_generate)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(SamplingError, match=f"no disjoint input at {m}x{n} has a candidate"):
@@ -122,7 +121,7 @@ class TestSamplingHelpers:
 
     def test_sample_tight_games_gives_up_after_its_draws(self, monkeypatch):
         draws = []
-        monkeypatch.setattr(experiments, "generate_tight",
+        monkeypatch.setattr(generator, "generate_tight",
                             lambda inp, **kwargs: draws.append(inp) or [])
         with pytest.raises(SamplingError, match="could not generate 2 tight 3x3 instances "
                                                 "in 10000 input draws"):

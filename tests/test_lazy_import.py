@@ -9,7 +9,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import nashdescent
+from nashdescent.cli import main
 
 GEN_5X5_MODULES = ["nashdescent.descent", "nashdescent.game", "nashdescent.generator",
                    "nashdescent.lp"]
@@ -43,8 +46,33 @@ def test_generator_names_load_only_what_they_import():
         import json, sys
         import nashdescent
         nashdescent.generate_tight, nashdescent.verify_tight, nashdescent.solve_b
+        nashdescent.sample_tight_games
         print(json.dumps({LOADED}))
     """) == GEN_5X5_MODULES
+
+
+# Subcommands that run only the generator, with their arguments; GAME and
+# OUT stand for a game file and an output directory.
+GENERATOR_RUNS = {
+    "constants": ["constants"],
+    "verify": ["verify", "GAME"],
+    "generate-static": ["generate", "--static", "tight-3x3", "--out", "OUT"],
+    "generate-sampled": ["generate", "--size", "3x3", "--count", "1", "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("argv", GENERATOR_RUNS.values(), ids=GENERATOR_RUNS)
+def test_generator_subcommands_load_only_what_they_run(tmp_path, capsys, argv):
+    assert main(["generate", "--static", "tight-3x3", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    paths = {"GAME": str(tmp_path / "tight-3x3.json"), "OUT": str(tmp_path / "out")}
+    argv = [paths.get(arg, arg) for arg in argv]
+    assert run_fresh(f"""
+        import json, sys
+        from nashdescent.cli import main
+        code = main({argv!r})
+        print(json.dumps([code, {LOADED}]))
+    """) == [0, sorted(["nashdescent.cli", *GEN_5X5_MODULES])]
 
 
 def test_every_public_name_is_its_defining_modules_object():
