@@ -11,8 +11,8 @@ Importing the package loads none of them. A public name, such as
 ``nashdescent.generate_tight``, imports its defining submodule on first
 access (PEP 562), so a caller pays only for the submodules it uses; a
 submodule name, such as ``nashdescent.lp``, imports that submodule. The
-CLI reaches the library through this namespace, so each subcommand loads
-only the submodules it runs.
+CLI and the experiment harness reach the solvers through this namespace,
+so each subcommand loads only the submodules it runs.
 """
 
 import importlib

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descent import StationaryPoint, find_stationary
-from .game import (Game, Profile, Regrets, mixed, normalize_in_place, regrets, segment_min_f,
+from .game import (Game, Profile, Regrets, normalize_in_place, regrets, segment_min_f,
                    supports)
 
 METHOD_TS = "ts"
@@ -64,7 +64,7 @@ def adjust_ts(game: Game, sp: StationaryPoint) -> AdjustmentOutcome:
 def _ts_move_x(sp: StationaryPoint, gap: float) -> Profile:
     """Mix x* into w* with weight gap/(1 + gap) on x*, and play z*."""
     coeff = 1.0 / (1.0 + gap)
-    return Profile(mixed(coeff * sp.dual.w + gap * coeff * sp.profile.x), sp.dual.z)
+    return Profile(normalize_in_place(coeff * sp.dual.w + gap * coeff * sp.profile.x), sp.dual.z)
 
 
 def _far_edge(game: Game, sp: StationaryPoint, on_x_edge) -> tuple[Profile, float]:

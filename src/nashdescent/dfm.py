@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .descent import StationaryPoint, find_stationary
-from .game import Game, Profile, mixed, normalize_in_place, pure, regrets, segment_min_f
+from .game import Game, Profile, normalize_in_place, pure, regrets, segment_min_f
 
 _log = logging.getLogger(__name__)
 
@@ -71,7 +71,7 @@ def _case_three(game: Game, sp: StationaryPoint) -> DfmTrace:
     y = sp.profile.y
     w, z = sp.dual.w, sp.dual.z
     R, C = game.R, game.C
-    y_hat = mixed((y + z) / 2.0)
+    y_hat = normalize_in_place((y + z) / 2.0)
     w_hat = pure(game.m, int((R @ y_hat).argmax()))
     t_r = float(w_hat @ R @ y_hat - w @ R @ y_hat)
     v_r = float(w @ R @ y - w_hat @ R @ y)
@@ -82,14 +82,18 @@ def _case_three(game: Game, sp: StationaryPoint) -> DfmTrace:
         branch, beta = "A", None
     else:
         den = 1.0 + mu / 2.0 - lam - t_r
-        if den <= 0:  # cannot occur when t_r <= mu/2; bail out defensively
-            _log.debug("branch B fallback: 1 + mu/2 - lambda - t_r = %r <= 0 (lambda %r, "
-                       "mu %r, t_r %r, in case 3's frame); returning the stationary profile",
-                       den, lam, mu, t_r)
+        num = 1.0 - mu / 2.0 - t_r
+        # Neither can occur when t_r <= mu/2, which puts beta in [0, 1); a
+        # negative beta would push the endpoint off the simplex.  Bail out
+        # defensively.
+        if den <= 0 or num < 0:
+            _log.debug("branch B fallback: 1 + mu/2 - lambda - t_r = %r, 1 - mu/2 - t_r = %r "
+                       "(lambda %r, mu %r, t_r %r, in case 3's frame); returning the "
+                       "stationary profile", den, num, lam, mu, t_r)
             prof = sp.profile
             return DfmTrace(3, "B", prof, regrets(game, prof).f, y_hat, w_hat, t_r, v_r, mu_hat,
                             fallback=True)
-        beta = (1.0 - mu / 2.0 - t_r) / den
+        beta = num / den
         endpoint = Profile(w, normalize_in_place(np.maximum((1 - beta) * y_hat + beta * z, 0.0)))
         branch, alpha = "B", None
     _, prof, f = segment_min_f(game, sp.profile, endpoint)

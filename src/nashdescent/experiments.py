@@ -14,10 +14,9 @@ from io import StringIO
 
 import numpy as np
 
-from .adjust import ts_solve
+import nashdescent as nd
+
 from .descent import DescentBudgetError, find_stationary
-from .baselines import fictitious_play, regret_matching, zero_sum_baseline
-from .dfm import dfm_solve
 from .game import Game, Profile, mixed
 from .generator import (
     RESTRICTIONS,
@@ -266,26 +265,28 @@ def run_algorithm(game: Game, algorithm: str, p0: Profile | None, delta: float,
     The descent pipelines ts and dfm start from p0 with precision delta;
     fictitious play and regret matching play ``rounds`` rounds, regret
     matching drawing from rng; the zero-sum baseline reads only the game.
+    Each solver comes from the package namespace, so a run loads only the
+    submodule of the algorithm it runs.
     """
     if algorithm == "ts":
-        res = ts_solve(game, p0, delta)
+        res = nd.ts_solve(game, p0, delta)
         return res.best.f, res.best.profile, res.sp.iterations, {
             "stationary_f": res.stationary_f, "ts_f": res.ts_f,
             "boundary_f": res.boundary_f, "linear_f": res.linear_f,
             "best_method": res.best.method,
         }
     if algorithm == "dfm":
-        res = dfm_solve(game, p0, delta)
+        res = nd.dfm_solve(game, p0, delta)
         return res.f, res.profile, res.sp.iterations, {
             "case": res.trace.case, "branch": res.trace.branch, "stationary_f": res.sp.f}
     if algorithm == "fp":
-        trace = fictitious_play(game, rounds)
+        trace = nd.fictitious_play(game, rounds)
         return trace.f, trace.profile, rounds, {}
     if algorithm == "rm":
-        trace = regret_matching(game, rounds, rng)
+        trace = nd.regret_matching(game, rounds, rng)
         return trace.f, trace.profile, rounds, {}
     if algorithm == "zs":
-        res = zero_sum_baseline(game)
+        res = nd.zero_sum_baseline(game)
         return res.f, res.profile, 0, {"candidate": res.candidate, "adjusted": res.adjusted}
     raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHMS)}")
 

@@ -282,8 +282,11 @@ def generate_tight(
     found; every objective reuses the program's phase 1.  ``rng`` is drawn
     from only after a feasible probe, so skipping an infeasible pair
     changes no game and no generator state.  The empty list means no game
-    exists for this input.
+    exists for this input.  A ``count`` below 1 raises ValueError before
+    any LP or draw.
     """
+    if count < 1:
+        raise ValueError("counts must be positive: count")
     found = _first_feasible(inp, lambda_intersect)
     if found is None:
         return []
@@ -447,7 +450,11 @@ def sample_tight_games(
 
     Inputs are rejection-sampled until the feasibility program admits a
     game; each feasible input contributes an equal share of instances.
+    A ``count`` or ``groups`` below 1 raises ValueError before any draw.
     """
+    low = [name for name, v in (("count", count), ("groups", groups)) if v < 1]
+    if low:
+        raise ValueError(f"counts must be positive: {', '.join(low)}")
     out: list[TightInstance] = []
     for insts in tight_draws(m, n, restriction, rng, pure_duals,
                              math.ceil(count / groups), lambda_intersect):

@@ -13,23 +13,22 @@ logged at debug level on the ``nashdescent.lp`` logger.
 
 The tableau is stored by columns: array row j is tableau column j, whose
 last entry is the objective row's, and the last array row is the rhs
-column.  So the ratio test reads one contiguous entering column.  The
+column.  So the ratio test reads one contiguous entering column.  A pivot
+finds its entering column and candidate rows with numpy masks and runs
+the ratio test and its tie rules on the candidates as Python floats.  The
 tableaux the descent solves are tiny (4 to 14 rows), so the kernel's cost
 is the number of numpy calls, not flops: a pivot is one rank-1 update of
-the whole tableau, objective row included, its decisions (the entering
-column and the ratio test) are taken on Python floats, and the standard
-form is filled by whole-block assignments.  The generator's tight
-programs are the exception: from 4x4 up their tableaux have thousands of
-cells and mostly zero pivot rows, so a tableau above
-``RESTRICTED_UPDATE_CELLS`` cells updates only the columns where its
-pivot row is nonzero and takes its decisions on numpy masks.  Both
+the whole tableau, objective row included, and the standard form is
+filled by whole-block assignments.  The generator's tight programs are
+the exception: from 4x4 up their tableaux have thousands of cells and
+mostly zero pivot rows, so a tableau above ``RESTRICTED_UPDATE_CELLS``
+cells updates only the columns where its pivot row is nonzero.  Both
 updates give the same bits up to the sign of a zero, which no decision
-reads, and both ways of deciding make the same comparisons and divisions
-on the same doubles.  Other work that is one number per row runs on
-Python floats too, with the same arithmetic as on arrays: the standard
-form's relation signs, slacks and artificial rows, and the finiteness
-checks of a recovered solution.  The recovery's two linear solves, with B
-and with B', go to LAPACK as one stacked call.
+reads.  Other work that is one number per row runs on Python floats too,
+with the same arithmetic as on arrays: the standard form's relation
+signs, slacks and artificial rows, and the finiteness checks of a
+recovered solution.  The recovery's two linear solves, with B and with
+B', go to LAPACK as one stacked call.
 
 A program states its constraints as one block: a (k, nv) coefficient
 array, k relations and k right-hand sides, fixed when the program is made.
@@ -37,8 +36,7 @@ Its objective-free standard form is built then too.  The form's layout
 (which variables are free or capped, each row's sign and slack, phase 1's
 starting basis and artificials, the pivot budget) depends only on the
 program's shape: its variable count, relations and bounds and the signs
-of its rhs after the shift.  For programs at or below the cutoff, as every
-descent program is, layouts are memoized by shape, at most
+of its rhs after the shift.  Layouts are memoized by shape, at most
 ``LAYOUT_MEMO_SIZE`` of them and no tableau-sized array among them, so a
 descent that states the same few shapes over and over copies in only
 their coefficients and rhs.  The form memoizes phase 1's outcome (the
@@ -230,36 +228,25 @@ def _run_simplex(T, basis, budget, bounded_objective=False):
     an apparently unbounded column is numerically degenerate: it is frozen
     out of the entering candidates for the rest of the run.
 
-    A tableau of at most ``RESTRICTED_UPDATE_CELLS`` cells, every one the
-    descent solves, scans its reduced costs and entering column as Python
-    floats, which costs fewer calls than array masks; a larger one, whose
-    rows and columns number in the hundreds, scans them with numpy.  Both
-    make the same comparisons and divisions on the same doubles.
+    The entering column and the candidate rows are found with numpy masks;
+    the ratio test and its tie rules run on the candidates as Python
+    floats, which costs fewer calls than array operations on the few rows
+    that remain.
     """
     nrows = T.shape[1] - 1
-    on_lists = T.size <= RESTRICTED_UPDATE_CELLS
     reduced, rhs = T[:-1, -1], T[-1, :-1]
     tol, neg_tol = TOL, -TOL
     frozen = []
     for _ in range(budget):
-        if on_lists:
-            for col, r in enumerate(reduced.tolist()):
-                if r < neg_tol and col not in frozen:
-                    break
-            else:
-                return OPTIMAL
-            colv = T[col, :-1].tolist()
-            pl = [i for i, c in enumerate(colv) if c > tol]
-        else:
-            eligible = reduced < neg_tol
-            if frozen:
-                eligible[frozen] = False
-            col = int(eligible.argmax())
-            if not eligible[col]:
-                return OPTIMAL
-            colv = T[col, :-1]
-            pos = (colv > tol).nonzero()[0]
-            pl = pos.tolist()
+        eligible = reduced < neg_tol
+        if frozen:
+            eligible[frozen] = False
+        col = int(eligible.argmax())
+        if not eligible[col]:
+            return OPTIMAL
+        colv = T[col, :-1]
+        pos = (colv > tol).nonzero()[0]
+        pl = pos.tolist()
         if not pl:
             if not bounded_objective:
                 return UNBOUNDED
@@ -269,11 +256,7 @@ def _run_simplex(T, basis, budget, bounded_objective=False):
         if len(pl) > 1:
             # The ratio test on Python floats: the same divisions and
             # comparisons as on arrays, without an array call for each.
-            if on_lists:
-                rl = rhs.tolist()
-                cl, bl = [colv[i] for i in pl], [rl[i] for i in pl]
-            else:
-                cl, bl = colv[pos].tolist(), rhs[pos].tolist()
+            cl, bl = colv[pos].tolist(), rhs[pos].tolist()
             ratios = [b / c for b, c in zip(bl, cl)]
             best = min(ratios)
             limit = best + TOL * (1.0 + abs(best))
@@ -292,13 +275,11 @@ class _ConstraintForm:
     """Objective-free equality standard form of a LinearProgram, the
     back-maps, and the memoized phase-1 outcome.
 
-    What the program's shape fixes comes from ``_layout``, memoized for
-    programs whose tableau has at most ``RESTRICTED_UPDATE_CELLS`` cells
-    before its artificials are added, as every program of the descent
-    has: a descent meets a few shapes per game size and repeats them.  A
-    larger program is the generator's, whose bounds fix its own entries,
-    so its shape rarely repeats.  A, b, the shift and ``resid_tol`` are
-    computed for each program.
+    What the program's shape fixes comes from ``_layout``, memoized by
+    shape for every program: a descent meets a few shapes per game size
+    and repeats them, and a generator program that misses costs one
+    lookup.  A, b, the shift and ``resid_tol`` are computed for each
+    program.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -318,18 +299,14 @@ class _ConstraintForm:
         if ub:
             rhs = np.concatenate((rhs, [float(upper[j]) - shift[j] for j in ub]))
         nrows = self.nrows = n_user + len(ub)
-        layout = key = None
-        # The tableau's cells before its artificials are added.  The key
-        # reads the rhs's signs after the shift, which can turn them.
-        if (nrows + 1) * (nv + lower.count(None) + nrows + 1) <= RESTRICTED_UPDATE_CELLS:
-            key = (nv, lp.relations, lower, upper, (rhs < 0).tobytes())
-            layout = _layouts.get(key)
+        # The key reads the rhs's signs after the shift, which can turn them.
+        key = (nv, lp.relations, lower, upper, (rhs < 0).tobytes())
+        layout = _layouts.get(key)
         if layout is None:
             layout = _layout(nv, lp.relations, lower, ub, rhs.tolist())
-            if key is not None:
-                if len(_layouts) >= LAYOUT_MEMO_SIZE:
-                    _layouts.pop(next(iter(_layouts)), None)
-                _layouts[key] = layout
+            if len(_layouts) >= LAYOUT_MEMO_SIZE:
+                _layouts.pop(next(iter(_layouts)), None)
+            _layouts[key] = layout
         (self.free_extra, self.flip, negated, slack, self.needs_artificial, self.start_basis,
          self.art_cells, self.cost_rows, ncols_struct, ncols, self.budget) = layout
         self.ncols_struct, self.ncols = ncols_struct, ncols

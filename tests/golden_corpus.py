@@ -224,6 +224,20 @@ def fallback_pair(lam: float = 0.6, mu: float = 0.9) -> tuple[Game, StationaryPo
     return Game(R, C), sp
 
 
+def negative_beta_pair() -> tuple[Game, StationaryPoint]:
+    """Case-4 data on which branch B's beta, in case 3's frame, is negative.
+
+    Swapped, w_hat = e_1 earns 1 against y_hat and the witness 8/9 e_0 +
+    1/9 e_1 earns about 0.19, so t_r is about 0.81 > 1 - mu/2 = 0.5 while
+    1 + mu/2 - lambda - t_r stays positive; beta would be about -4.5.
+    """
+    R, C = np.zeros((3, 2)), np.array([[0.0, 1.0], [0.25, 1.0], [0.0, 1.0]])
+    sp = StationaryPoint(Profile(mixed([0.4, 0.4, 0.2]), mixed([0.5, 0.5])),
+                         DualSolution(0.0, mixed(np.ones(3) / 3), mixed([8 / 9, 1 / 9])),
+                         0.0, 0.0, 1.0, 0.625, 0)
+    return Game(R, C), sp
+
+
 def mirrored_sp(game: Game, sp: StationaryPoint) -> tuple[Game, StationaryPoint]:
     """The same data with the players exchanged, built by hand."""
     d = sp.dual

@@ -156,6 +156,22 @@ def test_branch_b_fallback_is_logged(caplog):
         assert records[0].endswith("returning the stationary profile")
 
 
+def test_branch_b_falls_back_rather_than_leave_the_simplex(caplog):
+    import logging
+
+    from tests.golden_corpus import negative_beta_pair
+
+    caplog.set_level(logging.DEBUG, logger="nashdescent.dfm")
+    game, sp = negative_beta_pair()
+    for g, p, case in ((game, sp, 4), (game.swapped(), sp.swapped(), 3)):
+        caplog.clear()
+        trace = dfm_adjust(g, p)
+        assert (trace.case, trace.branch, trace.fallback) == (case, "B", True)
+        assert trace.output == p.profile and trace.alpha is None and trace.beta is None
+        records = [r.getMessage() for r in caplog.records if r.name == "nashdescent.dfm"]
+        assert len(records) == 1 and ", 1 - mu/2 - t_r = -" in records[0], records
+
+
 def test_no_record_without_a_fallback(caplog, eq3):
     import logging
 

@@ -150,6 +150,21 @@ class TestGenerate:
         assert_satisfies_feasibility_program(blend, inp, insts[0].k, insts[0].l, cons)
         assert verify_tight(blend, inp).passed
 
+    @pytest.mark.parametrize("low", [0, -1])
+    def test_nonpositive_counts_raise_before_any_lp_or_draw(self, monkeypatch, low):
+        """An empty list would read as "no game exists for this input"."""
+        calls = []
+        monkeypatch.setattr(generator, "solve_lp", calls.append)
+        inp = GeneratorInput(pure(3, 0), pure(3, 0), pure(3, 2), pure(3, 2))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="counts must be positive: count"):
+            generate_tight(inp, count=low, rng=rng)
+        for kwargs, name in (({"count": low}, "count"), ({"count": 2, "groups": low}, "groups")):
+            with pytest.raises(ValueError, match=f"counts must be positive: {name}"):
+                generator.sample_tight_games(3, 3, rng=rng, **kwargs)
+        assert calls == [] and rng.bit_generator.state == state
+
 
 def _sweep_inputs(sizes, per_cell):
     """Seeded generator inputs: every size, restriction and witness kind."""

@@ -75,6 +75,37 @@ def test_generator_subcommands_load_only_what_they_run(tmp_path, capsys, argv):
     """) == [0, sorted(["nashdescent.cli", *GEN_5X5_MODULES])]
 
 
+# The submodule each algorithm of `solve` runs, beyond the harness's own.
+SOLVER_MODULES = {"ts": "adjust", "dfm": "dfm", "fp": "baselines", "rm": "baselines",
+                  "zs": "baselines"}
+
+
+@pytest.mark.parametrize("algorithm", SOLVER_MODULES)
+def test_solve_loads_only_its_algorithms_solver(tmp_path, capsys, algorithm):
+    assert main(["generate", "--static", "tight-3x3", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    argv = ["solve", str(tmp_path / "tight-3x3.json"), "--algorithm", algorithm]
+    if algorithm in ("fp", "rm"):
+        argv += ["--rounds", "50"]
+    assert run_fresh(f"""
+        import json, sys
+        from nashdescent.cli import main
+        code = main({argv!r})
+        print(json.dumps([code, {LOADED}]))
+    """) == [0, sorted(["nashdescent.cli", "nashdescent.experiments",
+                        f"nashdescent.{SOLVER_MODULES[algorithm]}", *GEN_5X5_MODULES])]
+
+
+def test_lattice_profile_loads_no_solver():
+    """The benchmark's ts-tight3 set-up reads this sampler from the harness."""
+    assert run_fresh(f"""
+        import json, sys
+        import nashdescent
+        nashdescent.experiments.lattice_profile
+        print(json.dumps({LOADED}))
+    """) == sorted(["nashdescent.experiments", *GEN_5X5_MODULES])
+
+
 def test_every_public_name_is_its_defining_modules_object():
     out = run_fresh("""
         import importlib, json

@@ -610,11 +610,10 @@ def test_kernel_matches_reference_on_drawn_programs(prog):
 
 
 # ---------------------------------------------------------------------------
-# The two paths of a pivot: at or below RESTRICTED_UPDATE_CELLS cells,
-# decisions on Python floats and a rank-1 update of the whole tableau;
-# above it, decisions on numpy masks and an update of only the columns
-# where the pivot row is nonzero.  Each path is forced by moving the
-# cutoff, which also decides which layouts are memoized.
+# The two updates of a pivot: at or below RESTRICTED_UPDATE_CELLS cells, a
+# rank-1 update of the whole tableau; above it, an update of only the
+# columns where the pivot row is nonzero.  Each is forced by moving the
+# cutoff, which chooses nothing else.
 
 
 def rebuilt(lp):
@@ -656,9 +655,8 @@ def tight_7x7_programs():
 def test_both_pivot_updates_give_the_same_bits(monkeypatch, captured_programs,
                                                tight_7x7_programs):
     """Every program reaches the same bases and the same answer bytes with
-    the cutoff at 0 (numpy pivot decisions, restricted updates, no layout
-    memo), above every tableau (decisions on Python floats, whole updates,
-    every layout memoized) and at its value."""
+    the cutoff at 0 (restricted updates), above every tableau (whole
+    updates) and at its value; each run starts from an empty layout memo."""
     import math
 
     import nashdescent.lp as lpmod
@@ -673,12 +671,13 @@ def test_both_pivot_updates_give_the_same_bits(monkeypatch, captured_programs,
     cells = [phase_one_cells(lp._form) for lp in tight_5x5 + tight_7x7_programs]
     assert min(cells) > RESTRICTED_UPDATE_CELLS
     runs = {}
-    for name, cutoff in (("lists", math.inf), ("arrays", 0), ("default", RESTRICTED_UPDATE_CELLS)):
+    for name, cutoff in (("whole", math.inf), ("restricted", 0),
+                         ("default", RESTRICTED_UPDATE_CELLS)):
         monkeypatch.setattr(lpmod, "RESTRICTED_UPDATE_CELLS", cutoff)
         monkeypatch.setattr(lpmod, "_layouts", {})
         runs[name] = [kernel_run(lp) for lp in programs]
-    assert runs["arrays"] == runs["lists"] == runs["default"]
-    assert sum(bits[0] == OPTIMAL for _, _, bits in runs["lists"]) >= 250
+    assert runs["restricted"] == runs["whole"] == runs["default"]
+    assert sum(bits[0] == OPTIMAL for _, _, bits in runs["whole"]) >= 250
 
 
 def test_descent_tableaux_stay_at_or_under_the_cutoff(monkeypatch):
@@ -687,8 +686,8 @@ def test_descent_tableaux_stay_at_or_under_the_cutoff(monkeypatch):
     import nashdescent.lp as lpmod
     from nashdescent.adjust import ts_solve
     from nashdescent.dfm import dfm_solve
-    from nashdescent.experiments import lattice_profile, sample_tight_games
-    from nashdescent.generator import generate_tight, sample_inputs
+    from nashdescent.experiments import lattice_profile
+    from nashdescent.generator import generate_tight, sample_inputs, sample_tight_games
 
     cells, real = [], lpmod._pivot
 
@@ -769,13 +768,19 @@ def test_layout_memo_hits_build_fresh_forms(monkeypatch, captured_programs):
                                   lower=[1.0], upper=[3.0]) for rhs in (2.0, 0.5, 2.0)]
     # Each seeded program, then a copy with its rows doubled: the shift
     # doubles that copy's rhs exactly, so it has the program's shape.
+    def doubled(lp):
+        return LinearProgram(lp.objective, lp.sense, 2.0 * lp.constraints, lp.relations,
+                             2.0 * lp.rhs, lower=lp.lower, upper=lp.upper)
+
+    # Each seeded and each tight program, then a copy with its rows doubled:
+    # the shift doubles that copy's rhs exactly, so it has the program's
+    # shape and must hit.
     rng = np.random.default_rng(77)
-    seeded = [random_program(rng) for _ in range(400)]
-    seeded = [p for lp in seeded for p in (lp, LinearProgram(
-        lp.objective, lp.sense, 2.0 * lp.constraints, lp.relations, 2.0 * lp.rhs,
-        lower=lp.lower, upper=lp.upper))]
+    seeded = [p for lp in (random_program(rng) for _ in range(400)) for p in (lp, doubled(lp))]
+    tight = [p for site, lp, _ in captured_programs if site == "tight"
+             for p in (lp, doubled(lp))]
     groups = {"captured": [lp for site, lp, _ in captured_programs if site != "tight"],
-              "seeded": seeded, "shifted sign": shifted_sign}
+              "seeded": seeded, "tight": tight, "shifted sign": shifted_sign}
     builds, real = [], lpmod._layout
 
     def counted(*args):
@@ -785,18 +790,20 @@ def test_layout_memo_hits_build_fresh_forms(monkeypatch, captured_programs):
     monkeypatch.setattr(lpmod, "_layout", counted)
     warm = {}
     monkeypatch.setattr(lpmod, "_layouts", warm)
-    hits = dict.fromkeys(groups, 0)
+    hits = {name: [] for name in groups}
     for name, programs in groups.items():
         for lp in programs:
             before = len(builds)
             form = rebuilt(lp)._form
-            hits[name] += len(builds) == before
+            hits[name].append(len(builds) == before)
             monkeypatch.setattr(lpmod, "_layouts", {})
             assert form_bits(form) == form_bits(rebuilt(lp)._form), (name, lp)
             monkeypatch.setattr(lpmod, "_layouts", warm)
-    assert hits["captured"] >= 100 and hits["seeded"] >= 400, hits
+    assert sum(hits["captured"]) >= 100 and sum(hits["seeded"]) >= 400, hits
+    assert len(tight) >= 12 and all(hits["tight"][1::2]), hits["tight"]
     # The third program hits the first's layout, the second builds its own.
-    assert hits["shifted sign"] == 1 and shifted_sign[1]._form.flip.tolist() == [-1.0, 1.0]
+    assert hits["shifted sign"] == [False, False, True]
+    assert shifted_sign[1]._form.flip.tolist() == [-1.0, 1.0]
     shifted = [lp for lp in groups["seeded"] if lp._form.shifted]
     assert any(lp._form.free_extra for lp in groups["seeded"]) and shifted
     assert any(lp._form.nrows > len(lp.relations) for lp in shifted)

@@ -9,7 +9,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nashdescent.adjust import BRANCH_TIE_TOL, adjust_boundary_min, adjust_linear, adjust_ts
@@ -17,7 +17,7 @@ from nashdescent.descent import DualSolution, StationaryPoint, balance, scaled_d
 from nashdescent.dfm import dfm_adjust
 from nashdescent.game import Game, Profile, mixed, regrets
 from nashdescent.generator import dfm_family
-from tests.golden_corpus import fallback_pair
+from tests.golden_corpus import fallback_pair, negative_beta_pair
 
 TOL = 1e-12
 TWO_THIRDS = 2.0 / 3.0
@@ -97,6 +97,7 @@ def test_swap_is_an_involution():
 
 @settings(max_examples=150, deadline=None)
 @given(games_and_points())
+@example(negative_beta_pair())
 def test_adjustments_commute_with_the_swap(data):
     game, sp = data
     g2, sp2 = game.swapped(), sp.swapped()
