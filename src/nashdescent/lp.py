@@ -7,9 +7,9 @@ fastest option.  Pivot ties break by lowest index, which makes every solve
 bit-reproducible.  Every answer is certified on the unpivoted data: primal
 feasible, dual feasible (no reduced cost below tolerance) and with a small
 residual.  A degenerate solve that drifts into a basis failing those checks
-is repaired: the tableau is rebuilt at that basis from the unpivoted data
-and dual simplex pivots make it primal feasible again.  Each repair is
-logged at debug level on the ``nashdescent.lp`` logger.
+is repaired: on a tableau rebuilt at that basis from the unpivoted data,
+dual simplex pivots restore primal feasibility and the simplex finishes.
+Each repair is logged at debug level on the ``nashdescent.lp`` logger.
 
 The tableau is stored by columns: array row j is tableau column j, whose
 last entry is the objective row's, and the last array row is the rhs
@@ -33,16 +33,11 @@ B', go to LAPACK as one stacked call.
 A program states its constraints as one block: a (k, nv) coefficient
 array, k relations and k right-hand sides, fixed when the program is made.
 Its objective-free standard form is built then too.  The form's layout
-(which variables are free or capped, each row's sign and slack, phase 1's
-starting basis and artificials, the pivot budget) depends only on the
-program's shape: its variable count, relations and bounds and the signs
-of its rhs after the shift.  Layouts are memoized by shape, at most
-``LAYOUT_MEMO_SIZE`` of them and no tableau-sized array among them, so a
-descent that states the same few shapes over and over copies in only
-their coefficients and rhs.  The form memoizes phase 1's outcome (the
-feasible tableau with its basis and a row-major copy of its rows,
-infeasibility, or the error raised), since phase 1 depends on the
-constraints only.
+(free and capped variables, row signs and slacks, phase 1's starting basis
+and artificials, the pivot budget) depends only on the program's shape, so
+the layouts of the descent's programs, which repeat a few shapes and have
+no upper bounds, are memoized (``_cached_layout``).  The form memoizes
+phase 1's outcome, which depends on the constraints only.
 ``LinearProgram.with_objective`` derives a program with another objective
 that shares that form, and solving it runs phase 2 from a copy of the
 cached tableau; the answer is bit-identical to a fresh program's.
@@ -51,6 +46,7 @@ cached tableau; the answer is bit-identical to a fresh program's.
 from __future__ import annotations
 
 import copy
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -86,12 +82,10 @@ RESTRICTED_UPDATE_CELLS = 4096
 _ZERO = np.float64(0.0)
 _UNSET = object()  # the phase-1 memo before phase 1 runs; None means infeasible
 
-# Standard-form layouts by program shape (see _ConstraintForm), the oldest
-# dropped first.  A descent meets a few shapes per game size: the 2641
-# descent programs of the benchmark's ts-tight3 workload at seed 0 have 8,
-# the 240 of dfm-hard (3x3 to 5x5 games) 6.
+# The layouts _cached_layout keeps, the least recently used dropped first.
+# The 2641 descent programs of the benchmark's ts-tight3 workload at seed 0
+# have 8 shapes, the 240 of dfm-hard (3x3 to 5x5 games) 6.
 LAYOUT_MEMO_SIZE = 64
-_layouts: dict = {}
 
 _log = logging.getLogger(__name__)
 
@@ -276,10 +270,10 @@ class _ConstraintForm:
     back-maps, and the memoized phase-1 outcome.
 
     What the program's shape fixes comes from ``_layout``, memoized by
-    shape for every program: a descent meets a few shapes per game size
-    and repeats them, and a generator program that misses costs one
-    lookup.  A, b, the shift and ``resid_tol`` are computed for each
-    program.
+    shape (``_cached_layout``) for programs without upper bounds: a
+    descent meets a few shapes per game size and repeats them, while the
+    generator's box-bounded programs almost never repeat one.  A, b, the
+    shift and ``resid_tol`` are computed for each program.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -295,18 +289,14 @@ class _ConstraintForm:
         rhs = lp.rhs
         if self.shifted:
             rhs = np.array([bi - a @ self.shift for a, bi in zip(lp.constraints, rhs)])
-        ub = [j for j, up in enumerate(upper) if up is not None] if upper.count(None) < nv else []
+        ub = (tuple([j for j, up in enumerate(upper) if up is not None])
+              if upper.count(None) < nv else ())
         if ub:
             rhs = np.concatenate((rhs, [float(upper[j]) - shift[j] for j in ub]))
         nrows = self.nrows = n_user + len(ub)
-        # The key reads the rhs's signs after the shift, which can turn them.
-        key = (nv, lp.relations, lower, upper, (rhs < 0).tobytes())
-        layout = _layouts.get(key)
-        if layout is None:
-            layout = _layout(nv, lp.relations, lower, ub, rhs.tolist())
-            if len(_layouts) >= LAYOUT_MEMO_SIZE:
-                _layouts.pop(next(iter(_layouts)), None)
-            _layouts[key] = layout
+        # The layout reads the rhs's signs after the shift, which can turn them.
+        layout = (_layout if ub else _cached_layout)(nv, lp.relations, lower, ub,
+                                                     (rhs < 0).tobytes())
         (self.free_extra, self.flip, negated, slack, self.needs_artificial, self.start_basis,
          self.art_cells, self.cost_rows, ncols_struct, ncols, self.budget) = layout
         self.ncols_struct, self.ncols = ncols_struct, ncols
@@ -353,10 +343,11 @@ def _read_only(values, dtype=float):
     return a
 
 
-def _layout(nv, relations, lower, ub, rhs):
+def _layout(nv, relations, lower, ub, negative):
     """Everything in a standard form that the program's shape fixes: the
-    variable count, the relations, the bounds, and the signs of the rhs
-    ``rhs`` (a list) after the shift, upper-bound rows ``ub`` included.
+    variable count, the relations, the lower bounds, the capped variables
+    ``ub`` and ``negative``, one byte per row (upper-bound rows included)
+    that is 1 where the rhs after the shift is negative.
 
     Returns, in this order: the free variables; each row's flip, -1.0
     where its rhs is negative, and whether any is -1.0; the slack block's
@@ -369,13 +360,13 @@ def _layout(nv, relations, lower, ub, rhs):
     free_extra = tuple([j for j, lo in enumerate(lower) if lo is None]) if None in lower else ()
     if ub and any(lower[j] is None for j in ub):
         raise LpError("upper bound on a free variable is not supported")
-    nrows = len(rhs)
+    nrows = len(negative)
     ncols_struct = nv + len(free_extra)
     ncols = ncols_struct + nrows
     # A row with a negative rhs is negated, which swaps <= and >=; the slack
     # of a <= row enters with +1, of a >= row with -1.
     rels = relations + (LE,) * len(ub)
-    flip = [-1.0 if bi < 0 else 1.0 for bi in rhs]
+    flip = [-1.0 if neg else 1.0 for neg in negative]
     slack = [0.0 if rel == EQ else f if rel == LE else -f for rel, f in zip(rels, flip)]
     # Phase 1's starting basis: the slack of each row, or an artificial (a
     # column past ncols) for a row whose slack cannot start at b_i.  Also
@@ -390,6 +381,9 @@ def _layout(nv, relations, lower, ub, rhs):
     return (free_extra, _read_only(flip), -1.0 in flip, _read_only(slack), art,
             _read_only(start_basis, np.intp), _read_only(art_cells, np.intp),
             _read_only((nrows,) + art, np.intp), ncols_struct, ncols, 50 * (ncols + nrows))
+
+
+_cached_layout = functools.lru_cache(maxsize=LAYOUT_MEMO_SIZE)(_layout)
 
 
 class _Objective:
@@ -542,13 +536,15 @@ def _extract(form: _ConstraintForm, obj: _Objective, basis, kept):
 def _repair(form: _ConstraintForm, obj: _Objective, basis, kept):
     """Dual simplex pivots from a terminal basis that ``_extract`` rejected,
     on a tableau rebuilt at that basis from the unpivoted A and b, and
-    stored by columns like every tableau (see ``_pivot``).
+    stored by columns like every tableau (see ``_pivot``); then, once it
+    is primal feasible, ``_run_simplex`` on that tableau.
 
     While a basic value is below -TOL, the row with the most negative one
     leaves, and the column with the least ratio of its reduced cost
     (clamped at 0) to the row's negative entry enters, lowest index on
-    ties.  Returns the new basis, or None when B is singular, a leaving row
-    has no negative entry or the budget runs out.
+    ties.  Returns the optimal basis, or None when B is singular, a leaving
+    row has no negative entry, the simplex ends unbounded or a budget runs
+    out.
     """
     Ab = np.column_stack((form.A, form.b))[slice(None) if kept is None else kept]
     try:
@@ -560,7 +556,10 @@ def _repair(form: _ConstraintForm, obj: _Objective, basis, kept):
     for _ in range(form.budget):
         row = int(rhs.argmin())
         if rhs[row] >= -TOL:
-            return basis
+            try:
+                return basis if _run_simplex(T, basis, form.budget) == OPTIMAL else None
+            except LpNumericalError:
+                return None
         entries = T[:-1, row]
         cand = (entries < -TOL).nonzero()[0]
         if not cand.size:

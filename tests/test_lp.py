@@ -674,7 +674,7 @@ def test_both_pivot_updates_give_the_same_bits(monkeypatch, captured_programs,
     for name, cutoff in (("whole", math.inf), ("restricted", 0),
                          ("default", RESTRICTED_UPDATE_CELLS)):
         monkeypatch.setattr(lpmod, "RESTRICTED_UPDATE_CELLS", cutoff)
-        monkeypatch.setattr(lpmod, "_layouts", {})
+        lpmod._cached_layout.cache_clear()
         runs[name] = [kernel_run(lp) for lp in programs]
     assert runs["restricted"] == runs["whole"] == runs["default"]
     assert sum(bits[0] == OPTIMAL for _, _, bits in runs["whole"]) >= 250
@@ -758,68 +758,72 @@ def form_bits(form):
 
 
 def test_layout_memo_hits_build_fresh_forms(monkeypatch, captured_programs):
+    """A form built from a memo hit is the form an uncached build makes, and
+    a program with upper bounds neither reads nor fills the memo."""
     import nashdescent.lp as lpmod
 
     from .golden_corpus import random_program
 
     # x0 >= 1 with x0 <= 2 or x0 <= 0.5: the same shape before the shift,
     # but the shift makes the second rhs negative, so that row is negated.
-    shifted_sign = [LinearProgram(np.array([1.0]), "min", [[1.0]], [LE], [rhs],
-                                  lower=[1.0], upper=[3.0]) for rhs in (2.0, 0.5, 2.0)]
+    shifted_sign = [LinearProgram(np.array([1.0]), "min", [[1.0]], [LE], [rhs], lower=[1.0])
+                    for rhs in (2.0, 0.5, 2.0)]
+
     # Each seeded program, then a copy with its rows doubled: the shift
-    # doubles that copy's rhs exactly, so it has the program's shape.
+    # doubles that copy's rhs exactly, so it has the program's shape and
+    # must hit unless it has upper bounds.
     def doubled(lp):
         return LinearProgram(lp.objective, lp.sense, 2.0 * lp.constraints, lp.relations,
                              2.0 * lp.rhs, lower=lp.lower, upper=lp.upper)
 
-    # Each seeded and each tight program, then a copy with its rows doubled:
-    # the shift doubles that copy's rhs exactly, so it has the program's
-    # shape and must hit.
+    def capped(lp):
+        return any(up is not None for up in lp.upper)
+
     rng = np.random.default_rng(77)
     seeded = [p for lp in (random_program(rng) for _ in range(400)) for p in (lp, doubled(lp))]
-    tight = [p for site, lp, _ in captured_programs if site == "tight"
-             for p in (lp, doubled(lp))]
+    tight = [lp for site, lp, _ in captured_programs if site == "tight"]
     groups = {"captured": [lp for site, lp, _ in captured_programs if site != "tight"],
               "seeded": seeded, "tight": tight, "shifted sign": shifted_sign}
-    builds, real = [], lpmod._layout
-
-    def counted(*args):
-        builds.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(lpmod, "_layout", counted)
-    warm = {}
-    monkeypatch.setattr(lpmod, "_layouts", warm)
+    cached = lpmod._cached_layout
+    cached.cache_clear()
     hits = {name: [] for name in groups}
     for name, programs in groups.items():
         for lp in programs:
-            before = len(builds)
+            before = cached.cache_info()
             form = rebuilt(lp)._form
-            hits[name].append(len(builds) == before)
-            monkeypatch.setattr(lpmod, "_layouts", {})
-            assert form_bits(form) == form_bits(rebuilt(lp)._form), (name, lp)
-            monkeypatch.setattr(lpmod, "_layouts", warm)
-    assert sum(hits["captured"]) >= 100 and sum(hits["seeded"]) >= 400, hits
-    assert len(tight) >= 12 and all(hits["tight"][1::2]), hits["tight"]
+            after = cached.cache_info()
+            hits[name].append(after.hits > before.hits)
+            if capped(lp):
+                assert after == before, (name, lp)
+            with monkeypatch.context() as m:
+                m.setattr(lpmod, "_cached_layout", lpmod._layout)
+                assert form_bits(form) == form_bits(rebuilt(lp)._form), (name, lp)
+    assert sum(hits["captured"]) >= 100, hits["captured"]
+    repeats = [hit for lp, hit in zip(seeded[1::2], hits["seeded"][1::2]) if not capped(lp)]
+    assert len(repeats) >= 100 and all(repeats), repeats
+    assert len(tight) >= 6 and all(map(capped, tight)) and not any(hits["tight"])
     # The third program hits the first's layout, the second builds its own.
     assert hits["shifted sign"] == [False, False, True]
-    assert shifted_sign[1]._form.flip.tolist() == [-1.0, 1.0]
+    assert shifted_sign[1]._form.flip.tolist() == [-1.0]
     shifted = [lp for lp in groups["seeded"] if lp._form.shifted]
     assert any(lp._form.free_extra for lp in groups["seeded"]) and shifted
     assert any(lp._form.nrows > len(lp.relations) for lp in shifted)
 
 
-def test_layout_memo_is_bounded_and_read_only(monkeypatch):
+def test_layout_memo_is_bounded_and_read_only():
     import nashdescent.lp as lpmod
 
-    monkeypatch.setattr(lpmod, "_layouts", {})
-    for nv in range(1, 3 * lpmod.LAYOUT_MEMO_SIZE):
+    cached, size = lpmod._cached_layout, lpmod.LAYOUT_MEMO_SIZE
+    cached.cache_clear()
+    for nv in range(1, 3 * size):
         LinearProgram(np.ones(nv), "min", np.ones((2, nv)), (GE, LE), [1.0, 2.0])
-        assert len(lpmod._layouts) <= lpmod.LAYOUT_MEMO_SIZE
-    assert len(lpmod._layouts) == lpmod.LAYOUT_MEMO_SIZE
-    arrays = [v for layout in lpmod._layouts.values() for v in layout
-              if isinstance(v, np.ndarray)]
-    assert len(arrays) == 5 * lpmod.LAYOUT_MEMO_SIZE
+        assert cached.cache_info().currsize <= size
+    assert cached.cache_info() == (0, 3 * size - 1, size, size)
+    # The memo keeps the last shapes: looking each up again is a hit.
+    layouts = [cached(nv, (GE, LE), (0.0,) * nv, (), bytes(2)) for nv in range(2 * size, 3 * size)]
+    assert cached.cache_info() == (size, 3 * size - 1, size, size)
+    arrays = [v for layout in layouts for v in layout if isinstance(v, np.ndarray)]
+    assert len(arrays) == 5 * size
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -830,17 +834,18 @@ def test_layout_memo_is_bounded_and_read_only(monkeypatch):
     assert form.start_basis.copy().flags.writeable
 
 
-def test_malformed_programs_raise_on_memo_hits(monkeypatch):
+def test_malformed_programs_raise_on_memo_hits():
     import nashdescent.lp as lpmod
 
-    monkeypatch.setattr(lpmod, "_layouts", {})
+    cached = lpmod._cached_layout
+    cached.cache_clear()
     good = dict(objective=np.array([1.0, 1.0]), sense="min", constraints=[[1.0, 1.0]],
-                relations=[LE], rhs=[1.0], lower=[0.0, 0.0], upper=[2.0, None])
+                relations=[LE], rhs=[1.0], lower=[0.0, 0.0])
     bad = [{"lower": [np.nan, 0.0]}, {"lower": [-np.inf, 0.0]}, {"upper": [np.inf, None]},
-           {"relations": ["<>"]}, {"lower": [None, 0.0]}]
+           {"relations": ["<>"]}, {"lower": [None, 0.0], "upper": [2.0, None]}]
     for _ in range(3):  # a miss, then hits
         LinearProgram(**good)
         for change in bad:
             with pytest.raises(LpError):
                 LinearProgram(**{**good, **change})
-    assert len(lpmod._layouts) == 1
+    assert cached.cache_info() == (2, 1, lpmod.LAYOUT_MEMO_SIZE, 1)

@@ -1,8 +1,9 @@
 """Inputs on which the solvers once raised: descent LPs that end on a basis
 that fails the kernel's certificate, so that the LP kernel repairs it (each
-raised LpNumericalError before the repair existed), and a degenerate game
-whose Method 3 intersection lay beyond the square's edge.  Last, degenerate
-games whose direction LP the repair cannot mend yet, as strict xfails."""
+raised LpNumericalError before the repair existed, or before the repair
+finished with the kernel's simplex), and a degenerate game whose Method 3
+intersection lay beyond the square's edge.  Last, degenerate games whose
+direction LP the repair cannot mend yet, as strict xfails."""
 
 import logging
 
@@ -46,6 +47,15 @@ C46 = [[0.5825222146359571, 0.9999999999999998, 0.0],
        [0.9999573992471362, 0.9999573992471362, 0.6606252766547434],
        [0.9999730804711888, 0.9999355186557111, 0.663926803120658]]
 
+
+def halves(rows):
+    """A payoff matrix from rows of digits, each digit twice its entry."""
+    return [[int(d) / 2 for d in row] for row in rows]
+
+
+# Game 2464 of seed 5 of the degenerate probe below: its direction LP's
+# dual pivots reach a primal feasible basis that is not optimal, which the
+# repair's closing simplex run mends.
 REPAIRED_INPUTS = {
     "direction-lp": (R, C, X0, Y0),
     "seed65-input127": (R65, C65, X65, Y65),
@@ -53,6 +63,19 @@ REPAIRED_INPUTS = {
                        [0.061601411451423484, 0.3844283965799384, 0.5539701919686381]),
     "seed46-input108": (R46, C46, [0.05104158005435102, 0.008863073772903409, 0.9400953461727456],
                         [0.6140874799306945, 0.28487962144134854, 0.10103289862795711]),
+    "s5-i2464-10x8": (
+        halves(["22012122", "11001100", "20120022", "11201001", "01210112",
+                "22210002", "11022101", "01200211", "10020102", "21221100"]),
+        halves(["20012221", "10010112", "01102002", "22001012", "10000121",
+                "20110210", "00101100", "21212210", "02112220", "01222110"]),
+        [0.27687744720983154, 0.0008034407324903902, 0.2062990161496513,
+         0.10181348447528711, 0.004648120800407935, 0.10431398109488625,
+         0.09488560844136601, 0.024398360722686925, 0.18432558773677363,
+         0.0016349526366188844],
+        [0.10132221241851742, 0.19020384113090258, 0.37054359325497854,
+         0.00797127808995099, 0.18758190201805341, 0.0028347267057291787,
+         0.022512064813619278, 0.11703038156824856],
+    ),
 }
 
 
@@ -130,13 +153,8 @@ def test_chord_intersection_beyond_the_edge_is_clamped(solver):
 # column equal to its first (kind 2); then R[0, 0] = C[0, 0] = 1 and
 # R[-1, -1] = C[-1, -1] = 0, and the start is a lattice_profile of
 # resolution 10.  In both solvers, at delta 1e-3 and at 1e-6, a direction LP
-# ends on a basis that fails the kernel's checks, and so does the basis its
-# repair returns; HiGHS finds each LP's optimum at 0.
-
-
-def halves(rows):
-    """A payoff matrix from rows of digits, each digit twice its entry."""
-    return [[int(d) / 2 for d in row] for row in rows]
+# ends on a basis that fails the kernel's checks, and its repair fails; HiGHS
+# finds each LP's optimum at 0.
 
 
 UNREPAIRED_INPUTS = {
@@ -169,19 +187,6 @@ UNREPAIRED_INPUTS = {
         [0.10073297872082722, 0.09745913613820759, 0.004704827176484628,
          0.02425363245975683, 0.20789169642155977, 0.002375457112018439,
          0.5493165436586147, 0.013265728312530976],
-    ),
-    "s5-i2464-10x8": (
-        halves(["22012122", "11001100", "20120022", "11201001", "01210112",
-                "22210002", "11022101", "01200211", "10020102", "21221100"]),
-        halves(["20012221", "10010112", "01102002", "22001012", "10000121",
-                "20110210", "00101100", "21212210", "02112220", "01222110"]),
-        [0.27687744720983154, 0.0008034407324903902, 0.2062990161496513,
-         0.10181348447528711, 0.004648120800407935, 0.10431398109488625,
-         0.09488560844136601, 0.024398360722686925, 0.18432558773677363,
-         0.0016349526366188844],
-        [0.10132221241851742, 0.19020384113090258, 0.37054359325497854,
-         0.00797127808995099, 0.18758190201805341, 0.0028347267057291787,
-         0.022512064813619278, 0.11703038156824856],
     ),
 }
 
