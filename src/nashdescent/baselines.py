@@ -23,8 +23,31 @@ class RunTrace:
     f_history: tuple = ()  # (round, f) pairs of the running average profile
 
 
-def _history_stride(rounds: int) -> int:
-    return max(1, rounds // 50)
+class _AveragePlay:
+    """The average play of a learning dynamic over ``rounds`` rounds: each
+    player's action counts, the running average profile's f every
+    max(1, rounds // 50) rounds and at the last, and the final trace."""
+
+    def __init__(self, game: Game, rounds: int):
+        if rounds < 1:
+            raise ValueError("rounds must be positive")
+        self.game, self.rounds = game, rounds
+        self.counts_x, self.counts_y = np.zeros(game.m), np.zeros(game.n)
+        self.stride = max(1, rounds // 50)
+        self.history = []
+
+    def play(self, t: int, i: int, j: int):
+        """Round t was played with actions i and j."""
+        self.counts_x[i] += 1
+        self.counts_y[j] += 1
+        if t % self.stride == 0 or t == self.rounds:
+            avg = Profile(mixed(self.counts_x / t), mixed(self.counts_y / t))
+            self.history.append((t, regrets(self.game, avg).f))
+
+    def trace(self, algorithm: str) -> RunTrace:
+        profile = Profile(mixed(self.counts_x / self.rounds), mixed(self.counts_y / self.rounds))
+        return RunTrace(algorithm, self.rounds, profile, regrets(self.game, profile).f,
+                        tuple(self.history))
 
 
 def fictitious_play(game: Game, rounds: int) -> RunTrace:
@@ -33,28 +56,18 @@ def fictitious_play(game: Game, rounds: int) -> RunTrace:
     Each round both players best-respond (lowest index on ties) to the
     opponent's empirical average; the trace reports the average profile.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be positive")
+    tally = _AveragePlay(game, rounds)
     R, C = game.R, game.C
-    counts_x = np.zeros(game.m)
-    counts_y = np.zeros(game.n)
     row_payoff = np.zeros(game.m)  # cumulative R[:, j_t]
     col_payoff = np.zeros(game.n)  # cumulative C[i_t, :]
-    i, j = 0, 0
-    stride = _history_stride(rounds)
-    history = []
     for t in range(1, rounds + 1):
-        counts_x[i] += 1
-        counts_y[j] += 1
-        row_payoff += R[:, j]
-        col_payoff += C[i, :]
-        if t % stride == 0 or t == rounds:
-            avg = Profile(mixed(counts_x / t), mixed(counts_y / t))
-            history.append((t, regrets(game, avg).f))
+        # All zeros in the first round, so both players start at action 0.
         i = int(np.argmax(row_payoff))
         j = int(np.argmax(col_payoff))
-    profile = Profile(mixed(counts_x / rounds), mixed(counts_y / rounds))
-    return RunTrace("fp", rounds, profile, regrets(game, profile).f, tuple(history))
+        tally.play(t, i, j)
+        row_payoff += R[:, j]
+        col_payoff += C[i, :]
+    return tally.trace("fp")
 
 
 # Rounds whose uniforms regret_matching draws from the generator at once.
@@ -77,16 +90,11 @@ def regret_matching(game: Game, rounds: int, rng: np.random.Generator) -> RunTra
     two Generator.choice calls would; they are drawn _RM_CHUNK rounds at a
     time, 2*rounds in all, so rng ends in the same state.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be positive")
+    tally = _AveragePlay(game, rounds)
     R, C = game.R, game.C
     m, n = game.m, game.n
     regret_x = np.zeros(m)
     regret_y = np.zeros(n)
-    counts_x = np.zeros(m)
-    counts_y = np.zeros(n)
-    stride = _history_stride(rounds)
-    history = []
     for t in range(1, rounds + 1):
         k = 2 * ((t - 1) % _RM_CHUNK)
         if k == 0:
@@ -97,15 +105,10 @@ def regret_matching(game: Game, rounds: int, rng: np.random.Generator) -> RunTra
         py = py / py.sum() if py.sum() > 0 else np.full(n, 1.0 / n)
         i = _pick(px, u[k])
         j = _pick(py, u[k + 1])
-        counts_x[i] += 1
-        counts_y[j] += 1
+        tally.play(t, i, j)
         regret_x += R[:, j] - R[i, j]
         regret_y += C[i, :] - C[i, j]
-        if t % stride == 0 or t == rounds:
-            avg = Profile(mixed(counts_x / t), mixed(counts_y / t))
-            history.append((t, regrets(game, avg).f))
-    profile = Profile(mixed(counts_x / rounds), mixed(counts_y / rounds))
-    return RunTrace("rm", rounds, profile, regrets(game, profile).f, tuple(history))
+    return tally.trace("rm")
 
 
 @dataclass(frozen=True)

@@ -180,82 +180,63 @@ def lattice_profile(m: int, n: int, resolution: int, rng: np.random.Generator) -
 # Per-instance tasks (top level so worker processes can unpickle them).
 
 
-def _restarts(payload, start):
-    """The prescribed profile and a lazy stream of descents, restart t from
-    start(star, radius, rng(seed, t)), where a descent that raised
-    LpNumericalError is None; each task applies its own stop rule."""
-    _, inst, radius, delta, samples, seed = payload
-    star = Profile(mixed(inst.input.x_star), mixed(inst.input.y_star))
-    descents = (_descent(inst.game, start(star, radius, _rng(seed, t)), delta)
-                for t in range(samples))
-    return star, descents
+class _Restarts:
+    """The restarts of one instance: iterating descends from
+    start(star, radius, rng(seed, t)) for restart t in turn and yields each
+    finished descent, lazily, so a task may stop early.  A descent that
+    raised LpNumericalError is counted in ``failed`` and not yielded; the
+    restarts read, the iterations and the last f are tallied too, and
+    ``record`` closes the instance's TrialRecord."""
 
+    def __init__(self, payload, start):
+        self.key, self.inst, self.radius, self.delta, self.samples, self.seed = payload
+        self.start = start
+        self.star = Profile(mixed(self.inst.input.x_star), mixed(self.inst.input.y_star))
+        self.trials = self.failed = self.iterations = 0
+        self.last_f = math.nan
+        self.t0 = time.perf_counter()
 
-def _descent(game: Game, p0: Profile, delta: float):
-    try:
-        return find_stationary(game, p0, delta)
-    except LpNumericalError:
-        return None
+    def __iter__(self):
+        for t in range(self.samples):
+            self.trials += 1
+            p0 = self.start(self.star, self.radius, _rng(self.seed, t))
+            try:
+                sp = find_stationary(self.inst.game, p0, self.delta)
+            except LpNumericalError:
+                self.failed += 1
+                continue
+            self.iterations += sp.iterations
+            self.last_f = sp.f
+            yield sp
+
+    def escaped(self, sp) -> bool:
+        return profile_distance(sp.profile, self.star) >= self.radius
+
+    def record(self, experiment: str, detail: dict) -> TrialRecord:
+        wall = (time.perf_counter() - self.t0) * 1000.0
+        return TrialRecord(experiment, self.key, "ts-descent", self.seed, self.last_f,
+                           self.iterations, wall, detail)
 
 
 def _stability_task(payload):
     """An instance is stable when at least one restart finished and none
-    escaped the ball.  A failed restart is counted in ``failed``; it
-    neither proves nor disproves stability, so the scan goes on to the next
-    restart, and an instance none of whose restarts finished is unstable."""
-    key, _, radius, _, samples, seed = payload
-    star, descents = _restarts(payload, perturb_profile)
-    t0 = time.perf_counter()
-    trials_run = 0
-    failed = 0
-    escaped = False
-    last_f = float("nan")
-    iters = 0
-    for sp in descents:
-        trials_run += 1
-        if sp is None:
-            failed += 1
-            continue
-        iters += sp.iterations
-        last_f = sp.f
-        if profile_distance(sp.profile, star) >= radius:
-            escaped = True
-            break
-    stable = not escaped and failed < trials_run
-    wall = (time.perf_counter() - t0) * 1000.0
-    return TrialRecord(
-        "stability", key, "ts-descent", seed, last_f, iters, wall,
-        {"stable": stable, "trials_run": trials_run, "samples": samples, "failed": failed},
-    )
+    escaped the ball.  A failed restart neither proves nor disproves
+    stability, so the scan goes on to the next restart, and an instance
+    none of whose restarts finished is unstable."""
+    runs = _Restarts(payload, perturb_profile)
+    escaped = any(runs.escaped(sp) for sp in runs)
+    return runs.record("stability", {
+        "stable": not escaped and runs.failed < runs.trials, "trials_run": runs.trials,
+        "samples": runs.samples, "failed": runs.failed})
 
 
 def _otb_task(payload):
-    """A failed restart is counted in ``failed`` and is never effective."""
-    key, _, radius, _, samples, seed = payload
-    star, descents = _restarts(payload, sample_outside_ball)
-    t0 = time.perf_counter()
-    effective_trials = 0
-    failed = 0
-    iters = 0
-    last_f = float("nan")
-    for sp in descents:
-        if sp is None:
-            failed += 1
-            continue
-        iters += sp.iterations
-        last_f = sp.f
-        if profile_distance(sp.profile, star) >= radius and sp.f < F_THRESHOLD:
-            effective_trials += 1
-    wall = (time.perf_counter() - t0) * 1000.0
-    return TrialRecord(
-        "outside-the-ball", key, "ts-descent", seed, last_f, iters, wall,
-        {
-            "effective_trials": effective_trials,
-            "samples": samples,
-            "effective": effective_trials >= EFFECTIVENESS * samples,
-            "failed": failed,
-        },
-    )
+    """A failed restart is never effective."""
+    runs = _Restarts(payload, sample_outside_ball)
+    effective = sum(1 for sp in runs if runs.escaped(sp) and sp.f < F_THRESHOLD)
+    return runs.record("outside-the-ball", {
+        "effective_trials": effective, "samples": runs.samples,
+        "effective": effective >= EFFECTIVENESS * runs.samples, "failed": runs.failed})
 
 
 def run_algorithm(game: Game, algorithm: str, p0: Profile | None, delta: float,

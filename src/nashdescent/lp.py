@@ -8,8 +8,11 @@ bit-reproducible.  Every answer is certified on the unpivoted data: primal
 feasible, dual feasible (no reduced cost below tolerance) and with a small
 residual.  A degenerate solve that drifts into a basis failing those checks
 is repaired: on a tableau rebuilt at that basis from the unpivoted data,
-dual simplex pivots restore primal feasibility and the simplex finishes.
-Each repair is logged at debug level on the ``nashdescent.lp`` logger.
+dual simplex pivots restore primal feasibility.  When the repaired basis
+fails the checks too, the program is solved once more by the same two
+phases in exact arithmetic, on the Fractions of its doubles, and the float
+recovery reads that run's basis.  Each repair and exact re-solve is logged
+at debug level on the ``nashdescent.lp`` logger.
 
 The tableau is stored by columns: array row j is tableau column j, whose
 last entry is the objective row's, and the last array row is the rhs
@@ -95,7 +98,8 @@ class LpError(ValueError):
 
 
 class LpNumericalError(RuntimeError):
-    """A pivot budget ran out, or a rejected basis could not be repaired."""
+    """A pivot budget ran out, or a rejected basis could be neither repaired
+    nor replaced by an exact re-solve's."""
 
 
 @dataclass
@@ -198,7 +202,7 @@ def _pivot(T: np.ndarray, row: int, col: int, basis: np.ndarray):
     prow = T[:, row]
     prow /= prow[col]
     colvals = T[col].copy()
-    colvals[row] = 0.0
+    colvals[row] = 0
     if T.size > RESTRICTED_UPDATE_CELLS:
         changed = prow.nonzero()[0]
         cols = T.take(changed, axis=0)
@@ -217,7 +221,9 @@ def _run_simplex(T, basis, budget, bounded_objective=False):
     reduced costs and then minus the objective value, is T's last array
     column.  The entering column is the lowest eligible index (Bland);
     the leaving row takes the best-scaled pivot among rows whose
-    ratio is within TOL of the minimum, lowest basis index on ties.
+    ratio is within TOL of the minimum, lowest basis index on ties; on an
+    exact tableau (dtype object, see ``_solve_exactly``) both tolerances
+    are 0.
     With ``bounded_objective`` (phase 1, which cannot descend below zero)
     an apparently unbounded column is numerically degenerate: it is frozen
     out of the entering candidates for the rest of the run.
@@ -229,7 +235,8 @@ def _run_simplex(T, basis, budget, bounded_objective=False):
     """
     nrows = T.shape[1] - 1
     reduced, rhs = T[:-1, -1], T[-1, :-1]
-    tol, neg_tol = TOL, -TOL
+    tol = 0 if T.dtype == object else TOL
+    neg_tol = -tol
     frozen = []
     for _ in range(budget):
         eligible = reduced < neg_tol
@@ -253,7 +260,7 @@ def _run_simplex(T, basis, budget, bounded_objective=False):
             cl, bl = colv[pos].tolist(), rhs[pos].tolist()
             ratios = [b / c for b, c in zip(bl, cl)]
             best = min(ratios)
-            limit = best + TOL * (1.0 + abs(best))
+            limit = best + tol * (1 + abs(best))
             ties = [k for k, r in enumerate(ratios) if r <= limit]
             row = pl[ties[0]]
             if len(ties) > 1:
@@ -419,7 +426,7 @@ def _phase_one(form: _ConstraintForm):
     """
     nrows, ncols, art = form.nrows, form.ncols, form.needs_artificial
     basis = form.start_basis.copy()
-    T = np.zeros((ncols + len(art) + 1, nrows + 1))
+    T = np.zeros((ncols + len(art) + 1, nrows + 1), form.A.dtype)
     T[:ncols, :nrows] = form.A.T
     T[-1, :nrows] = form.b
     if not art:
@@ -427,7 +434,7 @@ def _phase_one(form: _ConstraintForm):
     # The artificials' unit entries, and a 1 at each in the last row; then
     # phase 1's costs: that row minus every artificial row, subtracted one
     # row at a time in row order, on T.T, the tableau's row-major view.
-    T.ravel()[form.art_cells] = 1.0
+    T.ravel()[form.art_cells] = 1
     np.subtract.reduce(T.T.take(form.cost_rows, axis=0), out=T[:, -1])
     _run_simplex(T, basis, form.budget, bounded_objective=True)
     if -T[-1, -1] > CHECK_TOL:
@@ -536,15 +543,14 @@ def _extract(form: _ConstraintForm, obj: _Objective, basis, kept):
 def _repair(form: _ConstraintForm, obj: _Objective, basis, kept):
     """Dual simplex pivots from a terminal basis that ``_extract`` rejected,
     on a tableau rebuilt at that basis from the unpivoted A and b, and
-    stored by columns like every tableau (see ``_pivot``); then, once it
-    is primal feasible, ``_run_simplex`` on that tableau.
+    stored by columns like every tableau (see ``_pivot``).
 
     While a basic value is below -TOL, the row with the most negative one
     leaves, and the column with the least ratio of its reduced cost
     (clamped at 0) to the row's negative entry enters, lowest index on
-    ties.  Returns the optimal basis, or None when B is singular, a leaving
-    row has no negative entry, the simplex ends unbounded or a budget runs
-    out.
+    ties.  Returns the first primal feasible basis, for ``_extract`` to
+    certify, or None when B is singular, a leaving row has no negative
+    entry or the budget runs out.
     """
     Ab = np.column_stack((form.A, form.b))[slice(None) if kept is None else kept]
     try:
@@ -556,10 +562,7 @@ def _repair(form: _ConstraintForm, obj: _Objective, basis, kept):
     for _ in range(form.budget):
         row = int(rhs.argmin())
         if rhs[row] >= -TOL:
-            try:
-                return basis if _run_simplex(T, basis, form.budget) == OPTIMAL else None
-            except LpNumericalError:
-                return None
+            return basis
         entries = T[:-1, row]
         cand = (entries < -TOL).nonzero()[0]
         if not cand.size:
@@ -567,6 +570,33 @@ def _repair(form: _ConstraintForm, obj: _Objective, basis, kept):
         ratios = np.maximum(reduced[cand], 0.0) / -entries[cand]
         _pivot(T, row, int(cand[ratios.argmin()]), basis)
     return None
+
+
+def _solve_exactly(form: _ConstraintForm, obj: _Objective):
+    """Phases 1 and 2 once more, in exact arithmetic: on copies of the form
+    and the objective whose A, b and c_row are object arrays of the
+    Fractions of their doubles, so no pivot drifts and every tolerance is
+    0.  Returns ``_extract``'s answer, on the float data, at the exact
+    run's terminal basis, or None when phase 1, phase 2 or ``_extract``
+    does not end optimal.  It is hundreds of times slower than a float
+    solve, so it runs only after the repair (notes/decisions.md section 35).
+    """
+    # Imported here: every fresh interpreter that imports the kernel would
+    # pay about 3 ms for it, and few programs ever get here.
+    from fractions import Fraction
+
+    exact = np.frompyfunc(Fraction, 1, 1)
+    xform, xobj = copy.copy(form), copy.copy(obj)
+    xform.A, xform.b, xform._start = exact(form.A), exact(form.b), _UNSET
+    xobj.c_row = exact(obj.c_row)
+    start = xform.phase_one()
+    if not isinstance(start, tuple):
+        return None
+    try:
+        basis = _phase_two(xform, xobj, start)
+    except LpNumericalError:
+        return None
+    return None if basis is None else _extract(form, obj, basis, start[2])
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -579,8 +609,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     A solve is one phase 1 (memoized on the program's standard form, see
     ``LinearProgram.with_objective``) and one phase 2.
     An optimum is returned only with a basis certified on the unpivoted
-    data (``_extract``); a basis that fails is repaired (``_repair``), and
-    LpNumericalError is raised if the repaired basis fails too.
+    data (``_extract``); a basis that fails is repaired (``_repair``), a
+    repaired basis that fails too is replaced by an exact re-solve's
+    (``_solve_exactly``), and LpNumericalError is raised if that fails.
     """
     form = lp._form
     start = form.phase_one()
@@ -597,10 +628,14 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if sol is None:
         basis = _repair(form, obj, basis, start[2])
         sol = None if basis is None else _extract(form, obj, basis, start[2])
-        _log.debug("%s the rejected terminal basis of a %d-row program",
-                   "could not repair" if sol is None else "repaired", form.nrows)
+        if sol is not None:
+            _log.debug("repaired the rejected terminal basis of a %d-row program", form.nrows)
+        else:
+            sol = _solve_exactly(form, obj)
+            _log.debug("%s a %d-row program exactly after its repair failed",
+                       "re-solved" if sol is not None else "could not re-solve", form.nrows)
         if sol is None:
-            raise LpNumericalError("repaired terminal basis failed feasibility checks")
+            raise LpNumericalError("no certified basis after the repair and the exact re-solve")
     return sol
 
 

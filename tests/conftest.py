@@ -1,10 +1,11 @@
 import os
 
-# One BLAS thread, set before numpy loads, as bench/run.py does: the golden
-# corpus is compared bit for bit, and BLAS sums some products in another
-# order when it splits them over threads.
+# One BLAS thread unless the environment asks for another count, set before
+# numpy loads, as bench/run.py does: the golden corpus is compared bit for
+# bit, and BLAS sums some products in another order when it splits them
+# over threads.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest
@@ -71,13 +72,14 @@ def solver_runs():
     """(solver, game, start, delta) for runs shaped like the benchmark's:
     ts_solve from lattice starts on generated 3x3 tight games, dfm_solve
     from the prescribed profiles of generated 3x3 to 5x5 tight games, and
-    ts_solve on the inputs whose LPs reach the LP kernel's basis repair."""
+    ts_solve on inputs whose LPs reach the LP kernel's basis repair, two of
+    them its exact re-solve too."""
     from nashdescent.adjust import ts_solve
     from nashdescent.dfm import dfm_solve
     from nashdescent.experiments import lattice_profile, sample_tight_games
     from nashdescent.game import Game, Profile, mixed
 
-    from .test_regressions import FALLBACK_INPUTS, C, R, X0, Y0
+    from .test_regressions import FALLBACK_INPUTS, REPAIRED_INPUTS, C, R, X0, Y0
 
     rng = np.random.default_rng(2718)
     runs = [(ts_solve, inst.game, lattice_profile(3, 3, 10, rng), 1e-3)
@@ -88,4 +90,6 @@ def solver_runs():
     for R_, C_, x0, y0, _ in FALLBACK_INPUTS.values():
         runs.append((ts_solve, Game(np.array(R_), np.array(C_)), Profile(mixed(x0), mixed(y0)), 1e-3))
     runs.append((ts_solve, Game(np.array(R), np.array(C)), Profile(mixed(X0), mixed(Y0)), 1e-3))
+    for R_, C_, x0, y0 in map(REPAIRED_INPUTS.get, ("s2-i2949-9x9", "s3-i992-3x8")):
+        runs.append((ts_solve, Game(np.array(R_), np.array(C_)), Profile(mixed(x0), mixed(y0)), 1e-3))
     return runs

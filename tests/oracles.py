@@ -28,7 +28,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from nashdescent.baselines import RunTrace, _history_stride
+from nashdescent.baselines import RunTrace
 from nashdescent.game import Game, Profile, mixed, regrets
 from nashdescent.lp import CHECK_TOL, EQ, LE, MAXIMIZE, OPTIMAL, LinearProgram, LpSolution
 
@@ -222,7 +222,7 @@ def regret_matching_choice(game: Game, rounds: int, rng: np.random.Generator) ->
     regret_y = np.zeros(n)
     counts_x = np.zeros(m)
     counts_y = np.zeros(n)
-    stride = _history_stride(rounds)
+    stride = max(1, rounds // 50)
     history = []
     for t in range(1, rounds + 1):
         px = np.clip(regret_x, 0.0, None)

@@ -96,6 +96,16 @@ def test_solve_loads_only_its_algorithms_solver(tmp_path, capsys, algorithm):
                         f"nashdescent.{SOLVER_MODULES[algorithm]}", *GEN_5X5_MODULES])]
 
 
+def test_generator_leaves_fractions_unloaded():
+    """The LP kernel imports fractions only when it re-solves a program
+    exactly; a fresh import would otherwise cost every set-up about 3 ms."""
+    assert run_fresh("""
+        import json, sys
+        import nashdescent.generator
+        print(json.dumps("fractions" in sys.modules))
+    """) is False
+
+
 def test_lattice_profile_loads_no_solver():
     """The benchmark's ts-tight3 set-up reads this sampler from the harness."""
     assert run_fresh(f"""

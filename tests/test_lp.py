@@ -571,21 +571,21 @@ def captured_programs(solver_runs):
 def test_kernel_matches_reference_on_captured_programs(captured_programs, monkeypatch):
     import nashdescent.lp as lpmod
 
-    repaired, real = [], lpmod._repair
-
-    def recording(form, *args):
-        repaired.append(form)
-        return real(form, *args)
-
-    monkeypatch.setattr(lpmod, "_repair", recording)
-    sites = {"repaired": 0}
+    reached = []
+    for name in ("_repair", "_solve_exactly"):
+        real = getattr(lpmod, name)
+        monkeypatch.setattr(lpmod, name,
+                            lambda *args, name=name, real=real: reached.append(name) or real(*args))
+    sites = {"_repair": 0, "_solve_exactly": 0}
     for site, lp, _ in captured_programs:
-        repaired.clear()
+        reached.clear()
         assert_kernel_certified(lp)
-        sites["repaired"] += bool(repaired)
+        for name in set(reached):
+            sites[name] += 1
         sites[site] = sites.get(site, 0) + 1
     assert sites["balance"] >= 40 and sites["direction"] >= 40, sites
-    assert sites["equalized"] >= 20 and sites["tight"] >= 5 and sites["repaired"] >= 1, sites
+    assert sites["equalized"] >= 20 and sites["tight"] >= 5, sites
+    assert sites["_repair"] >= 5 and sites["_solve_exactly"] >= 2, sites
 
 
 def test_kernel_matches_reference_on_seeded_programs():
